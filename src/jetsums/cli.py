@@ -401,6 +401,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except NotImplementedError as exc:
+        # exit 1 is reserved for a checked identity that failed
+        print(f"unsupported: {exc}", file=sys.stderr)
+        return 2
     except expsums.IdentityViolation as exc:
         print(f"identity violation: {exc}", file=sys.stderr)
         return 1

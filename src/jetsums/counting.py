@@ -27,7 +27,7 @@ import numpy as np
 
 from . import linalg
 from .arith import Jet
-from .forms import SymmetricForm, eval_form, gradient
+from .forms import SymmetricForm, _gradient_monomials, eval_form, gradient
 from .sections import (
     JetPoly,
     check_budget,
@@ -35,6 +35,14 @@ from .sections import (
 )
 
 CHUNK = 1 << 17
+# Base points per batched fiber step.  Each step holds a few temporaries of
+# this many small matrices.  For the m = 1 value histogram and m = 0 pair data
+# of conic(3), e = 2 (16,848 base points), the peak RSS rose above that of the
+# base scan by 0 MiB at 512 points, 4 MiB at 2048 and 33 MiB with all points in
+# one step.  At 512 a later step of the m = 1 major identity also peaked
+# 0.6 MiB higher than at 256 or 128, most likely because the step's arrays
+# then pass glibc's 128 KiB mmap threshold and freeing them raises it.
+FIBER_CHUNK = 256
 
 # ---------------------------------------------------------------------------
 # coefficient-array plumbing (degree-zero jet layer)
@@ -108,13 +116,6 @@ def _irreducible_quad_table(p: int) -> np.ndarray:
     return table
 
 
-def _inverse_table(p: int) -> np.ndarray:
-    inv = np.zeros(p, dtype=np.int64)
-    for a in range(1, p):
-        inv[a] = pow(a, p - 2, p)
-    return inv
-
-
 def batch_generating_mask(coords: np.ndarray, p: int) -> np.ndarray:
     """Global generation of the mod-t coefficient tuples, vectorized.
 
@@ -143,7 +144,7 @@ def batch_generating_mask(coords: np.ndarray, p: int) -> np.ndarray:
         rows = np.arange(N)
         jstar = (lam != 0).argmax(axis=1)
         lj = lam[rows, jstar]
-        inv = _inverse_table(p)[lj]  # 0 stays 0, those rows are already out
+        inv = linalg.inverse_table(p)[lj]  # 0 stays 0, those rows are already out
         h0 = coords[rows, jstar, 0] * inv % p
         h1 = coords[rows, jstar, 1] * inv % p
         match = (
@@ -174,8 +175,8 @@ class BaseScan:
 
     p: int
     e: int
-    coords: np.ndarray      # (N, n+1, e+1) int8
-    values: np.ndarray      # (N, de+1) int8
+    coords: np.ndarray      # (N, n+1, e+1), smallest signed dtype holding p-1
+    values: np.ndarray      # (N, de+1), same dtype
     generating: np.ndarray  # (N,) bool
 
 
@@ -192,10 +193,12 @@ def base_scan(F: SymmetricForm, e: int, budget: int | None = None) -> BaseScan:
             total, min(_BASE_CACHE_LIMIT, 10**18 if budget is None else budget),
             "materialized tuple scan",
         )
+        # int8 would wrap for p > 128 and send every later code negative
+        dtype = np.min_scalar_type(-p)
         cs, vs, gs = [], [], []
         for _, coords, values, gg in iter_base_chunks(F, e, budget):
-            cs.append(coords.astype(np.int8))
-            vs.append(values.astype(np.int8))
+            cs.append(coords.astype(dtype))
+            vs.append(values.astype(dtype))
             gs.append(gg)
         _BASE_CACHE[key] = BaseScan(
             p, e, np.concatenate(cs), np.concatenate(vs), np.concatenate(gs)
@@ -223,6 +226,79 @@ def mult_matrix(F: SymmetricForm, x0_coords: np.ndarray) -> np.ndarray:
                 if ga and a + i <= de:
                     mat[a + i, col] = ga
     return mat
+
+
+def mult_matrix_batch(F: SymmetricForm, coords: np.ndarray) -> np.ndarray:
+    """``mult_matrix`` of every base point of a stack, without jet objects.
+
+    coords has shape (N, n+1, e+1); the result (N, de+1, (n+1)(e+1)) holds
+    each matrix in the same row and column order.  The partial derivatives
+    are evaluated on the coefficient arrays directly from the gradient
+    monomials.
+    """
+    p, n = F.p, F.n
+    coords = coords.astype(np.int64)
+    N, _, ec = coords.shape
+    gdeg = (F.d - 1) * (ec - 1)
+    mat = np.zeros((N, F.d * (ec - 1) + 1, n + 1, ec), dtype=np.int64)
+    for j, mons in enumerate(_gradient_monomials(F)):
+        g = np.zeros((N, gdeg + 1), dtype=np.int64)
+        for exps, c in mons:
+            term = np.ones((N, 1), dtype=np.int64)
+            for k, ek in enumerate(exps):
+                for _ in range(ek):
+                    term = batch_poly_mul(term, coords[:, k, :], p)
+            g += c * term
+        g %= p
+        for i in range(ec):
+            mat[:, i : i + gdeg + 1, j, i] = g
+    return mat.reshape(N, -1, (n + 1) * ec)
+
+
+def fiber_chunks(F: SymmetricForm, coords: np.ndarray):
+    """Stream (rows, L, image, rank) over a stack of base points, FIBER_CHUNK
+    at a time.
+
+    rows is the slice of ``coords`` covered; L the batched gradient maps;
+    image the rref of each L^T, whose first rank rows are the canonical basis
+    of the image of L (a subspace key), so dim ker L = L.shape[2] - rank.
+    """
+    for start in range(0, coords.shape[0], FIBER_CHUNK):
+        rows = slice(start, start + FIBER_CHUNK)
+        L = mult_matrix_batch(F, coords[rows])
+        image, rank = linalg.rref_batch(L.transpose(0, 2, 1), F.p)
+        yield rows, L, image, rank
+
+
+def fiber_classes(F: SymmetricForm, coords: np.ndarray, values: np.ndarray):
+    """Group base points by (value layer, image of z -> z . grad F(x0)).
+
+    A base point's fiber enters the value and pair histograms only through
+    its value v0 and the image of its gradient map (the kernel dimension and
+    the annihilator are fixed by the image), so callers handle each class
+    once, weighted by its size.  Returns ([(v0, image rref basis, count)],
+    per-point image rank).
+    """
+    width = values.shape[1]
+    classes: dict[bytes, list] = {}
+    ranks = []
+    for rows, _, image, rank in fiber_chunks(F, coords):
+        keys = np.concatenate(
+            [values[rows].astype(np.int64), rank[:, None], image.reshape(rank.size, -1)],
+            axis=1,
+        )
+        # one opaque bytes item per row: far cheaper to sort than axis=0
+        flat = keys.view(np.dtype((np.void, keys.shape[1] * keys.itemsize))).ravel()
+        _, first, counts = np.unique(flat, return_index=True, return_counts=True)
+        for i, count in zip(first, counts):
+            entry = classes.setdefault(flat[i].tobytes(), [keys[i], 0])
+            entry[1] += int(count)
+        ranks.append(rank)
+    out = []
+    for key, count in classes.values():
+        rank = int(key[width])
+        out.append((key[:width], key[width + 1 :].reshape(-1, width)[:rank], count))
+    return out, np.concatenate(ranks) if ranks else np.zeros(0, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -321,12 +397,13 @@ def _form_from_key(mons, p, n, d):
     return make_form(p, n, d, list(mons))
 
 
-def _base_solutions(F: SymmetricForm, e: int, budget: int | None):
-    """Coordinates of gg degree-zero solutions (streamed, small output)."""
-    for _, coords, values, gg in iter_base_chunks(F, e, budget):
-        sel = gg & ~values.any(axis=1)
-        if sel.any():
-            yield from coords[sel].astype(np.int64)
+def _base_solutions(F: SymmetricForm, e: int, budget: int | None) -> np.ndarray:
+    """Coordinates of the gg degree-zero solutions, stacked (the scan is
+    streamed; solutions are a small share of it)."""
+    return np.concatenate([
+        coords[gg & ~values.any(axis=1)]
+        for _, coords, values, gg in iter_base_chunks(F, e, budget)
+    ])
 
 
 def _solution_fibers(F: SymmetricForm, e: int, m: int, budget: int | None):
@@ -339,21 +416,22 @@ def _solution_fibers(F: SymmetricForm, e: int, m: int, budget: int | None):
     p^(dim ker L) whenever its constraint is consistent.
     """
     p = F.p
-    for x0 in _base_solutions(F, e, budget):
-        L = mult_matrix(F, x0)
-        ker = linalg.nullspace(L, p)
-        kerdim = ker.shape[0]
-        if m == 1:
-            # the only layer-1 constraint is L(x^1) = 0
-            yield x0, p**kerdim
-            continue
-        check_budget(
-            p ** (kerdim * (m - 1)) * (m + 1), budget, "jet-layer fiber enumeration"
-        )
-        total = 0
-        for count in _extend_layer_counts(F, e, m, [x0], L, ker, 1):
-            total += count
-        yield x0, total
+    x0s = _base_solutions(F, e, budget)
+    for rows, Ls, _, ranks in fiber_chunks(F, x0s):
+        for x0, L, rank in zip(x0s[rows], Ls, ranks):
+            kerdim = L.shape[1] - int(rank)
+            if m == 1:
+                # the only layer-1 constraint is L(x^1) = 0
+                yield x0, p**kerdim
+                continue
+            check_budget(
+                p ** (kerdim * (m - 1)) * (m + 1), budget, "jet-layer fiber enumeration"
+            )
+            ker = linalg.nullspace(L, p)
+            total = 0
+            for count in _extend_layer_counts(F, e, m, [x0], L, ker, 1):
+                total += count
+            yield x0, total
 
 
 def _extend_layer_counts(F, e, m, layers, L, ker, depth):

@@ -36,15 +36,19 @@ from .counting import (
     count_solutions,
     count_tangent_pairs,
     encode_digits,
+    fiber_chunks,
+    fiber_classes,
     iter_base_chunks,
     mult_matrix,
     unfolded_mult_matrix,
+    _base_solutions,
     _coords_to_jets,
     _taylor_layer,
     _psi_section_batch,
 )
 from .forms import SymmetricForm
 from .sections import (
+    BudgetExceeded,
     DivisorP1,
     DualFunctional,
     JetPoly,
@@ -173,13 +177,58 @@ def dual_from_code(p: int, r: int, m: int, code: int) -> DualFunctional:
 _HIST_CACHE: dict[tuple, np.ndarray] = {}
 _TRANSFORM_CACHE: dict[tuple, np.ndarray] = {}
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _check_mass(F: SymmetricForm, e: int, m: int, what: str) -> None:
+    """Refuse int64 histograms whose total mass, the p^((m+1)(n+1)(e+1))
+    tuples of P_{e,m}^(n+1), could overflow."""
+    mass = F.p ** ((m + 1) * (F.n + 1) * (e + 1))
+    if mass > _INT64_MAX:
+        raise BudgetExceeded(mass, _INT64_MAX, f"{what} (int64 counts)")
+
+
+def _in_range(codes: np.ndarray, size: int) -> np.ndarray:
+    """The codes, after checking they index a histogram of this size; a
+    wrapped dtype would otherwise land at negative codes without an error."""
+    if codes.size and (int(codes.min()) < 0 or int(codes.max()) >= size):
+        raise AssertionError(f"histogram code outside [0, {size})")
+    return codes
+
+
+def _coset_codes(v0: np.ndarray, im: np.ndarray, p: int) -> np.ndarray:
+    """m = 1 w-codes above a base value v0: layer-1 values u run over the
+    span of im, and w_0 = v0 + u, w_1 = v0."""
+    w0 = (v0[None, :] + linalg.span_elements(im, p)) % p
+    return encode_digits(w0, p) + int(encode_digits(v0[None, :], p)[0]) * p ** v0.size
+
+
+def _ann_registry(ann_bases: list, p: int):
+    """Index annihilator classes in first-seen order.
+
+    Returns key(ann): the index in ``ann_bases`` of the span of the rows of
+    ``ann``, keyed by its rref basis (appended when new).
+    """
+    index: dict[bytes, int] = {}
+
+    def key(ann: np.ndarray) -> int:
+        basis = linalg.row_space(ann, p) if ann.size else ann
+        sig = basis.tobytes() if basis.size else b""
+        if sig not in index:
+            index[sig] = len(ann_bases)
+            ann_bases.append(basis)
+        return index[sig]
+
+    return key
+
 
 def value_histogram(F: SymmetricForm, e: int, m: int, budget: int | None = None) -> np.ndarray:
     """Histogram over w-codes of F-values on gg tuples in P_{e,m}^(n+1).
 
     m = 0 streams the tuple space; m = 1 fibers over the base layer, where
     the top layer contributes one image coset of the gradient multiplication
-    map with multiplicity p^(dim ker).
+    map with multiplicity p^(dim ker).  Base points are grouped by value and
+    image first, so each coset is spanned once per class.
     """
     key = (F.key(), e, m)
     if key in _HIST_CACHE:
@@ -188,27 +237,22 @@ def value_histogram(F: SymmetricForm, e: int, m: int, budget: int | None = None)
     de = F.d * e
     width = de + 1
     size = p ** (width * (m + 1))
+    _check_mass(F, e, m, "value histogram")
     check_budget(size, budget, "value histogram")
     if m == 0:
         hist = np.zeros(size, dtype=np.int64)
         for _, _, values, gg in iter_base_chunks(F, e, budget):
             codes = encode_digits(values[gg], p)
-            hist += np.bincount(codes, minlength=size)
+            hist += np.bincount(_in_range(codes, size), minlength=size)
     elif m == 1:
         hist = np.zeros(size, dtype=np.int64)
         scan = base_scan(F, e, budget)
-        gidx = np.nonzero(scan.generating)[0]
-        for bi in gidx:
-            x0 = scan.coords[bi].astype(np.int64)
-            v0 = scan.values[bi].astype(np.int64)
-            L = mult_matrix(F, x0)
-            im = linalg.row_space(L.T, p)
-            kerdim = L.shape[1] - im.shape[0]
-            u = linalg.span_elements(im, p)          # layer-1 values
-            # w_0 = v0 + u, w_1 = v0
-            w0 = (v0[None, :] + u) % p
-            codes = encode_digits(w0, p) + encode_digits(v0[None, :], p)[0] * p**width
-            np.add.at(hist, codes, p**kerdim)
+        gg = scan.generating
+        ncols = (n + 1) * (e + 1)
+        classes, _ = fiber_classes(F, scan.coords[gg], scan.values[gg])
+        for v0, im, count in classes:
+            codes = _in_range(_coset_codes(v0, im, p), size)
+            np.add.at(hist, codes, count * p ** (ncols - im.shape[0]))
     else:
         raise NotImplementedError("value histograms cover m <= 1")
     _HIST_CACHE[key] = hist
@@ -481,68 +525,55 @@ def pair_data(F: SymmetricForm, e: int, m: int, budget: int | None = None) -> Pa
     p, n = F.p, F.n
     de = F.d * e
     width = de + 1
+    ncols = (n + 1) * (e + 1)
     hist: dict = {}
     ann_bases: list[np.ndarray] = []
-    ann_key_of: dict = {}
-
-    def ann_key(basis: np.ndarray) -> int:
-        sig = basis.tobytes() if basis.size else b""
-        if sig not in ann_key_of:
-            ann_key_of[sig] = len(ann_bases)
-            ann_bases.append(basis)
-        return ann_key_of[sig]
+    ann_key = _ann_registry(ann_bases, p)
 
     scan = base_scan(F, e, budget)
-    gidx = np.nonzero(scan.generating)[0]
+    gg = scan.generating
+    coords, values = scan.coords[gg], scan.values[gg]
     if m == 0:
-        for bi in gidx:
-            x0 = scan.coords[bi].astype(np.int64)
-            L = mult_matrix(F, x0)
+        classes, _ = fiber_classes(F, coords, values)
+        for v0, im, count in classes:
             # annihilator of the image = left kernel of L
-            ann = linalg.nullspace(np.ascontiguousarray(L.T), p)
-            k = ann_key(linalg.row_space(ann, p) if ann.size else ann)
-            code = int(encode_digits(scan.values[bi][None].astype(np.int64), p)[0])
-            hist[(code, k)] = hist.get((code, k), 0) + 1
+            k = ann_key(linalg.annihilator(im, width, p))
+            code = int(encode_digits(v0[None], p)[0])
+            hist[(code, k)] = hist.get((code, k), 0) + count
     elif m == 1:
         trivial = ann_key(np.zeros((0, 2 * width), dtype=np.int64))
-        for bi in gidx:
-            x0 = scan.coords[bi].astype(np.int64)
-            v0 = scan.values[bi].astype(np.int64)
-            L = mult_matrix(F, x0)
-            im = linalg.row_space(L.T, p)
-            surjective = im.shape[0] == width
-            kerdim = L.shape[1] - im.shape[0]
-            if surjective:
-                # block-triangular with surjective diagonal: annihilator is 0
-                # for every lift x0 + t*x1, so the layer-1 value can be
-                # grouped into image cosets
-                u = linalg.span_elements(im, p)
-                w0 = (v0[None, :] + u) % p
-                codes = encode_digits(w0, p) + int(
-                    encode_digits(v0[None, :], p)[0]
-                ) * p**width
-                for code in codes:
-                    key2 = (int(code), trivial)
-                    hist[key2] = hist.get(key2, 0) + p**kerdim
-            else:
-                check_budget(
-                    int(gidx.size) * p ** ((n + 1) * (e + 1)),
-                    budget,
-                    "non-surjective pair annihilator scan",
-                )
-                for x1code in range(p ** ((n + 1) * (e + 1))):
-                    x1 = batch_digits(np.array([x1code]), p, (n + 1) * (e + 1))[0]
-                    stack = np.stack([x0, x1.reshape(n + 1, e + 1)])
-                    jets = _coords_to_jets(F, stack, e, 1)
-                    M = unfolded_mult_matrix(F, jets)
-                    ann = linalg.nullspace(np.ascontiguousarray(M.T), p)
-                    k = ann_key(linalg.row_space(ann, p) if ann.size else ann)
-                    from .forms import eval_form
+        classes, ranks = fiber_classes(F, coords, values)
+        for v0, im, count in classes:
+            if im.shape[0] < width:
+                continue
+            # block-triangular with surjective diagonal: annihilator is 0
+            # for every lift x0 + t*x1, so the layer-1 value can be
+            # grouped into image cosets
+            weight = count * p ** (ncols - width)
+            for code in _coset_codes(v0, im, p):
+                key2 = (int(code), trivial)
+                hist[key2] = hist.get(key2, 0) + weight
+        explicit = np.nonzero(ranks < width)[0]
+        if explicit.size:
+            check_budget(
+                int(ranks.size) * p**ncols,
+                budget,
+                "non-surjective pair annihilator scan",
+            )
+        from .forms import eval_form
 
-                    vals = np.array(eval_form(F, jets).layers(), dtype=np.int64)
-                    code = int(w_code_from_values(vals[None], p, 1)[0])
-                    key2 = (code, k)
-                    hist[key2] = hist.get(key2, 0) + 1
+        for bi in explicit:
+            x0 = coords[bi].astype(np.int64)
+            for x1code in range(p**ncols):
+                x1 = batch_digits(np.array([x1code]), p, ncols)[0]
+                stack = np.stack([x0, x1.reshape(n + 1, e + 1)])
+                jets = _coords_to_jets(F, stack, e, 1)
+                M = unfolded_mult_matrix(F, jets)
+                k = ann_key(linalg.nullspace(np.ascontiguousarray(M.T), p))
+                vals = np.array(eval_form(F, jets).layers(), dtype=np.int64)
+                code = int(w_code_from_values(vals[None], p, 1)[0])
+                key2 = (code, k)
+                hist[key2] = hist.get(key2, 0) + 1
     else:
         raise NotImplementedError("pair data covers m <= 1")
     data = PairData(p, e, m, de, hist, ann_bases)
@@ -778,29 +809,20 @@ def slice_histogram(F: SymmetricForm, e: int, m: int, budget: int | None = None,
     p, n = F.p, F.n
     de = F.d * e
     width = de + 1
+    _check_mass(F, e, m, "slice histogram")
     kk = np.zeros(p**width, dtype=np.int64)
     hist: dict = {}
     ann_bases: list[np.ndarray] = []
-    ann_key_of: dict = {}
-
-    def ann_key(basis: np.ndarray) -> int:
-        sig = basis.tobytes() if basis.size else b""
-        if sig not in ann_key_of:
-            ann_key_of[sig] = len(ann_bases)
-            ann_bases.append(basis)
-        return ann_key_of[sig]
+    ann_key = _ann_registry(ann_bases, p)
 
     trivial = ann_key(np.zeros((0, (m + 1) * width), dtype=np.int64))
-    for _, coords, values, gg in iter_base_chunks(F, e, budget):
-        sel = gg & ~values.any(axis=1)
-        for x0 in coords[sel].astype(np.int64):
-            L = mult_matrix(F, x0)
+    x0s = _base_solutions(F, e, budget)
+    for rows, Ls, images, ranks in fiber_chunks(F, x0s):
+        for x0, L, image, rank in zip(x0s[rows], Ls, images, ranks):
             ker = linalg.nullspace(L, p)
-            im = linalg.row_space(L.T, p)
-            imspan = linalg.span_elements(im, p)
-            kerdim = ker.shape[0]
-            surjective = im.shape[0] == width
-            if with_ann and not surjective:
+            imspan = linalg.span_elements(image[:rank], p)
+            kerdim = L.shape[1] - int(rank)
+            if with_ann and rank < width:
                 _slice_recurse_explicit(
                     F, e, m, [x0], L, ker, kk, hist, ann_key, 1, budget
                 )
@@ -820,7 +842,7 @@ def _slice_recurse(F, e, m, layers, L, ker, imspan, kerdim, kk, hist, annk, dept
     c = _taylor_layer(F, e, m, layers, depth)
     if depth == m:
         codes = encode_digits((c[None, :] + imspan) % p, p)
-        np.add.at(kk, codes, p**kerdim)
+        np.add.at(kk, _in_range(codes, kk.size), p**kerdim)
         if hist is not None:
             for code in codes:
                 key = (int(code), annk)
@@ -850,8 +872,7 @@ def _slice_recurse_explicit(F, e, m, layers, L, ker, kk, hist, ann_key, depth,
             u = (c + L @ xm.reshape(-1)) % p
             jets = _coords_to_jets(F, np.stack(layers + [xm]), e, m)
             M = unfolded_mult_matrix(F, jets)
-            ann = linalg.nullspace(np.ascontiguousarray(M.T), p)
-            k = ann_key(linalg.row_space(ann, p) if ann.size else ann)
+            k = ann_key(linalg.nullspace(np.ascontiguousarray(M.T), p))
             ucode = int(encode_digits(u[None], p)[0])
             kk[ucode] += 1
             key = (ucode, k)

@@ -1,8 +1,17 @@
 """Small dense linear algebra over a prime field F_p.
 
 Matrices are numpy int64 arrays with entries reduced mod p.  Everything here
-is exact integer arithmetic; p is small (a machine prime), dimensions are in
-the dozens, so plain Gaussian elimination is fast enough.
+is exact integer arithmetic; p is small (a machine prime) and dimensions are
+in the dozens.
+
+Two eliminations share that contract.  ``rref_batch`` row-reduces a whole
+stack of matrices at once, one column step across the batch axis at a time;
+the fiber routes use it for the gradient maps of every base point of a
+degree-zero scan.  The scalar ``rref`` (with ``rank``, ``nullspace``,
+``row_space`` and ``solve`` built on it) serves callers that hold a single
+matrix -- the auxiliary linear sum, the N counts, the jet-layer lifts and the
+non-surjective pair fibers -- and is the oracle the batched kernel is tested
+against.
 """
 
 from __future__ import annotations
@@ -12,6 +21,14 @@ import numpy as np
 
 def inverse_mod(a: int, p: int) -> int:
     return pow(int(a) % p, p - 2, p)
+
+
+def inverse_table(p: int) -> np.ndarray:
+    """inv[a] = a^(-1) mod p for a = 1..p-1; inv[0] = 0."""
+    inv = np.zeros(p, dtype=np.int64)
+    for a in range(1, p):
+        inv[a] = pow(a, p - 2, p)
+    return inv
 
 
 def as_matrix(rows, p: int) -> np.ndarray:
@@ -44,6 +61,39 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         pivots.append(col)
         row += 1
     return m, pivots
+
+
+def rref_batch(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row echelon form of every matrix of a (N, rows, cols) stack.
+
+    Returns the rref stack and the rank of each matrix; matrix b equals
+    ``rref(mats[b], p)[0]``, its first rank[b] rows are the nonzero ones.
+    Each column step picks, per matrix, the first nonzero entry at or below
+    that matrix's current row (a masked argmax) and eliminates the column
+    from every other row of the matrices that have a pivot there.
+    """
+    a = np.array(mats, dtype=np.int64) % p
+    n, nrows, ncols = a.shape
+    inv = inverse_table(p)
+    rank = np.zeros(n, dtype=np.int64)
+    row_ids = np.arange(nrows)
+    for col in range(ncols):
+        cand = (a[:, :, col] != 0) & (row_ids[None, :] >= rank[:, None])
+        b = np.nonzero(cand.any(axis=1))[0]
+        if b.size == 0:
+            continue
+        piv = cand[b].argmax(axis=1)
+        top = rank[b]
+        prow = a[b, piv]
+        a[b, piv] = a[b, top]
+        prow = prow * inv[prow[:, col]][:, None] % p
+        a[b, top] = prow
+        factors = a[b, :, col]
+        factors[np.arange(b.size), top] = 0
+        # earlier columns of the pivot row are zero already
+        a[b, :, col:] = (a[b, :, col:] - factors[:, :, None] * prow[:, None, col:]) % p
+        rank[b] += 1
+    return a, rank
 
 
 def rank(mat: np.ndarray, p: int) -> int:

@@ -184,3 +184,16 @@ def test_random_form_generation(capsys):
     )
     assert code == 0
     assert json.loads(out)["certified"]
+
+
+def test_unsupported_configuration_exits_2():
+    # exit 1 means a checked identity failed; m = 2 value histograms are not
+    # implemented, which is a configuration the tool cannot run
+    proc = subprocess.run(
+        [sys.executable, "-m", "jetsums.cli", "circle", "--check", "orthogonality",
+         "--q", "3", "--form", "conic", "--e", "1", "--m", "2", "--no-timestamp"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("unsupported: ")
+    assert "Traceback" not in proc.stderr and proc.stdout == ""

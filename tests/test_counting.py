@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from jetsums.counting import (
     base_scan,
@@ -14,6 +16,8 @@ from jetsums.counting import (
     iter_base_chunks,
     lw_trend,
     moduli_dimension,
+    mult_matrix,
+    mult_matrix_batch,
 )
 from jetsums.forms import conic_form, fermat_form, make_form, transform_form
 from jetsums.sections import BudgetExceeded, JetPoly, globally_generates
@@ -179,3 +183,40 @@ def test_small_characteristic_rejected():
     object.__setattr__(F, "p", 2)  # simulate a corrupted modulus
     with pytest.raises(ValueError):
         count_solutions(F, 1, 0)
+
+
+@st.composite
+def forms_and_points(draw):
+    """A random form with (p, n, d, e) small, and a few base points."""
+    d = draw(st.integers(2, 3))
+    p = draw(st.sampled_from([q for q in (3, 5, 7) if q > d]))
+    n = draw(st.integers(1, 2))
+    e = draw(st.integers(0, 2))
+    exps = [ex for ex in itertools.product(range(d + 1), repeat=n + 1) if sum(ex) == d]
+    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=len(exps), max_size=len(exps)))
+    mons = [(ex, c) for ex, c in zip(exps, coeffs) if c]
+    if not mons:
+        mons = [(exps[0], 1)]
+    F = make_form(p, n, d, mons)
+    count = draw(st.integers(1, 5))
+    entries = draw(st.lists(
+        st.integers(0, p - 1),
+        min_size=count * (n + 1) * (e + 1), max_size=count * (n + 1) * (e + 1),
+    ))
+    return F, np.array(entries, dtype=np.int64).reshape(count, n + 1, e + 1)
+
+
+@given(forms_and_points())
+def test_mult_matrix_batch_matches_scalar(case):
+    F, coords = case
+    batch = mult_matrix_batch(F, coords)
+    for x0, mat in zip(coords, batch):
+        assert (mat == mult_matrix(F, x0)).all()
+
+
+def test_base_scan_dtype_holds_large_primes():
+    scan = base_scan(fermat_form(137, 1, 2), 0)
+    assert scan.values.dtype == np.int16
+    assert scan.coords.min() >= 0 and scan.values.min() >= 0
+    assert scan.values.max() == 136
+    assert base_scan(conic_form(3), 1).values.dtype == np.int8

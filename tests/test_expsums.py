@@ -5,8 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from jetsums import linalg
 from jetsums.arith import Cyclo, psi_m
-from jetsums.counting import count_psi_zero_sections
+from jetsums.counting import base_scan, count_psi_zero_sections, encode_digits, mult_matrix
 from jetsums.expsums import (
     IdentityViolation,
     all_sums,
@@ -30,10 +31,12 @@ from jetsums.expsums import (
     slice_histogram,
     t_inner_sum,
     t_vanishing_report,
+    value_histogram,
     weyl_alpha_sample,
 )
 from jetsums.forms import conic_form, eval_form, fermat_form
 from jetsums.sections import (
+    BudgetExceeded,
     DualFunctional,
     JetPoly,
     enumerate_sections,
@@ -344,3 +347,77 @@ def test_report_serialization():
     assert payload["check"] == "orthogonality"
     assert payload["verdict"] == "equal"
     assert "zeta_coeffs" in payload["lhs"]
+
+
+def _per_point_fiber_reference(F, e):
+    """value_histogram(F, e, 1) and the pair_data(F, e, 0) classes, one base
+    point at a time with the scalar kernels."""
+    p, n = F.p, F.n
+    width = F.d * e + 1
+    ncols = (n + 1) * (e + 1)
+    scan = base_scan(F, e)
+    hist = np.zeros(p ** (2 * width), dtype=np.int64)
+    pairs: dict = {}
+    for bi in np.nonzero(scan.generating)[0]:
+        x0 = scan.coords[bi].astype(np.int64)
+        v0 = scan.values[bi].astype(np.int64)
+        L = mult_matrix(F, x0)
+        im = linalg.row_space(L.T, p)
+        u = linalg.span_elements(im, p)
+        codes = encode_digits((v0 + u) % p, p) + encode_digits(v0[None], p)[0] * p**width
+        hist[codes] += p ** (ncols - im.shape[0])
+        ann = linalg.nullspace(np.ascontiguousarray(L.T), p)
+        basis = linalg.row_space(ann, p) if ann.size else ann
+        key = (int(encode_digits(v0[None], p)[0]), basis.tobytes())
+        pairs[key] = pairs.get(key, 0) + 1
+    return hist, pairs
+
+
+@pytest.mark.parametrize("F,e", [
+    (conic_form(3), 1), (conic_form(3), 2), (fermat_form(5, 1, 3), 1),
+    (fermat_form(3, 2, 2), 1),
+])
+def test_grouped_fiber_routes_match_per_point_reference(F, e):
+    hist, pairs = _per_point_fiber_reference(F, e)
+    assert (value_histogram(F, e, 1) == hist).all()
+    data = pair_data(F, e, 0)
+    grouped = {
+        (code, data.ann_bases[k].tobytes()): count
+        for (code, k), count in data.hist.items()
+    }
+    assert grouped == pairs
+
+
+def test_value_histogram_large_prime_matches_python_reference():
+    # p > 127: base values no longer fit int8, which used to wrap into
+    # negative histogram codes without any error
+    F = fermat_form(137, 1, 2)
+    p = F.p
+    grads = [
+        [(ex, c * ex[j], j) for ex, c in F.monomials.items() if ex[j]]
+        for j in range(F.n + 1)
+    ]
+
+    def monomial(x, ex, drop=None):
+        out = 1
+        for k, ek in enumerate(ex):
+            out *= x[k] ** (ek - (k == drop))
+        return out
+
+    ref = [0] * p**2
+    for x in itertools.product(range(p), repeat=F.n + 1):
+        if not any(x):
+            continue
+        v0 = sum(c * monomial(x, ex) for ex, c in F.monomials.items()) % p
+        row = [sum(c * monomial(x, ex, j) for ex, c, j in g) % p for g in grads]
+        image = range(p) if any(row) else [0]
+        for u in image:
+            ref[(v0 + u) % p + p * v0] += p ** (F.n + 1 - (1 if any(row) else 0))
+    assert value_histogram(F, 0, 1).tolist() == ref
+
+
+def test_histogram_mass_beyond_int64_is_refused():
+    with pytest.raises(BudgetExceeded, match="int64"):
+        value_histogram(fermat_form(137, 1, 2), 2, 1, budget=10**40)
+    with pytest.raises(BudgetExceeded, match="int64"):
+        slice_histogram(fermat_form(137, 1, 2), 2, 2, budget=10**40)

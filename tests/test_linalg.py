@@ -1,0 +1,52 @@
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from jetsums.linalg import rref, rref_batch
+
+
+@st.composite
+def matrix_stacks(draw):
+    """A stack with random matrices plus a zero, a full-rank and a repeated
+    one, entries drawn a little outside [0, p) to exercise the reduction."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 137]))
+    nrows = draw(st.integers(1, 6))
+    ncols = draw(st.integers(1, 6))
+    count = draw(st.integers(1, 6))
+    entries = draw(st.lists(
+        st.integers(-p, 2 * p - 1),
+        min_size=count * nrows * ncols, max_size=count * nrows * ncols,
+    ))
+    mats = np.array(entries, dtype=np.int64).reshape(count, nrows, ncols)
+    # full rank: a scaled identity with its rows and columns permuted
+    perm_r = draw(st.permutations(range(nrows)))
+    perm_c = draw(st.permutations(range(ncols)))
+    scale = draw(st.integers(1, p - 1))
+    full = (scale * np.eye(nrows, ncols, dtype=np.int64))[perm_r][:, perm_c]
+    extra = np.stack([np.zeros((nrows, ncols), dtype=np.int64), full, mats[0]])
+    return p, np.concatenate([mats, extra])
+
+
+@given(matrix_stacks())
+def test_rref_batch_matches_scalar_rref(case):
+    p, mats = case
+    reduced, ranks = rref_batch(mats, p)
+    assert reduced.shape == mats.shape
+    for b, mat in enumerate(mats):
+        ref, pivots = rref(mat, p)
+        assert (reduced[b] == ref).all()
+        assert ranks[b] == len(pivots)
+        lead = [int(np.nonzero(row)[0][0]) for row in reduced[b][: ranks[b]]]
+        assert lead == pivots
+        assert not reduced[b][ranks[b]:].any()
+    assert ranks[-3] == 0
+    assert ranks[-2] == min(mats.shape[1:])
+    assert (reduced[-1] == reduced[0]).all()
+
+
+def test_rref_batch_leaves_input_alone():
+    mats = np.array([[[2, 4], [1, 3]]], dtype=np.int64)
+    before = mats.copy()
+    reduced, ranks = rref_batch(mats, 5)
+    assert (mats == before).all()
+    assert ranks.tolist() == [2] and (reduced[0] == np.eye(2)).all()
