@@ -250,10 +250,6 @@ def psi_m(u: Jet) -> Cyclo:
     return Cyclo.root(u.p, sum(u.coeffs) % u.p)
 
 
-def psi_exponent(u: Jet) -> int:
-    return sum(u.coeffs) % u.p
-
-
 def cyclo_accumulate(acc: Cyclo, term: Cyclo, multiplicity: int) -> Cyclo:
     return acc + term * multiplicity
 

@@ -20,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
+from .sections import check_budget
 
 
 def genus_slack(g: int) -> Fraction:
@@ -310,6 +311,36 @@ def _dominant_term_split(d: int, g: int, e: int, D: int) -> bool:
     return second >= first
 
 
+def _shrink_exponents(d: int, g: int, e: int, Ds: np.ndarray) -> np.ndarray:
+    """shrink_exponent at every divisor degree of Ds (all >= 0), by integer
+    floor division: floor(e - D/(d-1)) = e + floor(-D/(d-1))."""
+    base = np.maximum((Ds - e + 2 * g - 2) // (d - 1), e + (-Ds) // (d - 1))
+    if g >= 1:
+        base = np.maximum(base, max(2 * g - 2, 1))
+    return base + 1
+
+
+def _dominant_term_splits(d: int, g: int, e: int, Ds: np.ndarray) -> np.ndarray:
+    """_dominant_term_split at every degree of Ds, with both max terms and
+    the threshold D = de/2 - g + 1 scaled by d - 1 and 2 respectively."""
+    first = Ds - e + 2 * g - 2
+    second = e * (d - 1) - Ds
+    return np.where(2 * Ds > d * e - 2 * g + 2, first >= second, second >= first)
+
+
+def _grid_cells(mode: str, d: int, g: int, e_span, m_span) -> int:
+    """Cells the sweep allocates: |Ds| (singles) or |Ds|^2 (pairs) per
+    degree, once per jet order."""
+    cells = 0
+    for e in range(e_span[0], e_span[1] + 1):
+        dmax = d * e // 2 + 1
+        if mode == "canonical":
+            cells += max(0, dmax - max(0, e - 2 * g + 2) + 1)
+        else:
+            cells += (dmax + 1) ** 2
+    return cells * (m_span[1] - m_span[0] + 1)
+
+
 def certify(
     mode: str,
     d: int,
@@ -317,9 +348,14 @@ def certify(
     e_span: tuple[int, int] | None = None,
     m_span: tuple[int, int] = (1, 50),
     n_plus_1: int | None = None,
+    budget: int | None = None,
 ) -> Certificate:
     """Sweep the admissible grid and assert the strict variable-count
     inequality at every point, in exact integer arithmetic.
+
+    Half-integer thresholds are doubled so that every comparison runs on
+    whole integer arrays over the divisor degrees of one (e, m).  The total
+    cell count is checked against the budget before any grid is built.
 
     Also asserts: the two transcription pipelines agree, the shrink
     parameter's max-term domination switches where predicted, and the
@@ -339,6 +375,8 @@ def certify(
     e0 = degree_floor(mode, d, g)
     if Fraction(e_lo) <= e0:
         raise ValueError(f"degree span must start above the threshold {e0}")
+    check_budget(_grid_cells(mode, d, g, e_span, m_span), budget,
+                 "certificate grid")
     f2 = int(2 * genus_slack(g))
     failures: list = []
     best_num, best_den = 0, 1  # running max of the ratio, cross-multiplied
@@ -357,12 +395,9 @@ def certify(
             if d_lo > dmax:
                 continue
             Ds = np.arange(max(0, d_lo), dmax + 1, dtype=np.int64)
-            svals = np.array(
-                [shrink_exponent(d, g, e, int(D)) for D in Ds], dtype=np.int64
-            )
-            for D, s in zip(Ds, svals):
-                if not _dominant_term_split(d, g, e, int(D)):
-                    failures.append({"kind": "dominant-term", "e": e, "D": int(D)})
+            svals = _shrink_exponents(d, g, e, Ds)
+            for D in Ds[~_dominant_term_splits(d, g, e, Ds)]:
+                failures.append({"kind": "dominant-term", "e": e, "D": int(D)})
             for m in range(m_lo, m_hi + 1):
                 mp = _mprime(m)
                 den2 = 2 * (e - svals - g + 1) * ((m - mp) // (d - 1) + 1) - (
@@ -392,33 +427,37 @@ def certify(
                     agreement &= _check_single_pipeline(d, g, e, m, Ds, num2, den2)
         else:
             Ds = np.arange(0, dmax + 1, dtype=np.int64)
-            svals = np.array(
-                [shrink_exponent(d, g, e, int(D)) for D in Ds], dtype=np.int64
-            )
+            svals = _shrink_exponents(d, g, e, Ds)
             ca = e - svals >= 2 * g - 1
             minor = np.maximum(Ds[:, None], Ds[None, :]) >= e - 2 * g + 2
             _count_pair_cases(case_counts, flags, d, g, e, Ds, minor)
+            # the masks do not depend on the jet order m
+            neither = ~(ca[:, None] | ca[None, :])
+            valid = minor & ~neither
+            uncovered = minor & neither
+            n_minor = int(minor.sum())
+            scale = 2 * 2 ** (d - 1)
             for m in range(m_lo, m_hi + 1):
                 mp = _mprime(m)
                 qa2 = mp * f2 + 2 * (e - svals - g + 1) * (
                     -((m - mp + 1) // -(d - 1))
                 )
                 qb2 = 2 * (e - svals - g + 1) * (-((m + 1) // -(d - 1)))
-                has_a = ca[:, None] & np.ones_like(ca)[None, :]
-                has_b = np.ones_like(ca)[:, None] & ca[None, :]
-                M2 = np.where(
-                    has_a & has_b,
-                    np.maximum(qa2[:, None], qb2[None, :]),
-                    np.where(has_a, qa2[:, None], qb2[None, :]),
-                )
-                valid = (has_a | has_b) & minor
+                # the larger gain of the sides with e - s >= 2g - 1: a side
+                # without one enters at the least gain, so it never wins.
+                # Where neither side has one, M2 is never read: those cells
+                # are precondition failures.
+                low = min(qa2.min(), qb2.min())
+                M2 = np.maximum(np.where(ca, qa2, low)[:, None],
+                                np.where(ca, qb2, low)[None, :])
                 den2 = M2 - (m + 1) * f2
-                num2 = 2 * 2 ** (d - 1) * (
-                    Ds[:, None] + Ds[None, :] + m * (de - g + 1)
-                )
-                bad_pre = minor & (~(has_a | has_b) | (den2 <= 0))
-                bad_ineq = valid & (den2 > 0) & (num2 >= n_plus_1 * den2)
-                total_points += int(minor.sum())
+                # 2^d (Da + Db + m(de - g + 1)) as one broadcast sum
+                num2 = (scale * Ds)[:, None] + (
+                    scale * (Ds + m * (de - g + 1)))[None, :]
+                ok = valid & (den2 > 0)
+                bad_pre = uncovered | (minor & (den2 <= 0))
+                bad_ineq = ok & (num2 >= n_plus_1 * den2)
+                total_points += n_minor
                 skipped += int(bad_pre.sum())
                 if bad_pre.any():
                     ii = np.argwhere(bad_pre)[:3]
@@ -435,9 +474,11 @@ def certify(
                              "D_alpha": int(Ds[i]), "D_beta": int(Ds[j]),
                              "bound": f"{num2[i, j]}/{den2[i, j]}"}
                         )
-                ok = valid & (den2 > 0)
                 if ok.any():
-                    i, j = _argmax_ratio_2d(num2, den2, ok)
+                    i, j = np.unravel_index(
+                        _argmax_ratio(num2.ravel(), den2.ravel(), ok.ravel()),
+                        ok.shape,
+                    )
                     if num2[i, j] * best_den > best_num * den2[i, j]:
                         best_num, best_den = int(num2[i, j]), int(den2[i, j])
                         witness = {
@@ -479,13 +520,6 @@ def _argmax_ratio(num: np.ndarray, den: np.ndarray, ok: np.ndarray) -> int:
     return int(best)
 
 
-def _argmax_ratio_2d(num: np.ndarray, den: np.ndarray, ok: np.ndarray):
-    ratios = np.where(ok & (den > 0), num / np.maximum(den, 1), -np.inf)
-    flat = int(np.argmax(ratios))
-    i, j = np.unravel_index(flat, ratios.shape)
-    return int(i), int(j)
-
-
 def _check_single_pipeline(d, g, e, m, Ds, num2, den2) -> bool:
     for idx, D in enumerate(Ds):
         direct = single_bound(d, g, e, m, int(D))
@@ -501,7 +535,6 @@ def _check_single_pipeline(d, g, e, m, Ds, num2, den2) -> bool:
 
 
 def _check_pair_pipeline(d, g, e, m, Ds, minor, M2, f2) -> bool:
-    f = genus_slack(g)
     step = max(1, Ds.size // 8)
     for i in range(0, Ds.size, step):
         for j in range(0, Ds.size, step):
@@ -518,7 +551,52 @@ def _check_pair_pipeline(d, g, e, m, Ds, minor, M2, f2) -> bool:
     return True
 
 
+_PAIR_TAGS_D2 = ("d2-I", "d2-II", "d2-III")
+_PAIR_TAGS = ("I.1", "I.2.1", "I.2.2", "II", "III.1", "III.2.1", "III.2.2")
+
+
 def _count_pair_cases(case_counts, flags, d, g, e, Ds, minor):
+    """Tag every minor pair (D_alpha, D_beta) with its case of the pair
+    analysis and add the tag counts to case_counts.
+
+    The half-integer thresholds are doubled: Db <= de/2 - g + 1 is
+    2 Db <= de - 2g + 2 and Db >= Da/2 is 2 Db >= Da.  A tag new to
+    case_counts is inserted in the order of its first minor cell in
+    row-major order, as _count_pair_cases_slow walks the grid.
+    """
+    Da, Db = Ds[:, None], Ds[None, :]
+    if d == 2:
+        tags = _PAIR_TAGS_D2
+        conds = [(e + 2 - 2 * g <= Db) & (Db <= e + 1),
+                 (2 * g <= Db) & (Db <= e + 1 - 2 * g)]
+    else:
+        tags = _PAIR_TAGS
+        h2 = d * e - 2 * g + 2  # twice de/2 - g + 1
+        in_I = (e - 2 * g + 2 <= Db) & (2 * Db <= h2)
+        in_II = (h2 < 2 * Db) & (2 * Db <= d * e + 2)
+        a_big = 2 * Da > h2
+        conds = [in_I & (2 * Db >= Da), in_I & ~a_big, in_I, in_II, a_big,
+                 Da > 2 * Db]
+    codes = np.select(
+        [np.broadcast_to(c, minor.shape) for c in conds],
+        [np.int8(t) for t in range(len(conds))], np.int8(len(conds)),
+    )[minor]  # boolean indexing keeps row-major order
+    counts = np.bincount(codes, minlength=len(tags))
+    present = np.flatnonzero(counts)
+    first = [np.argmax(codes == t) for t in present]
+    for t in present[np.argsort(first)]:
+        case_counts[tags[t]] = case_counts.get(tags[t], 0) + int(counts[t])
+    if d != 2:
+        # the derived lower bound D_beta >= e/2 - g + 1 must follow from
+        # D_beta >= D_alpha / 2 in case III.2.2
+        tail = np.broadcast_to(2 * Db < e - 2 * g + 2, minor.shape)[minor]
+        flags["derived_pair_bound_disagreements"] += int(
+            np.count_nonzero(tail & (codes == len(conds)))
+        )
+
+
+def _count_pair_cases_slow(case_counts, flags, d, g, e, Ds, minor):
+    """Scalar oracle for _count_pair_cases: a walk over Fractions."""
     de = d * e
     half = Fraction(de, 2)
     for i, Da in enumerate(Ds):

@@ -41,6 +41,12 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--config", help="JSON file with default option values")
     sub = top.add_subparsers(dest="command", required=True)
 
+    def budget_options(p):
+        p.add_argument("--budget", type=int, default=None,
+                       help="ring-operation ceiling (default 1e9)")
+        p.add_argument("--force", action="store_true",
+                       help="raise the budget ceiling to 1e11")
+
     def common(p):
         p.add_argument("--q", type=int, help="prime field size")
         p.add_argument("--form", help="built-in form name (conic, fermat)")
@@ -52,10 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--e", type=int, help="section degree bound")
         p.add_argument("--m", type=int, default=0, help="jet order")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget", type=int, default=None,
-                       help="ring-operation ceiling (default 1e9)")
-        p.add_argument("--force", action="store_true",
-                       help="raise the budget ceiling to 1e11")
+        budget_options(p)
         p.add_argument("--workers", type=int, default=None,
                        help="worker count (env JETSUMS_WORKERS)")
         p.add_argument("--out", help="write the report to this path")
@@ -94,6 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--e-span", help="lo:hi (default threshold+1 .. +100)")
     pb.add_argument("--m-span", default="1:50")
     pb.add_argument("--n-plus-1", type=int)
+    budget_options(pb)
     pb.add_argument("--g-max", type=int, default=50)
     pb.add_argument("--d-max", type=int, default=10)
     pb.add_argument("--out")
@@ -356,6 +360,7 @@ def _cmd_bounds(args) -> int:
         _parse_span(args.e_span),
         _parse_span(args.m_span) or (1, 50),
         args.n_plus_1,
+        _budget(args),
     )
     _emit(cert.to_json(), args)
     return 0 if cert.passed else 1

@@ -123,7 +123,9 @@ def batch_generating_mask(coords: np.ndarray, p: int) -> np.ndarray:
     rational point (including infinity, i.e. all top coefficients zero) or a
     conjugate pair of quadratic points; the latter is only possible when
     every section is a scalar multiple of one monic irreducible quadratic.
-    Exact for degree bounds up to 2, which covers every enumerable space.
+    Exact for degree bounds up to 2; for e >= 3 (where a common factor can
+    also have higher degree) it raises NotImplementedError, which the CLI
+    reports as an unsupported configuration (exit 2).
     """
     coords = coords.astype(np.int64)
     N, nv, ec = coords.shape

@@ -313,10 +313,6 @@ def minimal_divisor(alpha: DualFunctional) -> tuple[DivisorP1, int, bool]:
     raise AssertionError("every functional factors through a degree r+1 divisor")
 
 
-def functional_degree(alpha: DualFunctional) -> int:
-    return minimal_divisor(alpha)[1]
-
-
 def _poly_trim(c: list[int], p: int) -> list[int]:
     c = [x % p for x in c]
     while c and c[-1] == 0:

@@ -1,8 +1,13 @@
 import json
+import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from jetsums import bounds
 from jetsums.bounds import (
     UncoveredCase,
     calibration_passed,
@@ -22,6 +27,7 @@ from jetsums.bounds import (
     thresholds,
     variable_threshold,
 )
+from jetsums.sections import BudgetExceeded
 
 
 def test_genus_slack_values():
@@ -148,3 +154,69 @@ def test_calibration_report_defaults():
     assert "degree2-canonical-exact-seven" in names
     assert "canonical-threshold-calibration" in names
     assert "terminal-pair-tail-bound-at-threshold" in names
+
+
+@given(st.integers(2, 4), st.integers(0, 2), st.integers(1, 400))
+def test_shrink_arrays_match_scalar(d, g, e):
+    Ds = np.arange(0, d * e + 3, dtype=np.int64)
+    shrink = bounds._shrink_exponents(d, g, e, Ds)
+    split = bounds._dominant_term_splits(d, g, e, Ds)
+    for D in range(Ds.size):
+        assert shrink[D] == shrink_exponent(d, g, e, D)
+        assert split[D] == bounds._dominant_term_split(d, g, e, D)
+
+
+@given(st.integers(2, 4), st.integers(0, 2), st.integers(1, 45),
+       st.integers(1, 3))
+def test_pair_cases_match_scalar_walker(d, g, e_lo, width):
+    """Same counts, flags and key order as the scalar walk, accumulated
+    over consecutive degrees as certify does."""
+    fast, slow = {}, {}
+    fast_flags = {"derived_pair_bound_disagreements": 0}
+    slow_flags = dict(fast_flags)
+    for e in range(e_lo, e_lo + width):
+        Ds = np.arange(0, d * e // 2 + 2, dtype=np.int64)
+        minor = np.maximum(Ds[:, None], Ds[None, :]) >= e - 2 * g + 2
+        bounds._count_pair_cases(fast, fast_flags, d, g, e, Ds, minor)
+        bounds._count_pair_cases_slow(slow, slow_flags, d, g, e, Ds, minor)
+    assert list(fast.items()) == list(slow.items())
+    assert fast_flags == slow_flags
+
+
+def _scalar_sweep(monkeypatch):
+    """Route certify through the scalar case walker and the scalar shrink
+    parameter instead of the integer-array versions."""
+    monkeypatch.setattr(bounds, "_count_pair_cases", bounds._count_pair_cases_slow)
+    monkeypatch.setattr(bounds, "_shrink_exponents", lambda d, g, e, Ds: np.array(
+        [shrink_exponent(d, g, e, int(D)) for D in Ds], dtype=np.int64))
+    monkeypatch.setattr(bounds, "_dominant_term_splits", lambda d, g, e, Ds: np.array(
+        [bounds._dominant_term_split(d, g, e, int(D)) for D in Ds], dtype=bool))
+
+
+@pytest.mark.parametrize("mode,d,g,e_span", [
+    ("terminal", 2, 1, (25, 30)), ("terminal", 2, 2, (75, 77)),
+    ("terminal", 3, 0, (1, 12)), ("terminal", 3, 1, (220, 221)),
+    ("terminal", 4, 0, (1, 10)), ("canonical", 2, 1, (17, 30)),
+    ("canonical", 2, 2, (46, 52)), ("canonical", 3, 0, (1, 20)),
+    ("canonical", 3, 1, (115, 120)), ("canonical", 4, 0, (1, 12)),
+    ("canonical", 4, 1, (940, 942)),
+])
+def test_certify_matches_scalar_sweep(monkeypatch, mode, d, g, e_span):
+    # json strings, not dicts: the key order of case_counts is output too
+    fast = json.dumps(certify(mode, d, g, e_span, (1, 4)).to_json())
+    with monkeypatch.context() as patch:
+        _scalar_sweep(patch)
+        slow = json.dumps(certify(mode, d, g, e_span, (1, 4)).to_json())
+    assert fast == slow
+
+
+def test_certify_budget():
+    start = time.time()
+    with pytest.raises(BudgetExceeded):
+        certify("terminal", 5, 1)  # 26,824^2-cell pair grids at every degree
+    assert time.time() - start < 1
+    # terminal (2,1) at e = 25..26: (27^2 + 28^2) cells at each of 3 orders
+    with pytest.raises(BudgetExceeded):
+        certify("terminal", 2, 1, (25, 26), (1, 3), budget=3 * (27**2 + 28**2) - 1)
+    assert certify("terminal", 2, 1, (25, 26), (1, 3),
+                   budget=3 * (27**2 + 28**2)).passed

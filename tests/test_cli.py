@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -164,6 +165,29 @@ def test_reports_byte_identical_without_timestamp(capsys):
     _, out1, _ = run_cli(args, capsys)
     _, out2, _ = run_cli(args, capsys)
     assert out1 == out2
+
+
+def test_bounds_certify_golden_output(capsys):
+    """--no-timestamp output is byte-stable, case_counts key order included."""
+    golden = Path(__file__).parent / "data" / "certify_terminal_d2_g1_e25-40_m1-8.json"
+    code, out, _ = run_cli(
+        ["bounds", "--action", "certify", "--mode", "terminal", "--d", "2",
+         "--g", "1", "--e-span", "25:40", "--m-span", "1:8", "--no-timestamp"],
+        capsys,
+    )
+    assert code == 0
+    assert out == golden.read_text()
+
+
+def test_bounds_certify_budget_exceeded():
+    proc = subprocess.run(
+        [sys.executable, "-m", "jetsums.cli", "bounds", "--action", "certify",
+         "--mode", "terminal", "--d", "5", "--g", "1", "--no-timestamp"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("budget exceeded: ")
+    assert proc.stdout == ""
 
 
 def test_module_entry_point():
