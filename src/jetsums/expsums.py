@@ -308,8 +308,6 @@ def exp_sum_slow(F: SymmetricForm, e: int, m: int, alpha: DualFunctional,
 class DivisorTable:
     p: int
     de: int
-    divisors: list[DivisorP1]
-    index: np.ndarray         # alpha0-code -> first minimal divisor position
     degree: np.ndarray        # alpha0-code -> minimal degree
     multiplicity: np.ndarray  # alpha0-code -> number of minimizers
 
@@ -325,8 +323,7 @@ _DIVTAB_CACHE: dict[tuple, DivisorTable] = {}
 def divisor_table(p: int, de: int, budget: int | None = None) -> DivisorTable:
     key = (p, de)
     if key not in _DIVTAB_CACHE:
-        divisors, index, degs, mult = minimal_divisor_table(p, de, budget)
-        _DIVTAB_CACHE[key] = DivisorTable(p, de, divisors, index, degs, mult)
+        _DIVTAB_CACHE[key] = DivisorTable(p, de, *minimal_divisor_table(p, de, budget))
     return _DIVTAB_CACHE[key]
 
 

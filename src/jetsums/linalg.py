@@ -7,11 +7,13 @@ in the dozens.
 Two eliminations share that contract.  ``rref_batch`` row-reduces a whole
 stack of matrices at once, one column step across the batch axis at a time;
 the fiber routes use it for the gradient maps of every base point of a
-degree-zero scan.  The scalar ``rref`` (with ``rank``, ``nullspace``,
-``row_space`` and ``solve`` built on it) serves callers that hold a single
-matrix -- the auxiliary linear sum, the N counts, the jet-layer lifts and the
-non-surjective pair fibers -- and is the oracle the batched kernel is tested
-against.
+degree-zero scan, and ``sections.minimal_divisor_table`` uses it for the
+Hankel matrices of every functional at each (divisor degree, finite
+degree).  The scalar ``rref`` (with ``rank``, ``nullspace``, ``row_space``
+and ``solve`` built on it) serves callers that hold a single matrix --
+the auxiliary linear sum, the N counts, the jet-layer lifts and the
+non-surjective pair fibers -- and is the oracle the batched kernel is
+tested against.
 """
 
 from __future__ import annotations

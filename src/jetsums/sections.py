@@ -284,13 +284,6 @@ def count_divisors(p: int, degree: int) -> int:
     return sum(p**j for j in range(degree + 1))
 
 
-def divisors_up_to(p: int, max_degree: int) -> list[DivisorP1]:
-    out: list[DivisorP1] = []
-    for b in range(max_degree + 1):
-        out.extend(enumerate_divisors(p, b))
-    return out
-
-
 def minimal_divisor(alpha: DualFunctional) -> tuple[DivisorP1, int, bool]:
     """Smallest-degree divisor the functional factors through.
 
@@ -392,32 +385,50 @@ def count_minimizers(alpha: DualFunctional, degree: int) -> int:
 
 
 def minimal_divisor_table(p: int, r: int, budget: int | None = None):
-    """Minimal divisor of every t-degree-zero functional on P_r.
+    """Minimal divisor degree of every t-degree-zero functional on P_r.
 
-    Returns (divisors, index, degree, multiplicity): index[code] points at
-    the first minimal divisor of the functional with little-endian
-    coordinate code; multiplicity counts all minimizers at that degree
-    (1 wherever the minimizer is unique).
+    Returns (degree, multiplicity), two int64 arrays indexed by the
+    little-endian coordinate code of the functional: degree[code] is the
+    smallest degree of a divisor it factors through, multiplicity[code]
+    counts all divisors of that degree it factors through (1 wherever the
+    minimizer is unique).
+
+    A functional a factors through Z = (h, k_inf), deg h = dh, exactly when
+    sum_j a[i+j] h_j = 0 for i < R = r - deg Z + 1.  With h monic that is
+    the Hankel system (a[i+j])_{i<R, j<dh} h' = -a[i+dh], consistent iff the
+    augmented R x (dh+1) Hankel matrix has no pivot in its last column, and
+    then solved by p^(dh - rank) monic h.  Degrees are tried upward; at each
+    (degree, split) the Hankel matrices of every still-unresolved functional
+    go through one ``linalg.rref_batch`` call.
     """
     total = p ** (r + 1)
-    check_budget(total * count_divisors(p, r + 1), budget, "minimal divisor scan")
-    divisors = divisors_up_to(p, r + 1)
-    index = np.empty(total, dtype=np.int64)
-    mult = np.ones(total, dtype=np.int64)
-    degs = np.empty(total, dtype=np.int64)
-    for code in range(total):
-        flat = _decode(code, p, r + 1)
-        alpha = DualFunctional(p, r, 0, (flat,))
-        z, b, uniq = minimal_divisor(alpha)
-        index[code] = divisors.index(z)
-        degs[code] = b
-        mult[code] = 1 if uniq else count_minimizers(alpha, b)
-    return divisors, index, degs, mult
-
-
-def _decode(code: int, p: int, length: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(length):
-        out.append(code % p)
-        code //= p
-    return tuple(out)
+    # entry-column work per functional: max(R, 0) * (dh + 1)^2 per (b, dh)
+    work = sum(
+        (r - b + 1) * (dh + 1) ** 2 for b in range(r + 1) for dh in range(b + 1)
+    )
+    check_budget(total * work, budget, "minimal divisor Hankel eliminations")
+    digits = np.arange(total)[:, None] // p ** np.arange(r + 1) % p
+    degs = np.full(total, -1, dtype=np.int64)
+    mult = np.zeros(total, dtype=np.int64)
+    todo = np.arange(total)
+    for b in range(r + 2):
+        nrows = r - b + 1
+        found = np.zeros(todo.size, dtype=np.int64)
+        for dh in range(b + 1):
+            if nrows <= 0:
+                found += p**dh
+                continue
+            hankel = np.lib.stride_tricks.sliding_window_view(
+                digits[todo, : nrows + dh], dh + 1, axis=1
+            )
+            red, rank_aug = linalg.rref_batch(hankel, p)
+            rank_h = red[:, :, :dh].any(axis=2).sum(axis=1)
+            ok = rank_aug == rank_h
+            found[ok] += p ** (dh - rank_h[ok])
+        hit = found > 0
+        degs[todo[hit]] = b
+        mult[todo[hit]] = found[hit]
+        todo = todo[~hit]
+        if todo.size == 0:
+            break
+    return degs, mult

@@ -179,6 +179,19 @@ def test_bounds_certify_golden_output(capsys):
     assert out == golden.read_text()
 
 
+def test_circle_weyl_golden_output(capsys):
+    """The Weyl sweep samples every functional of minimal degree <= 2 from
+    the divisor table, so its report pins the table end to end."""
+    golden = Path(__file__).parent / "data" / "weyl_conic_q3_e2_m1_s20.json"
+    code, out, _ = run_cli(
+        ["circle", "--q", "3", "--form", "conic", "--e", "2", "--m", "1",
+         "--check", "weyl", "--samples", "20", "--no-timestamp"],
+        capsys,
+    )
+    assert code == 0
+    assert out == golden.read_text()
+
+
 def test_bounds_certify_budget_exceeded():
     proc = subprocess.run(
         [sys.executable, "-m", "jetsums.cli", "bounds", "--action", "certify",

@@ -195,6 +195,21 @@ def test_major_identity_rejects_base_order():
         check_major_identity(conic_form(3), 2, 0)
 
 
+@pytest.mark.parametrize("p,e,codes", [
+    (3, 2, None),
+    (5, 3, random.Random(56).sample(range(5**7), 200)),
+])
+def test_classify_arc_matches_divisor_table(p, e, codes):
+    # classify_arc scans divisors per functional, the identities read the
+    # batched table: the two routes must give the same degree and count
+    de = 2 * e
+    tab = divisor_table(p, de)
+    for code in codes if codes is not None else range(p ** (de + 1)):
+        label = classify_arc(dual_from_code(p, de, 0, code), e)
+        assert label.degree == tab.degree[code]
+        assert label.minimizers == tab.multiplicity[code]
+
+
 def test_single_lhs_transform_vs_slice_routes():
     # at m = 1 both evaluation routes are affordable; they must agree
     from jetsums.expsums import _checked_layer_table

@@ -1,7 +1,12 @@
 import itertools
+import random
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from jetsums import expsums
+from jetsums.expsums import divisor_table, dual_from_code
 from jetsums.sections import (
     BudgetExceeded,
     DivisorP1,
@@ -15,6 +20,7 @@ from jetsums.sections import (
     factors_through,
     globally_generates,
     minimal_divisor,
+    minimal_divisor_table,
     mul_sections,
     vanishing_basis,
     vanishing_dimension,
@@ -179,3 +185,64 @@ def test_dual_action_convolution():
     y = JetPoly.from_layers(p, r, m, [[1, 1], [2, 0]])
     # t^0: a0(y0) = 1*1 + 2*1 = 3 = 0; t^1: a0(y1) + a1(y0) = 2 + 1 = 3 = 0
     assert alpha(y).coeffs == (0, 0)
+
+
+def scan_divisor_table(p, r, codes):
+    """Per-functional divisor scan over the given codes: the oracle for the
+    batched Hankel route of minimal_divisor_table."""
+    degs, mult = [], []
+    for code in codes:
+        alpha = dual_from_code(p, r, 0, int(code))
+        _, deg, unique = minimal_divisor(alpha)
+        degs.append(deg)
+        mult.append(1 if unique else count_minimizers(alpha, deg))
+    return np.array(degs, dtype=np.int64), np.array(mult, dtype=np.int64)
+
+
+EXHAUSTIVE = sorted(
+    {(p, r) for p in (2, 3, 5, 7) for r in range(12)
+     if p ** (r + 1) * count_divisors(p, r + 1) <= 2_500_000} | {(5, 4)}
+)
+
+
+@pytest.mark.parametrize("p,r", EXHAUSTIVE)
+def test_divisor_table_matches_scan_exhaustive(p, r):
+    degs, mult = minimal_divisor_table(p, r)
+    want_degs, want_mult = scan_divisor_table(p, r, range(p ** (r + 1)))
+    assert degs.dtype == mult.dtype == np.int64
+    np.testing.assert_array_equal(degs, want_degs)
+    np.testing.assert_array_equal(mult, want_mult)
+
+
+@pytest.mark.parametrize("p,r", [(5, 5), (5, 6), (3, 8), (7, 5)])
+def test_divisor_table_matches_scan_sample(p, r):
+    tab = divisor_table(p, r)
+    codes = random.Random(1000 * p + r).sample(range(p ** (r + 1)), 200)
+    want_degs, want_mult = scan_divisor_table(p, r, codes)
+    np.testing.assert_array_equal(tab.degree[codes], want_degs)
+    np.testing.assert_array_equal(tab.multiplicity[codes], want_mult)
+    # Dirichlet bound and forced uniqueness over the whole table
+    assert int(tab.degree.max()) <= r // 2 + 1
+    assert (tab.multiplicity[tab.degree <= tab.uniqueness_bound()] == 1).all()
+
+
+@given(st.sampled_from([(2, 8), (3, 5), (5, 3), (7, 3), (3, 7), (5, 5)]),
+       st.integers(min_value=0, max_value=10**9))
+def test_divisor_table_matches_scan_property(pr, draw):
+    p, r = pr
+    tab = divisor_table(p, r)
+    code = draw % p ** (r + 1)
+    want_degs, want_mult = scan_divisor_table(p, r, [code])
+    assert tab.degree[code] == want_degs[0]
+    assert tab.multiplicity[code] == want_mult[0]
+
+
+def test_divisor_table_budget(monkeypatch):
+    # a cached table is returned without a budget check: start from none
+    monkeypatch.setattr(expsums, "_DIVTAB_CACHE", {})
+    with pytest.raises(BudgetExceeded) as err:
+        divisor_table(5, 6, budget=10**4)
+    assert err.value.needed == 5**7 * 714
+    with pytest.raises(BudgetExceeded):
+        divisor_table(5, 8)
+    assert int(divisor_table(5, 6).degree.max()) == 4
