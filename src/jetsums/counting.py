@@ -10,11 +10,18 @@ The main counts:
 * ``count_jet_multilinear`` / ``count_psi_zero_sections`` -- auxiliary
   counts of zeros of the multilinear forms attached to F.
 
-Enumeration always runs over the degree-zero jet layer in numpy batches;
-higher jet layers enter through exact linear algebra (image / kernel of the
-multiplication-by-gradient map), which is what makes jet orders m >= 1
-affordable.  Every operation computes the size of its search space first
-and refuses to start above the configured budget.
+Enumeration runs over the degree-zero jet layer in numpy batches.  Its
+solutions come from a lift through the coefficient layers x[:, k] of the
+tuple: the s^k coefficient of F(x) depends only on the layers 0..k, the end
+coefficients are F of the end layers, so layer 0 and layer e run over the
+affine cone {a : F(a) = 0} and each middle layer keeps only the candidates
+whose s^k coefficient vanishes; the full p^((n+1)(e+1)) scan
+(``iter_base_chunks``) remains for the value histograms, which need every
+generating tuple, and as the lift's oracle.  Higher jet layers enter
+through exact linear algebra (image / kernel of the multiplication-by-
+gradient map), which is what makes jet orders m >= 1 affordable.  Every
+operation computes the size of its search space first and refuses to start
+above the configured budget.
 """
 
 from __future__ import annotations
@@ -43,6 +50,13 @@ CHUNK = 1 << 17
 # 0.6 MiB higher than at 256 or 128, most likely because the step's arrays
 # then pass glibc's 128 KiB mmap threshold and freeing them raises it.
 FIBER_CHUNK = 256
+# Candidate rows per block of the degree-zero lift.  For the m = 0 counts of
+# conic(5) and four seeded smooth cubics over F_5 at e = 2, the peak RSS rose
+# above its post-import level by 7.6-19.8 MiB with CHUNK-row blocks (growing
+# with the cone of the cubic), by 1.9-2.5 MiB at 4096 rows and 0.8 MiB at
+# 1024, at the same speed; conic(11), e = 2, took 2.3 s at 4096 and 2.5 s at
+# 1024.
+LIFT_CHUNK = 1 << 12
 
 # ---------------------------------------------------------------------------
 # coefficient-array plumbing (degree-zero jet layer)
@@ -332,7 +346,7 @@ def _record(F: SymmetricForm, e: int, m: int, raw: int, exponent: int, kind: str
     params = {
         "kind": kind, "p": F.p, "n": F.n, "d": F.d, "e": e, "m": m, "form": F.name,
     }
-    return CountRecord(params, raw, exponent, Fraction(raw, F.p**exponent))
+    return CountRecord(params, raw, exponent, raw / Fraction(F.p) ** exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +364,10 @@ def count_solutions(
     """#{x in P_{e,m}^(n+1) : x gg mod t, F(x) = 0}, normalized by
     p^((m+1)(mu+1)).
 
-    The degree-zero scan shards by code range; shards are independent and
-    reduce by integer addition, so worker count cannot change the result.
+    At m = 0 the solutions come from the coefficient-layer lift, sharded
+    into one contiguous slice of the cone (by the code of layer 0) per
+    worker; shards are independent and reduce by integer addition, so
+    worker count cannot change the result.
     """
     if F.p <= F.d:
         raise ValueError("need p > d")
@@ -360,37 +376,30 @@ def count_solutions(
     if method == "slow":
         raw = _count_solutions_slow(F, e, m, budget)
     elif m == 0:
-        from .parallel import map_reduce
+        from .parallel import default_workers, map_reduce
 
         p, n = F.p, F.n
         width = (n + 1) * (e + 1)
         total = p**width
         check_budget(total * (F.d + n + 2), budget, "degree-zero tuple scan")
-        nshards = max(1, min(64, total // CHUNK))
-        edges = np.linspace(0, total, nshards + 1, dtype=np.int64)
+        layers = p ** (n + 1)
+        nshards = min(layers, default_workers() if workers is None else max(1, workers))
+        edges = np.linspace(0, layers, nshards + 1, dtype=np.int64)
         shards = [
             (F.monomials_key(), F.p, F.n, F.d, e, int(lo), int(hi))
             for lo, hi in zip(edges[:-1], edges[1:])
             if hi > lo
         ]
-        raw = map_reduce(_count_shard, shards, lambda a, b: a + b, 0, workers)
+        raw = map_reduce(_count_lift, shards, lambda a, b: a + b, 0, workers)
     else:
         raw = sum(count for _, count in _solution_fibers(F, e, m, budget))
     return _record(F, e, m, raw, exponent, "solutions")
 
 
-def _count_shard(shard) -> int:
+def _count_lift(shard) -> int:
     mons, p, n, d, e, lo, hi = shard
     F = _form_from_key(mons, p, n, d)
-    width = (n + 1) * (e + 1)
-    raw = 0
-    for start in range(lo, hi, CHUNK):
-        codes = np.arange(start, min(start + CHUNK, hi), dtype=np.int64)
-        coords = batch_digits(codes, p, width).reshape(-1, n + 1, e + 1)
-        values = batch_eval_form(F, coords)
-        gg = batch_generating_mask(coords, p)
-        raw += int((gg & ~values.any(axis=1)).sum())
-    return raw
+    return sum(len(rows) for rows in _lift_solutions(F, e, lo, hi))
 
 
 def _form_from_key(mons, p, n, d):
@@ -400,12 +409,83 @@ def _form_from_key(mons, p, n, d):
 
 
 def _base_solutions(F: SymmetricForm, e: int, budget: int | None) -> np.ndarray:
-    """Coordinates of the gg degree-zero solutions, stacked (the scan is
-    streamed; solutions are a small share of it)."""
+    """Coordinates of the gg degree-zero solutions, stacked in code order
+    (the order of the full scan)."""
+    p, n = F.p, F.n
+    width = (n + 1) * (e + 1)
+    check_budget(p**width * (F.d + n + 2), budget, "degree-zero tuple scan")
+    x0s = np.concatenate([
+        np.zeros((0, n + 1, e + 1), dtype=np.int64),
+        *_lift_solutions(F, e, 0, p ** (n + 1)),
+    ])
+    return x0s[np.argsort(encode_digits(x0s.reshape(-1, width), p))]
+
+
+def _base_solutions_slow(F: SymmetricForm, e: int, budget: int | None) -> np.ndarray:
+    """The same rows from the full degree-zero scan (the lift's oracle)."""
     return np.concatenate([
         coords[gg & ~values.any(axis=1)]
         for _, coords, values, gg in iter_base_chunks(F, e, budget)
     ])
+
+
+def _cone_blocks(F: SymmetricForm, lo: int, hi: int):
+    """Stream the affine cone {a in F_p^(n+1) : F(a) = 0} over the layer
+    codes [lo, hi), in code order, LIFT_CHUNK codes at a time."""
+    for start in range(lo, hi, LIFT_CHUNK):
+        codes = np.arange(start, min(start + LIFT_CHUNK, hi), dtype=np.int64)
+        vecs = batch_digits(codes, F.p, F.n + 1)
+        yield vecs[~batch_eval_form(F, vecs[:, :, None]).any(axis=1)]
+
+
+def _lift(F: SymmetricForm, e: int, top: np.ndarray | None, rows: np.ndarray):
+    """Extend (N, n+1, k) stacks of known layers 0..k-1 to all e+1 layers.
+
+    Layer k < e runs over F_p^(n+1) and a candidate survives when the s^k
+    coefficient of F, a function of the layers 0..k only, vanishes; layer e
+    runs over the cone ``top``, since the s^(de) coefficient is F(x[:, e]).
+    Parents expand in blocks, so no candidate stack exceeds LIFT_CHUNK rows,
+    and the stages run depth first.  Yields the last-stage (N, n+1, e+1)
+    stacks.
+    """
+    p, n = F.p, F.n
+    k = rows.shape[2]
+    if k > e:
+        yield rows
+        return
+    size = top.shape[0] if k == e else p ** (n + 1)
+    lstep = min(size, LIFT_CHUNK)
+    pstep = LIFT_CHUNK // lstep
+    for i in range(0, rows.shape[0], pstep):
+        parents = rows[i : i + pstep]
+        for lo in range(0, size, lstep):
+            hi = min(lo + lstep, size)
+            if k == e:
+                layer = top[lo:hi]
+            else:
+                layer = batch_digits(np.arange(lo, hi, dtype=np.int64), p, n + 1)
+            cand = np.empty((len(parents), hi - lo, n + 1, k + 1), dtype=np.int64)
+            cand[..., :k] = parents[:, None]
+            cand[..., k] = layer
+            cand = cand.reshape(-1, n + 1, k + 1)
+            if k < e:
+                cand = cand[batch_eval_form(F, cand)[:, k] == 0]
+            yield from _lift(F, e, top, cand)
+
+
+def _lift_solutions(F: SymmetricForm, e: int, lo: int, hi: int):
+    """Generating solutions whose layer 0 has its code in [lo, hi), one
+    array per last-stage block of the lift (lift order, not code order)."""
+    p, n = F.p, F.n
+    # the generation mask refuses e >= 3; refuse before any work, also when
+    # no candidate reaches the last stage
+    batch_generating_mask(np.zeros((0, n + 1, e + 1), dtype=np.int64), p)
+    top = np.concatenate(list(_cone_blocks(F, 0, p ** (n + 1)))) if e else None
+    for base in _cone_blocks(F, lo, hi):
+        for coords in _lift(F, e, top, base[:, :, None]):
+            values = batch_eval_form(F, coords)
+            gg = batch_generating_mask(coords, p)
+            yield coords[gg & ~values.any(axis=1)]
 
 
 def _solution_fibers(F: SymmetricForm, e: int, m: int, budget: int | None):
@@ -478,7 +558,7 @@ def _count_solutions_slow(F: SymmetricForm, e: int, m: int, budget: int | None) 
     total = p ** (width * (m + 1))
     check_budget(total * (F.d + 1), budget, "slow jet enumeration")
     if m == 0:
-        return count_solutions(F, e, 0, budget).raw_count
+        return len(_base_solutions_slow(F, e, budget))
     count = 0
     upper = p ** (width * m)
     for _, coords, _, gg in iter_base_chunks(F, e, budget):

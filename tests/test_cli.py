@@ -234,3 +234,40 @@ def test_unsupported_configuration_exits_2():
     assert proc.returncode == 2
     assert proc.stderr.startswith("unsupported: ")
     assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+def test_count_golden_output(capsys):
+    """--no-timestamp count reports are byte-stable; the m = 0 count runs
+    through the coefficient-layer lift."""
+    golden = Path(__file__).parent / "data" / "count_conic_q5_e2_m0.json"
+    code, out, _ = run_cli(
+        ["count", "--q", "5", "--form", "conic", "--e", "2", "--m", "0",
+         "--no-timestamp"],
+        capsys,
+    )
+    assert code == 0
+    assert out == golden.read_text()
+
+
+def test_trend_golden_output(capsys):
+    golden = Path(__file__).parent / "data" / "trend_conic_e2_m0_p3-7.csv"
+    code, out, _ = run_cli(
+        ["count", "--form", "conic", "--e", "2", "--m", "0", "--target",
+         "lw-trend", "--primes", "3,5,7", "--no-timestamp"],
+        capsys,
+    )
+    assert code == 0
+    assert out == golden.read_text()
+
+
+def test_count_degree_bound_3_unsupported():
+    # the generation mask covers e <= 2; the lift refuses e = 3 before any
+    # candidate reaches its last stage
+    proc = subprocess.run(
+        [sys.executable, "-m", "jetsums.cli", "count", "--q", "3", "--form",
+         "conic", "--e", "3", "--m", "0"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("unsupported: ")
+    assert "Traceback" not in proc.stderr and proc.stdout == ""

@@ -3,10 +3,14 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from jetsums import counting
+from jetsums.cli import random_smooth_form
 from jetsums.counting import (
+    _base_solutions,
+    _base_solutions_slow,
     base_scan,
     batch_generating_mask,
     count_jet_multilinear,
@@ -173,9 +177,9 @@ def test_budget_guard():
 
 
 def test_worker_shards_are_deterministic():
-    F = conic_form(3)
-    counts = {count_solutions(F, 2, 0, workers=w).raw_count for w in (1, 2, 3)}
-    assert counts == {48}
+    for F, expected in ((conic_form(3), 48), (conic_form(5), 480)):
+        counts = {count_solutions(F, 2, 0, workers=w).raw_count for w in (1, 2, 3)}
+        assert counts == {expected}
 
 
 def test_small_characteristic_rejected():
@@ -185,6 +189,16 @@ def test_small_characteristic_rejected():
         count_solutions(F, 1, 0)
 
 
+def _draw_form(draw, p, n, d):
+    """A random nonzero form of the given shape, possibly singular."""
+    exps = [ex for ex in itertools.product(range(d + 1), repeat=n + 1) if sum(ex) == d]
+    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=len(exps), max_size=len(exps)))
+    mons = [(ex, c) for ex, c in zip(exps, coeffs) if c]
+    if not mons:
+        mons = [(exps[0], 1)]
+    return make_form(p, n, d, mons)
+
+
 @st.composite
 def forms_and_points(draw):
     """A random form with (p, n, d, e) small, and a few base points."""
@@ -192,12 +206,7 @@ def forms_and_points(draw):
     p = draw(st.sampled_from([q for q in (3, 5, 7) if q > d]))
     n = draw(st.integers(1, 2))
     e = draw(st.integers(0, 2))
-    exps = [ex for ex in itertools.product(range(d + 1), repeat=n + 1) if sum(ex) == d]
-    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=len(exps), max_size=len(exps)))
-    mons = [(ex, c) for ex, c in zip(exps, coeffs) if c]
-    if not mons:
-        mons = [(exps[0], 1)]
-    F = make_form(p, n, d, mons)
+    F = _draw_form(draw, p, n, d)
     count = draw(st.integers(1, 5))
     entries = draw(st.lists(
         st.integers(0, p - 1),
@@ -220,3 +229,50 @@ def test_base_scan_dtype_holds_large_primes():
     assert scan.coords.min() >= 0 and scan.values.min() >= 0
     assert scan.values.max() == 136
     assert base_scan(conic_form(3), 1).values.dtype == np.int8
+
+
+def _assert_lift_matches_scan(F, e):
+    """Count and ordered rows of the lift against the full tuple scan."""
+    slow = _base_solutions_slow(F, e, None)
+    fast = _base_solutions(F, e, None)
+    assert fast.shape == slow.shape and (fast == slow).all()
+    assert count_solutions(F, e, 0).raw_count == len(slow)
+
+
+@pytest.mark.parametrize("F", [
+    conic_form(3), conic_form(5), fermat_form(5, 1, 3), fermat_form(3, 2, 2),
+    *(random_smooth_form(5, 2, 3, seed) for seed in (1, 2, 3)),
+], ids=lambda F: f"{F.name}-p{F.p}-n{F.n}-d{F.d}")
+def test_lift_matches_full_scan(F):
+    for e in (0, 1, 2):
+        _assert_lift_matches_scan(F, e)
+
+
+def test_slow_count_does_not_use_the_lift(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the oracle ran the lift")
+
+    monkeypatch.setattr(counting, "_lift_solutions", refuse)
+    assert count_solutions(conic_form(3), 2, 0, method="slow").raw_count == 48
+
+
+@st.composite
+def forms_and_degree_bounds(draw):
+    """A random form, possibly singular, with p^((n+1)(e+1)) <= 2e5."""
+    d = draw(st.integers(2, 3))
+    p = draw(st.sampled_from([q for q in (3, 5, 7) if q > d]))
+    n = draw(st.integers(1, 2))
+    e = draw(st.sampled_from([e for e in (0, 1, 2) if p ** ((n + 1) * (e + 1)) <= 2e5]))
+    return _draw_form(draw, p, n, d), e
+
+
+# the gradient of each example vanishes at a nonzero point of its cone:
+# x0^2 along x0 = 0, the line pair x0 x1 at (0, 0, 1) and the cuspidal
+# cubic x0^2 x2 - x1^3 at (0, 0, 1)
+@example((make_form(3, 2, 2, [((2, 0, 0), 1)]), 2))
+@example((make_form(5, 2, 2, [((1, 1, 0), 1)]), 1))
+@example((make_form(5, 2, 3, [((2, 0, 1), 1), ((0, 3, 0), 4)]), 1))
+@given(forms_and_degree_bounds())
+def test_lift_matches_full_scan_on_random_forms(case):
+    F, e = case
+    _assert_lift_matches_scan(F, e)
