@@ -19,9 +19,12 @@ whose s^k coefficient vanishes; the full p^((n+1)(e+1)) scan
 (``iter_base_chunks``) remains for the value histograms, which need every
 generating tuple, and as the lift's oracle.  Higher jet layers enter
 through exact linear algebra (image / kernel of the multiplication-by-
-gradient map), which is what makes jet orders m >= 1 affordable.  Every
-operation computes the size of its search space first and refuses to start
-above the configured budget.
+gradient map), which is what makes jet orders m >= 1 affordable: tuples of
+P_{e,m} are (N, n+1, m+1, e+1) int64 stacks for the array jet kernel
+(``batch_eval_jets``, ``batch_gradient``, ``unfolded_mult_matrix_batch``),
+and ``walk_layers`` lifts whole stacks through the solution cosets of the
+gradient map above one base point.  Every operation computes the size of
+its search space first and refuses to start above the configured budget.
 """
 
 from __future__ import annotations
@@ -33,11 +36,11 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .arith import Jet
-from .forms import SymmetricForm, _gradient_monomials, eval_form, gradient
+from .forms import SymmetricForm, _gradient_monomials, gradient
 from .sections import (
     JetPoly,
     check_budget,
+    globally_generates,
     section_space_size,
 )
 
@@ -111,15 +114,18 @@ _IRRED_QUAD_CACHE: dict[int, list[tuple[int, int]]] = {}
 
 
 def monic_irreducible_quadratics(p: int) -> list[tuple[int, int]]:
-    """(c0, c1) with x^2 + c1 x + c0 irreducible over F_p."""
+    """(c0, c1) with x^2 + c1 x + c0 irreducible over F_p.
+
+    A quadratic is irreducible exactly when it has no root in F_p; unlike a
+    discriminant test this also holds in characteristic 2.
+    """
     if p not in _IRRED_QUAD_CACHE:
-        squares = {(a * a) % p for a in range(p)}
-        out = []
-        for c1 in range(p):
-            for c0 in range(p):
-                if (c1 * c1 - 4 * c0) % p not in squares:
-                    out.append((c0, c1))
-        _IRRED_QUAD_CACHE[p] = out
+        _IRRED_QUAD_CACHE[p] = [
+            (c0, c1)
+            for c1 in range(p)
+            for c0 in range(p)
+            if all((a * a + c1 * a + c0) % p for a in range(p))
+        ]
     return _IRRED_QUAD_CACHE[p]
 
 
@@ -222,6 +228,92 @@ def base_scan(F: SymmetricForm, e: int, budget: int | None = None) -> BaseScan:
     return _BASE_CACHE[key]
 
 
+# ---------------------------------------------------------------------------
+# array jet kernel: tuples of P_{e,m} as (N, n+1, m+1, e+1) int64 arrays,
+# indexed (tuple, variable, jet layer t^k, x-degree)
+
+
+def _section_mul_batch(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Product of section batches (..., m+1, ra+1) x (..., m+1, rb+1):
+    truncated convolution in the jet layer, full convolution in x-degree.
+
+    The loops run over the jet layer and x-degree of the factor of lower
+    degree, each step one slice add over the other factor's layers and
+    degrees.  The batch axes are moved last for the arithmetic (views, no
+    copies), so every step works on long runs of the batch rather than on
+    rows of a few entries; the result is a view in the input layout.
+    """
+    if a.shape[-1] > b.shape[-1]:
+        a, b = b, a
+    k = a.shape[-2] - 1
+    ra = a.shape[-1] - 1
+    rb = b.shape[-1] - 1
+    at = np.moveaxis(a, (-2, -1), (0, 1))
+    bt = np.moveaxis(b, (-2, -1), (0, 1))
+    shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    out = np.zeros((k + 1, ra + rb + 1) + shape, dtype=np.int64)
+    for ka in range(k + 1):
+        for i in range(ra + 1):
+            out[ka:, i : i + rb + 1] += at[ka, i] * bt[: k + 1 - ka]
+    out %= p
+    return np.moveaxis(out, (0, 1), (-2, -1))
+
+
+def _monomial_batch(X: np.ndarray, exps, p: int) -> np.ndarray:
+    """prod_j X[:, j]^exps[j] on a (N, n+1, m+1, e+1) stack; the empty
+    product is the unit jet, of x-degree 0."""
+    term = None
+    for j, ej in enumerate(exps):
+        for _ in range(ej):
+            term = X[:, j] if term is None else _section_mul_batch(term, X[:, j], p)
+    if term is None:
+        term = np.zeros((X.shape[0], X.shape[2], 1), dtype=np.int64)
+        term[:, 0, 0] = 1
+    return term
+
+
+def batch_eval_jets(F: SymmetricForm, X: np.ndarray) -> np.ndarray:
+    """F on a stack of tuples of P_{e,m}: (N, n+1, m+1, e+1) -> (N, m+1, de+1),
+    the array form of ``forms.eval_form``."""
+    X = np.asarray(X, dtype=np.int64)
+    N, _, mc, ec = X.shape
+    out = np.zeros((N, mc, F.d * (ec - 1) + 1), dtype=np.int64)
+    for exps, c in F.monomials.items():
+        out += c * _monomial_batch(X, exps, F.p)
+    return out % F.p
+
+
+def batch_gradient(F: SymmetricForm, X: np.ndarray) -> np.ndarray:
+    """The partial derivatives of F on a stack of tuples:
+    (N, n+1, m+1, e+1) -> (N, n+1, m+1, (d-1)e+1), as ``forms.gradient``."""
+    X = np.asarray(X, dtype=np.int64)
+    N, nv, mc, ec = X.shape
+    out = np.zeros((N, nv, mc, (F.d - 1) * (ec - 1) + 1), dtype=np.int64)
+    for j, mons in enumerate(_gradient_monomials(F)):
+        for exps, c in mons:
+            out[:, j] += c * _monomial_batch(X, exps, F.p)
+    return out % F.p
+
+
+def unfolded_mult_matrix_batch(F: SymmetricForm, X: np.ndarray) -> np.ndarray:
+    """``unfolded_mult_matrix`` of every tuple of a (N, n+1, m+1, e+1) stack:
+    (N, (m+1)(de+1), (m+1)(n+1)(e+1)), in the same row and column order.
+
+    Entry (row (kz + kg, a + i), column (kz, j, i)) is the t^kg x^a
+    coefficient of the j-th partial derivative.
+    """
+    g = batch_gradient(F, X)
+    N, nv, mc, gc = g.shape
+    ec = X.shape[3]
+    width = gc + ec - 1
+    gt = g.transpose(0, 2, 3, 1)  # (N, kg, a, j)
+    mat = np.zeros((N, mc, width, mc, nv, ec), dtype=np.int64)
+    for kz in range(mc):
+        for i in range(ec):
+            mat[:, kz:, i : i + gc, kz, :, i] = gt[:, : mc - kz]
+    return mat.reshape(N, mc * width, mc * nv * ec)
+
+
 def mult_matrix(F: SymmetricForm, x0_coords: np.ndarray) -> np.ndarray:
     """Matrix of z -> z . grad F(x0) on degree-zero layers.
 
@@ -248,27 +340,10 @@ def mult_matrix_batch(F: SymmetricForm, coords: np.ndarray) -> np.ndarray:
     """``mult_matrix`` of every base point of a stack, without jet objects.
 
     coords has shape (N, n+1, e+1); the result (N, de+1, (n+1)(e+1)) holds
-    each matrix in the same row and column order.  The partial derivatives
-    are evaluated on the coefficient arrays directly from the gradient
-    monomials.
+    each matrix in the same row and column order (the jet order 0 case of
+    ``unfolded_mult_matrix_batch``).
     """
-    p, n = F.p, F.n
-    coords = coords.astype(np.int64)
-    N, _, ec = coords.shape
-    gdeg = (F.d - 1) * (ec - 1)
-    mat = np.zeros((N, F.d * (ec - 1) + 1, n + 1, ec), dtype=np.int64)
-    for j, mons in enumerate(_gradient_monomials(F)):
-        g = np.zeros((N, gdeg + 1), dtype=np.int64)
-        for exps, c in mons:
-            term = np.ones((N, 1), dtype=np.int64)
-            for k, ek in enumerate(exps):
-                for _ in range(ek):
-                    term = batch_poly_mul(term, coords[:, k, :], p)
-            g += c * term
-        g %= p
-        for i in range(ec):
-            mat[:, i : i + gdeg + 1, j, i] = g
-    return mat.reshape(N, -1, (n + 1) * ec)
+    return unfolded_mult_matrix_batch(F, np.asarray(coords)[:, :, None, :])
 
 
 def fiber_chunks(F: SymmetricForm, coords: np.ndarray):
@@ -379,9 +454,7 @@ def count_solutions(
         from .parallel import default_workers, map_reduce
 
         p, n = F.p, F.n
-        width = (n + 1) * (e + 1)
-        total = p**width
-        check_budget(total * (F.d + n + 2), budget, "degree-zero tuple scan")
+        _check_lift_budget(F, e, budget)
         layers = p ** (n + 1)
         nshards = min(layers, default_workers() if workers is None else max(1, workers))
         edges = np.linspace(0, layers, nshards + 1, dtype=np.int64)
@@ -413,7 +486,7 @@ def _base_solutions(F: SymmetricForm, e: int, budget: int | None) -> np.ndarray:
     (the order of the full scan)."""
     p, n = F.p, F.n
     width = (n + 1) * (e + 1)
-    check_budget(p**width * (F.d + n + 2), budget, "degree-zero tuple scan")
+    _check_lift_budget(F, e, budget)
     x0s = np.concatenate([
         np.zeros((0, n + 1, e + 1), dtype=np.int64),
         *_lift_solutions(F, e, 0, p ** (n + 1)),
@@ -421,12 +494,28 @@ def _base_solutions(F: SymmetricForm, e: int, budget: int | None) -> np.ndarray:
     return x0s[np.argsort(encode_digits(x0s.reshape(-1, width), p))]
 
 
+def _check_lift_budget(F: SymmetricForm, e: int, budget: int | None) -> None:
+    """Charge the lift by its stage sizes: the scan of F_p^(n+1) for the
+    affine cone Z, then at most |Z| rows at layer 0, p^(n+1) candidates per
+    row at each middle layer and |Z| per row at layer e."""
+    p, n = F.p, F.n
+    per_row = F.d + n + 2
+    what = "degree-zero coefficient lift"
+    check_budget(p ** (n + 1) * per_row, budget, what)
+    cone = sum(len(block) for block in _cone_blocks(F, 0, p ** (n + 1)))
+    stages = cone * p ** ((n + 1) * max(e - 1, 0)) * (cone if e else 1)
+    check_budget((p ** (n + 1) + stages) * per_row, budget, what)
+
+
 def _base_solutions_slow(F: SymmetricForm, e: int, budget: int | None) -> np.ndarray:
-    """The same rows from the full degree-zero scan (the lift's oracle)."""
-    return np.concatenate([
-        coords[gg & ~values.any(axis=1)]
-        for _, coords, values, gg in iter_base_chunks(F, e, budget)
+    """The same rows from the full degree-zero scan (the lift's oracle),
+    generation decided by the scalar ``globally_generates`` on the F = 0
+    rows rather than by the vectorized mask."""
+    zeros = np.concatenate([
+        coords[~values.any(axis=1)]
+        for _, coords, values, _ in iter_base_chunks(F, e, budget)
     ])
+    return zeros[np.array([_generates(F.p, x0) for x0 in zeros], dtype=bool)]
 
 
 def _cone_blocks(F: SymmetricForm, lo: int, hi: int):
@@ -488,71 +577,133 @@ def _lift_solutions(F: SymmetricForm, e: int, lo: int, hi: int):
             yield coords[gg & ~values.any(axis=1)]
 
 
+# ---------------------------------------------------------------------------
+# the jet-layer walker: layers x^1..x^m above one base point
+#
+# Layer x^k of a tuple enters its F-value first at t^k, as L x^k + c_k, where
+# L is the gradient multiplication map at the base point and c_k, the t^k
+# coefficient of F on the layers below k, is the same for every x^k.  So the
+# lifts of a base point through layer k are the solutions of L x^k = -c_k:
+# a coset of ker L, or nothing.
+
+WALK_CHUNK = 1 << 12  # candidate rows per walker block
+
+
+@dataclass
+class LayerSystem:
+    """L x = b above one base point, solved for stacks of right-hand sides
+    from one reduction of [L | I]."""
+
+    p: int
+    E: np.ndarray
+    pivots: list
+    ker: np.ndarray
+    span: np.ndarray  # every kernel vector, in ``linalg.span_elements`` order
+
+    @classmethod
+    def of(cls, L: np.ndarray, p: int) -> "LayerSystem":
+        E, pivots, ker = linalg.layer_system(L, p)
+        return cls(p, E, pivots, ker, linalg.span_elements(ker, p))
+
+    @property
+    def kerdim(self) -> int:
+        return self.ker.shape[0]
+
+    def solve(self, c: np.ndarray):
+        """(consistent, particular solution) of L x = -c for each row of c."""
+        return linalg.solve_stack(self.E, self.pivots, self.ker.shape[1], -c, self.p)
+
+
+def next_layer(F: SymmetricForm, X: np.ndarray) -> np.ndarray:
+    """c_k for a stack X of known layers 0..k-1, shape (N, n+1, k, e+1):
+    the t^k coefficient of F on the tuple whose layer k is zero."""
+    N, nv, k, ec = X.shape
+    Y = np.zeros((N, nv, k + 1, ec), dtype=np.int64)
+    Y[:, :, :k] = X
+    return batch_eval_jets(F, Y)[:, k]
+
+
+def append_layer(X: np.ndarray, size: int, layers, offsets: np.ndarray | None, p: int):
+    """Append one layer to each tuple of a stack X (N, n+1, k, e+1), once
+    for each of ``size`` candidate layers, in (tuple, candidate) order.
+
+    ``layers(lo, hi)`` returns candidates lo..hi-1 as flat (hi-lo,
+    (n+1)(e+1)) rows; with ``offsets`` tuple i gets offsets[i] + candidate
+    (mod p).  Yields (M, n+1, k+1, e+1) blocks of at most WALK_CHUNK rows.
+    """
+    N, nv, k, ec = X.shape
+    lstep = min(size, WALK_CHUNK)
+    pstep = WALK_CHUNK // lstep
+    for i in range(0, N, pstep):
+        parents = X[i : i + pstep]
+        for lo in range(0, size, lstep):
+            layer = layers(lo, min(lo + lstep, size))[None]
+            if offsets is not None:
+                layer = (offsets[i : i + pstep, None] + layer) % p
+            out = np.empty((parents.shape[0], layer.shape[1], nv, k + 1, ec), dtype=np.int64)
+            out[..., :k, :] = parents[:, None]
+            out[..., k, :] = layer.reshape(layer.shape[:2] + (nv, ec))
+            yield out.reshape(-1, nv, k + 1, ec)
+
+
+def walk_layers(F: SymmetricForm, X: np.ndarray, top: int, system: LayerSystem):
+    """Lift a stack X of known layers 0..k-1 through the layers k..top.
+
+    Layer j of a candidate is its particular solution of L x^j = -c_j plus
+    each kernel vector in turn, so the lifts come out in the order of the
+    nested kernel enumeration; inconsistent candidates drop out.  Parents
+    expand in blocks (``append_layer``) and the layers run depth first.
+    Yields non-empty (N, n+1, top+1, e+1) stacks.
+    """
+    if X.shape[2] > top:
+        if X.shape[0]:
+            yield X
+        return
+    ok, part = system.solve(next_layer(F, X))
+    span = system.span
+    blocks = append_layer(X[ok], span.shape[0], lambda lo, hi: span[lo:hi], part[ok], F.p)
+    for block in blocks:
+        yield from walk_layers(F, block, top, system)
+
+
+def _fiber_systems(F: SymmetricForm, x0s: np.ndarray):
+    """(base point, its LayerSystem) over a stack of base points."""
+    for rows, Ls, _, _ in fiber_chunks(F, x0s):
+        for x0, L in zip(x0s[rows], Ls):
+            yield x0, LayerSystem.of(L, F.p)
+
+
 def _solution_fibers(F: SymmetricForm, e: int, m: int, budget: int | None):
     """Yield (base point, fiber count) over gg solutions mod t^(m+1).
 
-    Solutions are fibered over the degree-zero layer: layer x^j must solve
-    L(x^j) = -c_j with L the multiplication-by-gradient map at the base and
-    c_j the t^j coefficient of F on the lower layers.  Middle layers are
-    enumerated inside the solution coset of L; the top layer contributes
-    p^(dim ker L) whenever its constraint is consistent.
+    Solutions are fibered over the degree-zero layer: the layers below m
+    are walked inside the solution cosets of L, and the top layer
+    contributes p^(dim ker L) to each walk whose last constraint is
+    consistent.
     """
     p = F.p
     x0s = _base_solutions(F, e, budget)
-    for rows, Ls, _, ranks in fiber_chunks(F, x0s):
-        for x0, L, rank in zip(x0s[rows], Ls, ranks):
-            kerdim = L.shape[1] - int(rank)
-            if m == 1:
-                # the only layer-1 constraint is L(x^1) = 0
-                yield x0, p**kerdim
-                continue
-            check_budget(
-                p ** (kerdim * (m - 1)) * (m + 1), budget, "jet-layer fiber enumeration"
-            )
-            ker = linalg.nullspace(L, p)
-            total = 0
-            for count in _extend_layer_counts(F, e, m, [x0], L, ker, 1):
-                total += count
-            yield x0, total
-
-
-def _extend_layer_counts(F, e, m, layers, L, ker, depth):
-    p = F.p
-    c = _taylor_layer(F, e, m, layers, depth)
-    part = linalg.solve(L, (-c) % p, p)
-    if part is None:
+    if m == 1:
+        # the only layer-1 constraint is L(x^1) = 0
+        for rows, Ls, _, ranks in fiber_chunks(F, x0s):
+            for x0, L, rank in zip(x0s[rows], Ls, ranks):
+                yield x0, p ** (L.shape[1] - int(rank))
         return
-    if depth == m:
-        yield p ** ker.shape[0]
-        return
-    for kv in linalg.span_elements(ker, p):
-        layer = ((part + kv) % p).reshape(layers[0].shape)
-        yield from _extend_layer_counts(F, e, m, layers + [layer], L, ker, depth + 1)
-
-
-def _taylor_layer(F, e, m, layers, depth) -> np.ndarray:
-    """t^depth coefficient of F on the tuple with the given known layers."""
-    jets = _coords_to_jets(F, np.stack(layers), e, m)
-    return np.array(eval_form(F, jets).layer(depth), dtype=np.int64)
-
-
-def _coords_to_jets(F, layer_stack: np.ndarray, e: int, m: int) -> tuple[JetPoly, ...]:
-    """Stack of (n+1, e+1) layer arrays -> tuple of JetPoly in P_{e,m}."""
-    p, n = F.p, F.n
-    nlay = layer_stack.shape[0]
-    out = []
-    for j in range(n + 1):
-        jet_coeffs = []
-        for i in range(e + 1):
-            coeffs = [int(layer_stack[k, j, i]) for k in range(nlay)]
-            coeffs += [0] * (m + 1 - nlay)
-            jet_coeffs.append(Jet(p, coeffs))
-        out.append(JetPoly(p, e, m, jet_coeffs))
-    return tuple(out)
+    for x0, system in _fiber_systems(F, x0s):
+        kerdim = system.kerdim
+        check_budget(
+            p ** (kerdim * (m - 1)) * (m + 1), budget, "jet-layer fiber enumeration"
+        )
+        walks = 0
+        for X in walk_layers(F, x0[None, :, None, :], m - 1, system):
+            walks += int(system.solve(next_layer(F, X))[0].sum())
+        yield x0, walks * p**kerdim
 
 
 def _count_solutions_slow(F: SymmetricForm, e: int, m: int, budget: int | None) -> int:
-    """Reference enumeration with exact jet arithmetic; exponential in m."""
+    """Reference enumeration of every tuple of P_{e,m}^(n+1), no linear
+    algebra: F by the array kernel on blocks of tuples, generation by the
+    scalar ``globally_generates`` on the base layer of each zero."""
     p, n = F.p, F.n
     width = (n + 1) * (e + 1)
     total = p ** (width * (m + 1))
@@ -560,49 +711,63 @@ def _count_solutions_slow(F: SymmetricForm, e: int, m: int, budget: int | None) 
     if m == 0:
         return len(_base_solutions_slow(F, e, budget))
     count = 0
-    upper = p ** (width * m)
-    for _, coords, _, gg in iter_base_chunks(F, e, budget):
-        for x0 in coords[gg].astype(np.int64):
-            for code in range(upper):
-                digits = batch_digits(np.array([code]), p, width * m)[0]
-                stack = [x0] + [
-                    digits[k * width : (k + 1) * width].reshape(n + 1, e + 1)
-                    for k in range(m)
-                ]
-                jets = _coords_to_jets(F, np.stack(stack), e, m)
-                if eval_form(F, jets).is_zero():
-                    count += 1
+    generates: dict[bytes, bool] = {}
+    for start in range(0, total, LIFT_CHUNK):
+        codes = np.arange(start, min(start + LIFT_CHUNK, total), dtype=np.int64)
+        X = batch_digits(codes, p, width * (m + 1)).reshape(-1, m + 1, n + 1, e + 1)
+        X = X.transpose(0, 2, 1, 3)
+        for x0 in X[~batch_eval_jets(F, X).any(axis=(1, 2)), :, 0]:
+            key = x0.tobytes()
+            if key not in generates:
+                generates[key] = _generates(p, x0)
+            count += generates[key]
     return count
+
+
+def _generates(p: int, x0: np.ndarray) -> bool:
+    """The scalar generation test on one (n+1, e+1) coefficient tuple."""
+    e = x0.shape[1] - 1
+    return globally_generates(tuple(JetPoly.from_ints(p, e, 0, row) for row in x0))
+
+
+def _solution_stacks(F: SymmetricForm, e: int, m: int, budget: int | None):
+    """Every gg tuple with F(x) = 0, as (N, n+1, m+1, e+1) stacks in base
+    order, then in the order of the nested kernel enumeration."""
+    p = F.p
+    x0s = _base_solutions(F, e, budget)
+    if m == 0:
+        if x0s.shape[0]:
+            yield x0s[:, :, None, :]
+        return
+    for x0, system in _fiber_systems(F, x0s):
+        check_budget(
+            p ** (system.kerdim * m) * (m + 1), budget, "solution tuple enumeration"
+        )
+        yield from walk_layers(F, x0[None, :, None, :], m, system)
 
 
 def solution_tuples(F: SymmetricForm, e: int, m: int, budget: int | None = None):
     """All gg tuples with F(x) = 0, as JetPoly tuples."""
-    p = F.p
-    if m == 0:
-        for x0 in _base_solutions(F, e, budget):
-            yield _coords_to_jets(F, x0[None], e, 0)
-        return
-    for x0 in _base_solutions(F, e, budget):
-        L = mult_matrix(F, x0)
-        ker = linalg.nullspace(L, p)
-        check_budget(
-            p ** (ker.shape[0] * m) * (m + 1), budget, "solution tuple enumeration"
-        )
-        yield from _extend_tuples(F, e, m, [x0], L, ker, 1)
+    for X in _solution_stacks(F, e, m, budget):
+        for x in X.tolist():
+            yield tuple(JetPoly.from_layers(F.p, e, m, layers) for layers in x)
 
 
-def _extend_tuples(F, e, m, layers, L, ker, depth):
-    p = F.p
-    c = _taylor_layer(F, e, m, layers, depth)
-    part = linalg.solve(L, (-c) % p, p)
-    if part is None:
-        return
-    for kv in linalg.span_elements(ker, p):
-        layer = ((part + kv) % p).reshape(layers[0].shape)
-        if depth == m:
-            yield _coords_to_jets(F, np.stack(layers + [layer]), e, m)
-        else:
-            yield from _extend_tuples(F, e, m, layers + [layer], L, ker, depth + 1)
+def _rechunk(stacks, size: int):
+    """Re-cut a stream of stacks into stacks of ``size`` rows (the last one
+    shorter), keeping the row order."""
+    held, rows = [], 0
+    for X in stacks:
+        held.append(X)
+        rows += X.shape[0]
+        if rows >= size:
+            X = np.concatenate(held)
+            cut = rows - rows % size
+            for i in range(0, cut, size):
+                yield X[i : i + size]
+            held, rows = [X[cut:]], rows - cut
+    if rows:
+        yield np.concatenate(held)
 
 
 def unfolded_mult_matrix(F: SymmetricForm, x0: tuple[JetPoly, ...]) -> np.ndarray:
@@ -648,12 +813,16 @@ def count_tangent_pairs(
     mu = moduli_dimension(F.n, F.d, e)
     exponent = 2 * (m + 1) * (mu + 1)
     total = 0
-    for x0 in solution_tuples(F, e, m, budget):
-        if method == "slow":
+    if method == "slow":
+        for x0 in solution_tuples(F, e, m, budget):
             total += _tangent_fiber_slow(F, x0, budget)
-        else:
-            M = unfolded_mult_matrix(F, x0)
-            total += F.p ** (M.shape[1] - linalg.rank(M, F.p))
+        return _record(F, e, m, total, exponent, "tangent_pairs")
+    ncols = (m + 1) * (F.n + 1) * (e + 1)
+    for X in _rechunk(_solution_stacks(F, e, m, budget), FIBER_CHUNK):
+        M = unfolded_mult_matrix_batch(F, X)
+        _, ranks = linalg.rref_batch(M.transpose(0, 2, 1), F.p)
+        for rank, count in zip(*np.unique(ranks, return_counts=True)):
+            total += int(count) * F.p ** (ncols - int(rank))
     return _record(F, e, m, total, exponent, "tangent_pairs")
 
 
@@ -708,51 +877,10 @@ def lw_trend(
 def count_jet_multilinear(F: SymmetricForm, k: int, budget: int | None = None) -> int:
     """#{(x^(1)..x^(d-1)) over (F_p[t]/t^(k+1))^(n+1) : all Psi_j = 0}.
 
-    Plain affine jet coordinates, no section structure.
+    Plain affine jet coordinates, no section structure: the sections of
+    degree bound 0, i.e. ``count_psi_zero_sections(F, 0, 0, k)``.
     """
-    p, n, d = F.p, F.n, F.d
-    nvars = (k + 1) * (n + 1) * (d - 1)
-    total = p**nvars
-    check_budget(total * (n + 1) * (d - 1), budget, "jet multilinear count")
-    count = 0
-    for start in range(0, total, CHUNK):
-        codes = np.arange(start, min(start + CHUNK, total), dtype=np.int64)
-        pts = batch_digits(codes, p, nvars).reshape(-1, d - 1, n + 1, k + 1)
-        good = np.ones(codes.size, dtype=bool)
-        for j in range(n + 1):
-            good &= ~_psi_jet_batch(F, j, pts, k).any(axis=1)
-            if not good.any():
-                break
-        count += int(good.sum())
-    return count
-
-
-def _psi_jet_batch(F: SymmetricForm, j: int, pts: np.ndarray, k: int) -> np.ndarray:
-    """Psi_j on batched jet points; pts is (N, d-1, n+1, k+1) -> (N, k+1)."""
-    import itertools as it
-
-    p, n, d = F.p, F.n, F.d
-    dfact = math.factorial(d) % p
-    out = np.zeros((pts.shape[0], k + 1), dtype=np.int64)
-    for idx in it.product(range(n + 1), repeat=d - 1):
-        a = F.tensor_entry(idx + (j,))
-        if a == 0:
-            continue
-        term = pts[:, 0, idx[0], :]
-        for slot in range(1, d - 1):
-            term = _jet_mul_batch(term, pts[:, slot, idx[slot], :], p)
-        out = (out + a * term) % p
-    return out * dfact % p
-
-
-def _jet_mul_batch(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Truncated jet product on (..., k+1) coefficient arrays."""
-    k = a.shape[-1] - 1
-    out = np.zeros_like(a)
-    for i in range(k + 1):
-        for j2 in range(k + 1 - i):
-            out[..., i + j2] += a[..., i] * b[..., j2]
-    return out % p
+    return count_psi_zero_sections(F, 0, 0, k, budget)
 
 
 def count_psi_zero_sections(
@@ -800,18 +928,3 @@ def _psi_section_batch(
         out[:, : term.shape[1], : term.shape[2]] += a * term
         out %= p
     return out * dfact % p
-
-
-def _section_mul_batch(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Product of section batches: convolution in x-degree, truncated
-    convolution in the jet layer."""
-    k = a.shape[-2] - 1
-    ra = a.shape[-1] - 1
-    rb = b.shape[-1] - 1
-    out = np.zeros(a.shape[:-2] + (k + 1, ra + rb + 1), dtype=np.int64)
-    for ka in range(k + 1):
-        for kb in range(k + 1 - ka):
-            for i in range(ra + 1):
-                for j2 in range(rb + 1):
-                    out[..., ka + kb, i + j2] += a[..., ka, i] * b[..., kb, j2]
-    return out % p

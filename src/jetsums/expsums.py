@@ -31,8 +31,11 @@ import numpy as np
 from . import linalg
 from .arith import Cyclo, compare_abs_power
 from .counting import (
+    FIBER_CHUNK,
+    append_layer,
     base_scan,
     batch_digits,
+    batch_eval_jets,
     count_solutions,
     count_tangent_pairs,
     encode_digits,
@@ -40,10 +43,11 @@ from .counting import (
     fiber_classes,
     iter_base_chunks,
     mult_matrix,
-    unfolded_mult_matrix,
+    next_layer,
+    unfolded_mult_matrix_batch,
+    walk_layers,
+    LayerSystem,
     _base_solutions,
-    _coords_to_jets,
-    _taylor_layer,
     _psi_section_batch,
 )
 from .forms import SymmetricForm
@@ -220,6 +224,55 @@ def _ann_registry(ann_bases: list, p: int):
         return index[sig]
 
     return key
+
+
+def _pair_classes(F: SymmetricForm, X: np.ndarray, ann_key, seen: dict) -> np.ndarray:
+    """Annihilator class of the unfolded pair map z -> z . grad F(x) for
+    every tuple x of a (N, n+1, m+1, e+1) stack, in the stack's order.
+
+    Tuples are keyed by the rref of their image, FIBER_CHUNK at a time, as
+    ``fiber_classes`` does; each image not in ``seen`` (image key -> class)
+    gets its annihilator computed once and registered through ``ann_key``,
+    in the order of the first tuple that has it.
+    """
+    p = F.p
+    out = np.empty(X.shape[0], dtype=np.int64)
+    for start in range(0, X.shape[0], FIBER_CHUNK):
+        M = unfolded_mult_matrix_batch(F, X[start : start + FIBER_CHUNK])
+        image, rank = linalg.rref_batch(M.transpose(0, 2, 1), p)
+        keys = np.concatenate([rank[:, None], image.reshape(rank.size, -1)], axis=1)
+        flat = keys.view(np.dtype((np.void, keys.shape[1] * keys.itemsize))).ravel()
+        _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
+        ids = np.empty(first.size, dtype=np.int64)
+        for u in np.argsort(first):
+            i = first[u]
+            sig = flat[i].tobytes()
+            if sig not in seen:
+                ann = linalg.annihilator(image[i, : rank[i]], M.shape[1], p)
+                seen[sig] = ann_key(ann)
+            ids[u] = seen[sig]
+        out[start : start + rank.size] = ids[inverse.ravel()]
+    return out
+
+
+def _free_top_layer(F: SymmetricForm, X: np.ndarray):
+    """Complete each tuple of a stack X of layers 0..m-1 by every top layer
+    in F_p^((n+1)(e+1)), in (tuple, top-layer code) order.  Yields blocks
+    (tuples, their F-values)."""
+    p = F.p
+    ncols = X.shape[1] * X.shape[3]
+
+    def tops(lo, hi):
+        return batch_digits(np.arange(lo, hi, dtype=np.int64), p, ncols)
+
+    for full in append_layer(X, p**ncols, tops, None, p):
+        yield full, batch_eval_jets(F, full)
+
+
+def _add_counts(hist: dict, keys) -> None:
+    """hist[key] += 1 for each key of an iterable of hashable keys."""
+    for key in keys:
+        hist[key] = hist.get(key, 0) + 1
 
 
 def value_histogram(F: SymmetricForm, e: int, m: int, budget: int | None = None) -> np.ndarray:
@@ -557,20 +610,12 @@ def pair_data(F: SymmetricForm, e: int, m: int, budget: int | None = None) -> Pa
                 budget,
                 "non-surjective pair annihilator scan",
             )
-        from .forms import eval_form
-
-        for bi in explicit:
-            x0 = coords[bi].astype(np.int64)
-            for x1code in range(p**ncols):
-                x1 = batch_digits(np.array([x1code]), p, ncols)[0]
-                stack = np.stack([x0, x1.reshape(n + 1, e + 1)])
-                jets = _coords_to_jets(F, stack, e, 1)
-                M = unfolded_mult_matrix(F, jets)
-                k = ann_key(linalg.nullspace(np.ascontiguousarray(M.T), p))
-                vals = np.array(eval_form(F, jets).layers(), dtype=np.int64)
-                code = int(w_code_from_values(vals[None], p, 1)[0])
-                key2 = (code, k)
-                hist[key2] = hist.get(key2, 0) + 1
+            seen: dict = {}
+            bases = coords[explicit].astype(np.int64)[:, :, None, :]
+            for full, vals in _free_top_layer(F, bases):
+                klass = _pair_classes(F, full, ann_key, seen)
+                codes = w_code_from_values(vals, p, 1)
+                _add_counts(hist, zip(codes.tolist(), klass.tolist()))
     else:
         raise NotImplementedError("pair data covers m <= 1")
     data = PairData(p, e, m, de, hist, ann_bases)
@@ -794,94 +839,57 @@ def slice_histogram(F: SymmetricForm, e: int, m: int, budget: int | None = None,
                     with_ann: bool = False):
     """KK(u) = #{x gg : F(x) = t^m u}, u over P_de (degree-zero layer).
 
-    Fibered: base solutions, middle layers in solution cosets of the
+    Fibered: base solutions, middle layers walked in solution cosets of the
     gradient multiplication map, top layer contributing one image coset
     with multiplicity p^(dim ker).  With ``with_ann`` the counts are split
     by the annihilator class of the pair map; a surjective base map forces
     the trivial annihilator for the whole fiber (block triangular), other
-    bases fall back to explicit enumeration, under the budget.
+    bases fall back to explicit enumeration of the top layer, under the
+    budget.
 
     Returns (array KK, dict {(u_code, ann_key): count}, ann_bases).
     """
     p, n = F.p, F.n
     de = F.d * e
     width = de + 1
+    ncols = (n + 1) * (e + 1)
     _check_mass(F, e, m, "slice histogram")
     kk = np.zeros(p**width, dtype=np.int64)
     hist: dict = {}
     ann_bases: list[np.ndarray] = []
     ann_key = _ann_registry(ann_bases, p)
+    seen: dict = {}
 
     trivial = ann_key(np.zeros((0, (m + 1) * width), dtype=np.int64))
     x0s = _base_solutions(F, e, budget)
     for rows, Ls, images, ranks in fiber_chunks(F, x0s):
         for x0, L, image, rank in zip(x0s[rows], Ls, images, ranks):
-            ker = linalg.nullspace(L, p)
-            imspan = linalg.span_elements(image[:rank], p)
-            kerdim = L.shape[1] - int(rank)
+            system = LayerSystem.of(L, p)
+            walks = walk_layers(F, x0[None, :, None, :], m - 1, system)
             if with_ann and rank < width:
-                _slice_recurse_explicit(
-                    F, e, m, [x0], L, ker, kk, hist, ann_key, 1, budget
-                )
+                for X in walks:
+                    check_budget(p**ncols * ncols, budget, "explicit slice fiber")
+                    for full, vals in _free_top_layer(F, X):
+                        codes = _in_range(encode_digits(vals[:, m], p), kk.size)
+                        kk += np.bincount(codes, minlength=kk.size)
+                        klass = _pair_classes(F, full, ann_key, seen)
+                        _add_counts(hist, zip(codes.tolist(), klass.tolist()))
                 continue
+            imspan = linalg.span_elements(image[:rank], p)
+            weight = p**system.kerdim
             check_budget(
-                p ** (kerdim * (m - 1)) * imspan.shape[0], budget, "slice histogram"
+                p ** (system.kerdim * (m - 1)) * imspan.shape[0], budget, "slice histogram"
             )
-            _slice_recurse(
-                F, e, m, [x0], L, ker, imspan, kerdim, kk, hist if with_ann else None,
-                trivial, 1,
-            )
+            for X in walks:
+                c = next_layer(F, X)
+                codes = encode_digits((c[:, None, :] + imspan[None]) % p, p).ravel()
+                kk += np.bincount(_in_range(codes, kk.size), minlength=kk.size) * weight
+                if with_ann:
+                    uniq, counts = np.unique(codes, return_counts=True)
+                    for code, count in zip(uniq.tolist(), counts.tolist()):
+                        key = (code, trivial)
+                        hist[key] = hist.get(key, 0) + count * weight
     return kk, hist, ann_bases
-
-
-def _slice_recurse(F, e, m, layers, L, ker, imspan, kerdim, kk, hist, annk, depth):
-    p = F.p
-    c = _taylor_layer(F, e, m, layers, depth)
-    if depth == m:
-        codes = encode_digits((c[None, :] + imspan) % p, p)
-        np.add.at(kk, _in_range(codes, kk.size), p**kerdim)
-        if hist is not None:
-            for code in codes:
-                key = (int(code), annk)
-                hist[key] = hist.get(key, 0) + p**kerdim
-        return
-    part = linalg.solve(L, (-c) % p, p)
-    if part is None:
-        return
-    for kv in linalg.span_elements(ker, p):
-        layer = ((part + kv) % p).reshape(layers[0].shape)
-        _slice_recurse(F, e, m, layers + [layer], L, ker, imspan, kerdim, kk,
-                       hist, annk, depth + 1)
-
-
-def _slice_recurse_explicit(F, e, m, layers, L, ker, kk, hist, ann_key, depth,
-                            budget):
-    """Non-surjective base map: enumerate every layer (middle layers in
-    solution cosets, the top layer freely) and compute the annihilator of
-    the unfolded pair map per point."""
-    p, n = F.p, F.n
-    c = _taylor_layer(F, e, m, layers, depth)
-    if depth == m:
-        ncols = L.shape[1]
-        check_budget(p**ncols * ncols, budget, "explicit slice fiber")
-        for code in range(p**ncols):
-            xm = batch_digits(np.array([code]), p, ncols)[0].reshape(layers[0].shape)
-            u = (c + L @ xm.reshape(-1)) % p
-            jets = _coords_to_jets(F, np.stack(layers + [xm]), e, m)
-            M = unfolded_mult_matrix(F, jets)
-            k = ann_key(linalg.nullspace(np.ascontiguousarray(M.T), p))
-            ucode = int(encode_digits(u[None], p)[0])
-            kk[ucode] += 1
-            key = (ucode, k)
-            hist[key] = hist.get(key, 0) + 1
-        return
-    part = linalg.solve(L, (-c) % p, p)
-    if part is None:
-        return
-    for kv in linalg.span_elements(ker, p):
-        layer = ((part + kv) % p).reshape(layers[0].shape)
-        _slice_recurse_explicit(F, e, m, layers + [layer], L, ker, kk, hist,
-                                ann_key, depth + 1, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,11 @@ degree-zero scan, and ``sections.minimal_divisor_table`` uses it for the
 Hankel matrices of every functional at each (divisor degree, finite
 degree).  The scalar ``rref`` (with ``rank``, ``nullspace``, ``row_space``
 and ``solve`` built on it) serves callers that hold a single matrix --
-the auxiliary linear sum, the N counts, the jet-layer lifts and the
-non-surjective pair fibers -- and is the oracle the batched kernel is
-tested against.
+the auxiliary linear sum, the N counts, the annihilator of each distinct
+image class, and one reduction of [L | I] per base point of the jet-layer
+lifts (``layer_system``), after which ``solve_stack`` solves L x = b for a
+whole stack of right-hand sides with one matrix product -- and is the
+oracle the batched kernel is tested against.
 """
 
 from __future__ import annotations
@@ -106,8 +108,12 @@ def rank(mat: np.ndarray, p: int) -> int:
 
 def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
     """Basis of the right kernel, one vector per row."""
-    nrows, ncols = mat.shape
     r, pivots = rref(mat, p)
+    return _kernel_basis(r, pivots, mat.shape[1], p)
+
+
+def _kernel_basis(r: np.ndarray, pivots: list[int], ncols: int, p: int) -> np.ndarray:
+    """Kernel basis read off an rref: one vector per free column, in order."""
     free = [c for c in range(ncols) if c not in pivots]
     basis = np.zeros((len(free), ncols), dtype=np.int64)
     for k, fc in enumerate(free):
@@ -134,6 +140,33 @@ def solve(mat: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray | None:
     for i, pc in enumerate(pivots):
         x[pc] = r[i, ncols]
     return x
+
+
+def layer_system(mat: np.ndarray, p: int):
+    """One elimination of [mat | I] for many right-hand sides.
+
+    Returns (E, pivots, ker): E is invertible with E @ mat the rref of mat,
+    pivots its pivot columns and ker equals ``nullspace(mat, p)``.
+    """
+    nrows, ncols = mat.shape
+    r, piv = rref(np.concatenate([mat % p, np.eye(nrows, dtype=np.int64)], axis=1), p)
+    pivots = [c for c in piv if c < ncols]
+    return r[:, ncols:], pivots, _kernel_basis(r, pivots, ncols, p)
+
+
+def solve_stack(E: np.ndarray, pivots: list[int], ncols: int, rhs: np.ndarray,
+                p: int) -> tuple[np.ndarray, np.ndarray]:
+    """``solve`` for every row b of rhs at once, from ``layer_system``.
+
+    Returns (consistent, x): row b is consistent when (E b)[rank:] vanishes,
+    and then x[b] is the solution ``solve`` gives, (E b)[:rank] at the pivot
+    columns and zero at the free ones.
+    """
+    rank = len(pivots)
+    y = rhs % p @ E.T % p
+    x = np.zeros((rhs.shape[0], ncols), dtype=np.int64)
+    x[:, pivots] = y[:, :rank]
+    return ~y[:, rank:].any(axis=1), x
 
 
 def in_row_span(basis_rref: np.ndarray, vec: np.ndarray, p: int) -> bool:

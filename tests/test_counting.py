@@ -67,6 +67,68 @@ def test_fibered_count_matches_slow_enumeration_e1():
     assert fast == slow
 
 
+def test_fibered_count_matches_slow_enumeration_with_solutions():
+    # quadric(3) has no generating solutions at e = 1; the line pair x0 x1
+    # has, and its base maps are not surjective: all 3^12 tuples enumerated
+    F = make_form(3, 2, 2, [((1, 1, 0), 1)])
+    fast = count_solutions(F, 1, 1).raw_count
+    assert fast == count_solutions(F, 1, 1, method="slow").raw_count == 7776
+
+
+def test_generation_in_characteristic_two():
+    # x0 + x1 = 0 over F_2 at e = 2: the tuples (h, h, x2) with h = x^2 + x + 1
+    # (irreducible over F_2, so without a rational root) share the common
+    # factor h when x2 is a multiple of it; the count is 24, not 27
+    F = make_form(2, 2, 1, [((1, 0, 0), 1), ((0, 1, 0), 1)])
+    assert counting.monic_irreducible_quadratics(2) == [(1, 1)]
+    assert count_solutions(F, 2, 0).raw_count == 24
+    assert count_solutions(F, 2, 0, method="slow").raw_count == 24
+
+
+def _all_tuples(p, nv, e):
+    codes = np.arange(p ** (nv * (e + 1)), dtype=np.int64)
+    return counting.batch_digits(codes, p, nv * (e + 1)).reshape(-1, nv, e + 1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_generating_mask_matches_scalar_oracle_small_primes(p):
+    # every (n+1, e+1) coefficient tuple with n+1 in {2, 3} and e <= 2,
+    # except 5^9 rows at p = 5, n+1 = 3, e = 2, where 20000 seeded rows
+    rng = np.random.default_rng(11)
+    for nv, e in itertools.product((2, 3), (0, 1, 2)):
+        if p ** (nv * (e + 1)) <= 2 * 10**4:
+            coords = _all_tuples(p, nv, e)
+        else:
+            coords = rng.integers(0, p, size=(2 * 10**4, nv, e + 1))
+        mask = batch_generating_mask(coords, p)
+        for row, flag in zip(coords, mask):
+            secs = tuple(JetPoly.from_ints(p, e, 0, row[j]) for j in range(nv))
+            assert globally_generates(secs) == bool(flag)
+
+
+def test_slow_count_does_not_share_the_mask(monkeypatch):
+    def accept_all(coords, p):
+        return np.ones(coords.shape[0], dtype=bool)
+
+    monkeypatch.setattr(counting, "batch_generating_mask", accept_all)
+    assert count_solutions(conic_form(3), 2, 0, method="slow").raw_count == 48
+    assert count_solutions(conic_form(3), 1, 1, method="slow").raw_count == 0
+
+
+def test_lift_budget_is_sized_by_its_stages():
+    # conic(11) at e = 2: the cone Z has 121 points, so the stages hold at
+    # most 121 * 11^3 * 121 rows, far below the 11^9 tuples of a full scan
+    F = conic_form(11)
+    assert count_solutions(F, 2, 0).raw_count == 13200
+    with pytest.raises(BudgetExceeded, match="lift") as err:
+        count_solutions(F, 2, 0, budget=10**4)
+    assert err.value.needed == 6 * (11**3 + 121 * 11**3 * 121)
+    # the scan for the cone is charged before it runs
+    with pytest.raises(BudgetExceeded, match="lift") as err:
+        count_solutions(F, 2, 0, budget=10**3)
+    assert err.value.needed == 6 * 11**3
+
+
 def test_tangent_pairs_conic():
     rec = count_tangent_pairs(conic_form(3), 2, 0)
     assert rec.raw_count == 48 * 3**4

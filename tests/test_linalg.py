@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from jetsums.linalg import rref, rref_batch
+from jetsums.linalg import layer_system, nullspace, rref, rref_batch, solve, solve_stack
 
 
 @st.composite
@@ -50,3 +50,25 @@ def test_rref_batch_leaves_input_alone():
     reduced, ranks = rref_batch(mats, 5)
     assert (mats == before).all()
     assert ranks.tolist() == [2] and (reduced[0] == np.eye(2)).all()
+
+
+@given(matrix_stacks(), st.integers(0, 2**32))
+def test_solve_stack_matches_scalar_solve(case, seed):
+    # right-hand sides from the image (consistent) and at random
+    p, mats = case
+    rng = np.random.default_rng(seed)
+    for mat in mats:
+        nrows, ncols = mat.shape
+        E, pivots, ker = layer_system(mat, p)
+        assert (E @ mat % p == rref(mat, p)[0]).all()
+        assert (ker == nullspace(mat, p)).all()
+        rhs = np.concatenate([
+            rng.integers(0, p, size=(4, ncols)) @ mat.T % p,
+            rng.integers(0, p, size=(4, nrows)),
+        ])
+        ok, x = solve_stack(E, pivots, ncols, rhs, p)
+        for b, flag, sol in zip(rhs, ok, x):
+            ref = solve(mat, b, p)
+            assert flag == (ref is not None)
+            if flag:
+                assert (sol == ref).all()
