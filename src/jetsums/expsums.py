@@ -420,13 +420,6 @@ def classify_arc_pair(alpha: DualFunctional, beta: DualFunctional, e: int,
     return "major" if la.kind == lb.kind == "major" else "minor"
 
 
-def _code_of_layer(layer, p: int) -> int:
-    code = 0
-    for i, c in enumerate(layer):
-        code += int(c) * p**i
-    return code
-
-
 def layer_sum_table(p: int, width: int) -> np.ndarray:
     """sum over a full dual layer of zeta^(a.w) for every w, computed by a
     small exact transform of the all-ones histogram."""
@@ -656,6 +649,25 @@ def exp_sum_pair(F: SymmetricForm, e: int, m: int, alpha: DualFunctional,
 # orthogonality and the major-arc collapse
 
 
+def _dual_sum(F: SymmetricForm, e: int, m: int, pairs: bool,
+              budget: int | None = None) -> Cyclo:
+    """Sum of S(alpha), or of S(alpha, beta), over the full dual of P_{de,m}.
+
+    Singles add up the transform rows; pairs weight the full-layer sum table
+    at each w-code by the annihilator size, the number of beta for which the
+    x1-sum does not vanish.
+    """
+    p = F.p
+    if not pairs:
+        return Cyclo(p, all_sums(F, e, m, budget).sum(axis=0))
+    data = pair_data(F, e, m, budget)
+    table = layer_sum_table(p, (data.de + 1) * (m + 1))
+    total = Cyclo.zero(p)
+    for (code, k), count in data.hist.items():
+        total = total + Cyclo(p, table[code]) * (count * p ** data.ann_bases[k].shape[0])
+    return total * p ** ((m + 1) * (F.n + 1) * (e + 1))
+
+
 def check_orthogonality(F: SymmetricForm, e: int, m: int, pairs: bool = False,
                         budget: int | None = None) -> Report:
     """Sum of S(alpha) over the full dual against the solution count (or the
@@ -664,20 +676,10 @@ def check_orthogonality(F: SymmetricForm, e: int, m: int, pairs: bool = False,
     de = F.d * e
     params = {"p": p, "n": n, "d": F.d, "e": e, "m": m, "form": F.name,
               "pairs": pairs}
+    lhs = _dual_sum(F, e, m, pairs, budget)
     if not pairs:
-        sums = all_sums(F, e, m, budget)
-        lhs = Cyclo(p, sums.sum(axis=0))
         rhs = p ** ((m + 1) * (de + 1)) * count_solutions(F, e, m, budget).raw_count
     else:
-        data = pair_data(F, e, m, budget)
-        width = de + 1
-        table = layer_sum_table(p, width * (m + 1))
-        lhs = Cyclo.zero(p)
-        full = p ** ((m + 1) * (n + 1) * (e + 1))
-        for (code, k), count in data.hist.items():
-            ann_size = p ** data.ann_bases[k].shape[0] if data.ann_bases[k].size else 1
-            lhs = lhs + Cyclo(p, table[code]) * (count * ann_size)
-        lhs = lhs * full
         rhs = (
             p ** (2 * (m + 1) * (de + 1))
             * count_tangent_pairs(F, e, m, budget).raw_count
@@ -699,74 +701,50 @@ def check_major_identity(F: SymmetricForm, e: int, m: int, pairs: bool = False,
     Singles: sum over divisors Z of degree <= e+1 of the S(alpha) with
     alpha factoring minimally through Z equals p^((n+1)(e+1)) times the full
     dual sum one jet layer down.  Pairs: both functionals grouped, factor
-    squared.  m = 1 groups the exact transform; m >= 2 uses the slice
-    engine.
+    squared.  The left side comes from the slice engine at every m >= 1,
+    the right side from the full dual sum at m - 1.
     """
     if m < 1:
         raise ValueError("the collapse needs m >= 1")
     p, n = F.p, F.n
-    de = F.d * e
-    width = de + 1
     params = {"p": p, "n": n, "d": F.d, "e": e, "m": m, "form": F.name,
               "pairs": pairs}
-    factor = p ** ((n + 1) * (e + 1))
-    tab = divisor_table(p, de, budget)
-    major = _major_mask(tab, e)
-    if not pairs:
-        lhs = _major_lhs_single(F, e, m, tab, major, budget)
-        if m == 1:
-            rows = all_sums(F, e, 0, budget)
-            rhs_sum = Cyclo(p, rows.sum(axis=0))
-        else:
-            rows = all_sums(F, e, m - 1, budget)
-            rhs_sum = Cyclo(p, rows.sum(axis=0))
-        rhs = rhs_sum * factor
-        params["factor_exponent"] = (n + 1) * (e + 1)
-    else:
-        lhs = _major_lhs_pair(F, e, m, tab, major, budget)
-        data0 = pair_data(F, e, m - 1, budget)
-        table = layer_sum_table(p, width * m)
-        rhs_sum = Cyclo.zero(p)
-        full0 = p ** (m * (n + 1) * (e + 1))
-        for (code, k), count in data0.hist.items():
-            ann_size = (
-                p ** data0.ann_bases[k].shape[0] if data0.ann_bases[k].size else 1
-            )
-            rhs_sum = rhs_sum + Cyclo(p, table[code]) * (count * ann_size)
-        rhs = rhs_sum * (full0 * factor**2)
-        params["factor_exponent"] = 2 * (n + 1) * (e + 1)
+    tab = divisor_table(p, F.d * e, budget)
+    lhs = _major_lhs(F, e, m, tab, _major_mask(tab, e), pairs, budget)
+    params["factor_exponent"] = (2 if pairs else 1) * (n + 1) * (e + 1)
+    rhs = _dual_sum(F, e, m - 1, pairs, budget) * p ** params["factor_exponent"]
     ok = lhs == rhs
     return Report("major-identity", params, lhs, rhs,
                   "equal" if ok else "violated", 1.0 if ok else None)
 
 
-def _major_lhs_single(F, e, m, tab, major, budget) -> Cyclo:
-    p = F.p
-    de = F.d * e
-    width = de + 1
-    if m == 1:
-        # every (divisor, functional) pair summed straight off the transform:
-        # a boundary functional with several minimizers enters once for each
-        sums = all_sums(F, e, m, budget)
-        upper = p ** (m * width)
-        agg = np.zeros(p, dtype=np.int64)
-        offsets = p**width * np.arange(upper, dtype=np.int64)
-        for code0 in np.nonzero(major)[0]:
-            agg += int(tab.multiplicity[code0]) * sums[int(code0) + offsets].sum(axis=0)
-        return Cyclo(p, agg)
-    # slice engine: the sum over the free upper parts of the functional is a
-    # precomputed full-layer table, which vanishes away from the origin, so
-    # only values F(x) = t^m u survive
-    table = _checked_layer_table(p, width)
-    kk, _, _ = slice_histogram(F, e, m, budget)
+def _major_lhs(F, e, m, tab, major, pairs, budget) -> Cyclo:
+    """Left side of the collapse by the slice engine.
+
+    The sum over the free upper parts of the functional is a precomputed
+    full-layer table, which vanishes away from the origin, so only values
+    F(x) = t^m u survive; at m = 1 the walk below the top layer is the base
+    point itself.  Each u weighs the major functionals at degree zero, once
+    per minimizer; pairs also weigh the annihilator class of the pair map.
+    """
+    p, n = F.p, F.n
+    width = F.d * e + 1
+    origin = Cyclo(p, _checked_layer_table(p, width)[0])
     gsum = major_weighted_sums(F, e, 0, budget)
+    kk, hist, ann_bases = slice_histogram(F, e, m, budget, with_ann=pairs)
+    if pairs:
+        weights = _beta_pair_weights(ann_bases, tab, major, p, width)
+        terms = ((u, count * weights[k]) for (u, k), count in hist.items())
+    else:
+        terms = enumerate(kk.tolist())
     total = Cyclo.zero(p)
-    for u, cnt in enumerate(kk):
-        if cnt:
-            total = total + Cyclo(p, gsum[u]) * int(cnt)
-    origin = Cyclo(p, table[0])
+    for u, weight in terms:
+        if weight:
+            total = total + Cyclo(p, gsum[u]) * weight
     for _ in range(m):
         total = total * origin
+    if pairs:
+        total = total * p ** ((m + 1) * (n + 1) * (e + 1))
     return total
 
 
@@ -782,57 +760,15 @@ def _checked_layer_table(p: int, width: int) -> np.ndarray:
     return table
 
 
-def _beta_pair_weights(data_ann_bases, tab, major, p, width):
+def _beta_pair_weights(ann_bases, tab, major, p, width):
     """Per annihilator class: number of (divisor W, beta) incidences with
-    beta in the annihilator, beta minimally through W, deg W major."""
+    beta in the annihilator, beta minimally through W, deg W major.  The
+    trivial class holds only beta = 0, whose minimizer is the zero divisor."""
     out = []
-    for basis in data_ann_bases:
-        if basis.size == 0:
-            out.append(1)  # only beta = 0, whose minimizer is the zero divisor
-            continue
-        weight = 0
-        for vec in linalg.span_elements(basis, p):
-            code0 = _code_of_layer(vec[:width], p)
-            if bool(major[code0]):
-                weight += int(tab.multiplicity[code0])
-        out.append(weight)
+    for basis in ann_bases:
+        codes = encode_digits(linalg.span_elements(basis, p)[:, :width], p)
+        out.append(int(tab.multiplicity[codes][major[codes]].sum()))
     return out
-
-
-def _major_lhs_pair(F, e, m, tab, major, budget) -> Cyclo:
-    p, n = F.p, F.n
-    de = F.d * e
-    width = de + 1
-    gsum = major_weighted_sums(F, e, 0, budget)
-    full = p ** ((m + 1) * (n + 1) * (e + 1))
-    if m == 1:
-        data = pair_data(F, e, m, budget)
-        table = layer_sum_table(p, width)
-        weights = _beta_pair_weights(data.ann_bases, tab, major, p, width)
-        total = Cyclo.zero(p)
-        for (code, k), count in data.hist.items():
-            if not weights[k]:
-                continue
-            wflat = batch_digits(np.array([code]), p, width * (m + 1))[0]
-            w0 = _code_of_layer(wflat[:width], p)
-            upper = Cyclo.integer(p, 1)
-            for layer in range(1, m + 1):
-                wl = _code_of_layer(wflat[layer * width : (layer + 1) * width], p)
-                upper = upper * Cyclo(p, table[wl])
-            total = total + Cyclo(p, gsum[w0]) * upper * (count * weights[k])
-        return total * full
-    table = _checked_layer_table(p, width)
-    _, slice_hist, ann_bases = slice_histogram(F, e, m, budget, with_ann=True)
-    weights = _beta_pair_weights(ann_bases, tab, major, p, width)
-    origin = Cyclo(p, table[0])
-    total = Cyclo.zero(p)
-    for (u, k), count in slice_hist.items():
-        if not weights[k]:
-            continue
-        total = total + Cyclo(p, gsum[u]) * (count * weights[k])
-    for _ in range(m):
-        total = total * origin
-    return total * full
 
 
 def slice_histogram(F: SymmetricForm, e: int, m: int, budget: int | None = None,

@@ -192,6 +192,28 @@ def test_circle_weyl_golden_output(capsys):
     assert out == golden.read_text()
 
 
+@pytest.mark.parametrize("golden,args", [
+    ("major_conic_q3_e2_m1.json",
+     ["--e", "2", "--m", "1", "--check", "major-identity"]),
+    ("major_pairs_conic_q3_e1_m1.json",
+     ["--e", "1", "--m", "1", "--check", "major-identity", "--pairs"]),
+    ("major_conic_q3_e2_m2.json",
+     ["--e", "2", "--m", "2", "--check", "major-identity"]),
+    ("orthogonality_pairs_conic_q3_e2_m0.json",
+     ["--e", "2", "--m", "0", "--check", "orthogonality", "--pairs"]),
+])
+def test_circle_identity_golden_output(golden, args, capsys):
+    """Both sides of the major-arc identity and of pair orthogonality are
+    pinned exactly, across the jet orders the slice engine and the full
+    dual sum evaluate."""
+    golden = Path(__file__).parent / "data" / golden
+    code, out, _ = run_cli(
+        ["circle", "--q", "3", "--form", "conic", *args, "--no-timestamp"], capsys
+    )
+    assert code == 0
+    assert out == golden.read_text()
+
+
 def test_bounds_certify_budget_exceeded():
     proc = subprocess.run(
         [sys.executable, "-m", "jetsums.cli", "bounds", "--action", "certify",

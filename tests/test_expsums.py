@@ -10,6 +10,7 @@ from jetsums.arith import Cyclo, psi_m
 from jetsums.counting import base_scan, count_psi_zero_sections, encode_digits, mult_matrix
 from jetsums.expsums import (
     IdentityViolation,
+    _major_lhs,
     all_sums,
     char_transform,
     check_major_identity,
@@ -24,6 +25,7 @@ from jetsums.expsums import (
     exp_sum,
     exp_sum_pair,
     exp_sum_slow,
+    layer_sum_table,
     major_weighted_sums,
     n_count,
     n_count_plain,
@@ -34,7 +36,7 @@ from jetsums.expsums import (
     value_histogram,
     weyl_alpha_sample,
 )
-from jetsums.forms import conic_form, eval_form, fermat_form
+from jetsums.forms import conic_form, eval_form, fermat_form, make_form
 from jetsums.sections import (
     BudgetExceeded,
     DualFunctional,
@@ -43,6 +45,14 @@ from jetsums.sections import (
     globally_generates,
     section_space_size,
 )
+
+
+def _x0x1(n):
+    return make_form(3, n, 2, [((1, 1) + (0,) * (n - 1), 1)], name="x0x1")
+
+
+def _x0sq(n):
+    return make_form(3, n, 2, [((2,) + (0,) * n, 1)], name="x0sq")
 
 
 def test_char_transform_is_exact_dft():
@@ -182,6 +192,13 @@ def test_orthogonality_small_cases():
     # empty solution set: both sides vanish
     empty = check_orthogonality(conic_form(3), 1, 0)
     assert empty.verdict == "equal" and empty.rhs == 0
+    # on singular forms some base maps are not onto, so the full dual pair
+    # sum weighs those classes by their annihilator size
+    forms = [form(n) for n in (1, 2) for form in (_x0x1, _x0sq)]
+    for F in forms:
+        for e, m in itertools.product((0, 1), repeat=2):
+            assert check_orthogonality(F, e, m, pairs=True).verdict == "equal", (F.name, F.n, e, m)
+    assert any(b.shape[0] for F in forms for b in pair_data(F, 1, 0).ann_bases)
 
 
 def test_major_identity_small():
@@ -210,26 +227,72 @@ def test_classify_arc_matches_divisor_table(p, e, codes):
         assert label.minimizers == tab.multiplicity[code]
 
 
-def test_single_lhs_transform_vs_slice_routes():
-    # at m = 1 both evaluation routes are affordable; they must agree
-    from jetsums.expsums import _checked_layer_table
+def _single_lhs_transform_oracle(F, e, tab, major):
+    """m = 1 left side summed straight off the transform of all_sums(F, e, 1):
+    every (divisor, functional) pair, a boundary functional with several
+    minimizers once for each."""
+    p = F.p
+    width = F.d * e + 1
+    sums = all_sums(F, e, 1)
+    offsets = p**width * np.arange(p**width, dtype=np.int64)
+    agg = [0] * p
+    for code0 in np.nonzero(major)[0]:
+        row = sums[int(code0) + offsets].sum(axis=0)
+        for c in range(p):
+            agg[c] += int(tab.multiplicity[code0]) * int(row[c])
+    return Cyclo(p, agg)
 
-    F = conic_form(3)
-    p, e = 3, 2
-    de, width = 4, 5
-    tab = divisor_table(p, de)
-    major = tab.degree <= e + 1
-    from jetsums.expsums import _major_lhs_single
 
-    via_transform = _major_lhs_single(F, e, 1, tab, major, None)
-    kk, _, _ = slice_histogram(F, e, 1)
+def _pair_lhs_entry_oracle(F, e, tab, major):
+    """m = 1 pair left side, one pair_data(F, e, 1) entry at a time: the
+    degree-zero part of alpha through the major weights, its upper layer
+    through the full-layer sum table, beta through a per-vector count over
+    each annihilator span."""
+    p, n = F.p, F.n
+    width = F.d * e + 1
+    data = pair_data(F, e, 1)
     gsum = major_weighted_sums(F, e)
-    via_slice = Cyclo.zero(p)
-    for u, cnt in enumerate(kk):
-        if cnt:
-            via_slice = via_slice + Cyclo(p, gsum[u]) * int(cnt)
-    via_slice = via_slice * (p**width)
-    assert via_transform == via_slice
+    table = layer_sum_table(p, width)
+    weights = []
+    for basis in data.ann_bases:
+        weight = 0
+        for vec in linalg.span_elements(basis, p):
+            code0 = sum(int(c) * p**i for i, c in enumerate(vec[:width]))
+            if major[code0]:
+                weight += int(tab.multiplicity[code0])
+        weights.append(weight)
+    total = Cyclo.zero(p)
+    for (code, k), count in data.hist.items():
+        w0, w1 = code % p**width, code // p**width
+        term = Cyclo(p, gsum[w0]) * Cyclo(p, table[w1])
+        total = total + term * (count * weights[k])
+    return total * p ** (2 * (n + 1) * (e + 1))
+
+
+# the singular forms have non-surjective base maps, so the pair side also
+# runs the explicit top-layer branch of the slice engine
+_M1_LHS_CASES = [
+    (conic_form(3), 1), (conic_form(3), 2), (fermat_form(3, 2, 2), 1),
+    (fermat_form(5, 1, 3), 1),
+] + [(form(n), e) for form in (_x0x1, _x0sq) for n in (1, 2) for e in (0, 1)]
+
+
+def test_single_lhs_transform_vs_slice_routes():
+    # at m = 1 the transform of the jet-order-1 histogram is affordable, an
+    # independent route to the left side the slice engine evaluates
+    for F, e in _M1_LHS_CASES:
+        tab = divisor_table(F.p, F.d * e)
+        major = tab.degree <= e + 1
+        via_slice = _major_lhs(F, e, 1, tab, major, False, None)
+        assert via_slice == _single_lhs_transform_oracle(F, e, tab, major), (F.name, F.n, e)
+
+
+def test_pair_lhs_entry_vs_slice_routes():
+    for F, e in _M1_LHS_CASES:
+        tab = divisor_table(F.p, F.d * e)
+        major = tab.degree <= e + 1
+        via_slice = _major_lhs(F, e, 1, tab, major, True, None)
+        assert via_slice == _pair_lhs_entry_oracle(F, e, tab, major), (F.name, F.n, e)
 
 
 def test_classify_arc():
