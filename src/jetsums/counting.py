@@ -7,8 +7,9 @@ The main counts:
 * ``count_tangent_pairs`` -- pairs (x0, x1) with x0 as above and
   x1 . grad F(x0) = 0; x1 is counted through the kernel of an F_p-linear
   map, never enumerated (a slow enumeration mode exists as an oracle).
-* ``count_jet_multilinear`` / ``count_psi_zero_sections`` -- auxiliary
-  counts of zeros of the multilinear forms attached to F.
+* ``count_multilinear_zeros`` -- (d-1)-tuples killed by linear conditions
+  on the multilinear forms Psi_j attached to F, by ranks; it gives
+  ``count_psi_zero_sections``, ``count_jet_multilinear`` and N(alpha).
 
 Enumeration runs over the degree-zero jet layer in numpy batches.  Its
 solutions come from a lift through the coefficient layers x[:, k] of the
@@ -29,6 +30,7 @@ its search space first and refuses to start above the configured budget.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -871,7 +873,66 @@ def lw_trend(
 
 
 # ---------------------------------------------------------------------------
-# multilinear-variety counts
+# multilinear zero counts
+#
+# Psi_j is linear in its last slot, so above a fixed prefix (the first d-2
+# slots) the last slots with cond . Psi_j = 0 for every j form the kernel of
+# one F_p-linear map, and a count is the sum over prefixes of p^(dim ker).
+
+# Matrix entries per block of prefixes.  An N count on fermat(7,2,3), e = 1,
+# k1 = 0 (7^6 prefixes), then count_jet_multilinear(fermat(7,1,3), 1), took
+# 1.2-1.4 s at 2^14..2^20 entries; peak RSS rose above the post-import level
+# by 0.3, 3.3, 10.9 and 41 MiB at 2^14, 2^16, 2^18 and 2^20.
+RANK_CHUNK = 1 << 16
+
+
+def count_multilinear_zeros(
+    F: SymmetricForm, rdeg: int, k: int, cond: np.ndarray, budget: int | None = None
+) -> int:
+    """#{(x^(1)..x^(d-1)) in (P_{rdeg,k}^(n+1))^(d-1) : cond . Psi_j = 0 for
+    every j}, cond acting on the (jet layer, x-degree) flattening of Psi_j.
+
+    For a block of prefix codes (one empty prefix at d = 2), Psi_j(prefix, u)
+    is evaluated at every unit vector u of the last slot, composed with cond
+    and stacked over j into ((n+1) len(cond) x slot) matrices, which one
+    ``linalg.rref_batch`` call ranks.  The budget figure counts the Psi
+    entries and the entry-column work of the eliminations.
+    """
+    p, n, d = F.p, F.n, F.d
+    slot = (n + 1) * (k + 1) * (rdeg + 1)
+    entries = (n + 1) * (k + 1) * ((d - 1) * rdeg + 1)  # of Psi_0..Psi_n
+    rows = (n + 1) * cond.shape[0]
+    prefixes = p ** ((d - 2) * slot)
+    check_budget(prefixes * slot * (entries + rows * slot), budget, "multilinear rank count")
+    step = max(1, RANK_CHUNK // (slot * (entries + rows)))
+    total = 0
+    for start in range(0, prefixes, step):
+        codes = np.arange(start, min(start + step, prefixes), dtype=np.int64)
+        heads = np.repeat(batch_digits(codes, p, (d - 2) * slot), slot, axis=0)
+        units = np.tile(np.eye(slot, dtype=np.int64), (codes.size, 1))
+        vals = _psi_batch(F, np.concatenate([heads, units], axis=1), k, rdeg) @ cond.T % p
+        mats = vals.reshape(codes.size, slot, rows).transpose(0, 2, 1)
+        _, ranks = linalg.rref_batch(mats, p)
+        for rank, count in zip(*np.unique(ranks, return_counts=True)):
+            total += int(count) * p ** (slot - int(rank))
+    return total
+
+
+def _count_multilinear_zeros_slow(
+    F: SymmetricForm, rdeg: int, k: int, cond: np.ndarray, budget: int | None = None
+) -> int:
+    """The same count by enumerating every (d-1)-tuple, no linear algebra
+    (the rank engine's oracle)."""
+    p, n, d = F.p, F.n, F.d
+    nvars = (n + 1) * (k + 1) * (rdeg + 1) * (d - 1)
+    total = p**nvars
+    check_budget(total * (n + 1) * (d - 1), budget, "multilinear tuple enumeration")
+    count = 0
+    for start in range(0, total, 1 << 15):
+        codes = np.arange(start, min(start + (1 << 15), total), dtype=np.int64)
+        vals = _psi_batch(F, batch_digits(codes, p, nvars), k, rdeg) @ cond.T % p
+        count += int((~vals.reshape(codes.size, -1).any(axis=1)).sum())
+    return count
 
 
 def count_jet_multilinear(F: SymmetricForm, k: int, budget: int | None = None) -> int:
@@ -887,44 +948,27 @@ def count_psi_zero_sections(
     F: SymmetricForm, e: int, s: int, k: int, budget: int | None = None
 ) -> int:
     """#{(x^(1)..x^(d-1)) in (P_{e-s,k}^(n+1))^(d-1) : all Psi_j = 0 as
-    sections}."""
-    p, n, d = F.p, F.n, F.d
+    sections}: ``count_multilinear_zeros`` with the identity as condition."""
     if not 0 <= s <= e:
         raise ValueError("need 0 <= s <= e")
-    rdeg = e - s
-    width = (n + 1) * (rdeg + 1) * (k + 1)
-    nvars = width * (d - 1)
-    total = p**nvars
-    check_budget(total * (n + 1) * (d - 1), budget, "section multilinear count")
-    count = 0
-    for start in range(0, total, CHUNK):
-        codes = np.arange(start, min(start + CHUNK, total), dtype=np.int64)
-        pts = batch_digits(codes, p, nvars).reshape(-1, d - 1, n + 1, k + 1, rdeg + 1)
-        good = np.ones(codes.size, dtype=bool)
-        for j in range(n + 1):
-            good &= ~_psi_section_batch(F, j, pts, k, rdeg).any(axis=(1, 2))
-            if not good.any():
-                break
-        count += int(good.sum())
-    return count
+    width = (k + 1) * ((F.d - 1) * (e - s) + 1)
+    return count_multilinear_zeros(F, e - s, k, np.eye(width, dtype=np.int64), budget)
 
 
-def _psi_section_batch(
-    F: SymmetricForm, j: int, pts: np.ndarray, k: int, rdeg: int
-) -> np.ndarray:
-    """Psi_j on batched section tuples -> (N, k+1, (d-1)*rdeg+1)."""
-    import itertools as it
-
+def _psi_batch(F: SymmetricForm, flat: np.ndarray, k: int, rdeg: int) -> np.ndarray:
+    """Psi_0..Psi_n on (d-1)-tuples of P_{rdeg,k}^(n+1), given as flat rows
+    ordered (slot, variable, jet layer, x-degree): (N, n+1, width), each
+    value flattened by (jet layer, x-degree)."""
     p, n, d = F.p, F.n, F.d
-    dfact = math.factorial(d) % p
-    out = np.zeros((pts.shape[0], k + 1, (d - 1) * rdeg + 1), dtype=np.int64)
-    for idx in it.product(range(n + 1), repeat=d - 1):
-        a = F.tensor_entry(idx + (j,))
-        if a == 0:
+    pts = flat.reshape(-1, d - 1, n + 1, k + 1, rdeg + 1)
+    out = np.zeros((pts.shape[0], n + 1, k + 1, (d - 1) * rdeg + 1), dtype=np.int64)
+    for idx in itertools.product(range(n + 1), repeat=d - 1):
+        coeffs = [F.tensor_entry(idx + (j,)) for j in range(n + 1)]
+        if not any(coeffs):
             continue
-        term = pts[:, 0, idx[0], :, :]
+        term = pts[:, 0, idx[0]]
         for slot in range(1, d - 1):
-            term = _section_mul_batch(term, pts[:, slot, idx[slot], :, :], p)
-        out[:, : term.shape[1], : term.shape[2]] += a * term
-        out %= p
-    return out * dfact % p
+            term = _section_mul_batch(term, pts[:, slot, idx[slot]], p)
+        for j, a in enumerate(coeffs):
+            out[:, j] += a * term
+    return (out % p * (math.factorial(d) % p) % p).reshape(pts.shape[0], n + 1, -1)

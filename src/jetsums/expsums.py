@@ -48,7 +48,8 @@ from .counting import (
     walk_layers,
     LayerSystem,
     _base_solutions,
-    _psi_section_batch,
+    _count_multilinear_zeros_slow,
+    count_multilinear_zeros,
 )
 from .forms import SymmetricForm
 from .sections import (
@@ -57,6 +58,7 @@ from .sections import (
     DualFunctional,
     JetPoly,
     check_budget,
+    check_divisor_table_budget,
     globally_generates,
     minimal_divisor,
     minimal_divisor_table,
@@ -192,6 +194,13 @@ def _check_mass(F: SymmetricForm, e: int, m: int, what: str) -> None:
         raise BudgetExceeded(mass, _INT64_MAX, f"{what} (int64 counts)")
 
 
+def _check_histogram(F: SymmetricForm, e: int, m: int, budget: int | None) -> None:
+    """The value histogram's refusals, made before any cache lookup so that
+    they do not depend on what ran earlier in the process."""
+    _check_mass(F, e, m, "value histogram")
+    check_budget(F.p ** ((F.d * e + 1) * (m + 1)), budget, "value histogram")
+
+
 def _in_range(codes: np.ndarray, size: int) -> np.ndarray:
     """The codes, after checking they index a histogram of this size; a
     wrapped dtype would otherwise land at negative codes without an error."""
@@ -283,6 +292,7 @@ def value_histogram(F: SymmetricForm, e: int, m: int, budget: int | None = None)
     map with multiplicity p^(dim ker).  Base points are grouped by value and
     image first, so each coset is spanned once per class.
     """
+    _check_histogram(F, e, m, budget)
     key = (F.key(), e, m)
     if key in _HIST_CACHE:
         return _HIST_CACHE[key]
@@ -290,8 +300,6 @@ def value_histogram(F: SymmetricForm, e: int, m: int, budget: int | None = None)
     de = F.d * e
     width = de + 1
     size = p ** (width * (m + 1))
-    _check_mass(F, e, m, "value histogram")
-    check_budget(size, budget, "value histogram")
     if m == 0:
         hist = np.zeros(size, dtype=np.int64)
         for _, _, values, gg in iter_base_chunks(F, e, budget):
@@ -314,6 +322,7 @@ def value_histogram(F: SymmetricForm, e: int, m: int, budget: int | None = None)
 
 def all_sums(F: SymmetricForm, e: int, m: int, budget: int | None = None) -> np.ndarray:
     """S(alpha) for every alpha on P_{de,m}, as (p^k, p) coefficient rows."""
+    _check_histogram(F, e, m, budget)
     key = (F.key(), e, m)
     if key not in _TRANSFORM_CACHE:
         hist = value_histogram(F, e, m, budget)
@@ -374,6 +383,8 @@ _DIVTAB_CACHE: dict[tuple, DivisorTable] = {}
 
 
 def divisor_table(p: int, de: int, budget: int | None = None) -> DivisorTable:
+    # checked before the lookup, so a refusal does not depend on earlier calls
+    check_divisor_table_budget(p, de, budget)
     key = (p, de)
     if key not in _DIVTAB_CACHE:
         _DIVTAB_CACHE[key] = DivisorTable(p, de, *minimal_divisor_table(p, de, budget))
@@ -837,90 +848,24 @@ def n_count(F: SymmetricForm, e: int, alpha: DualFunctional, k1: int, k2: int,
     """Count (d-1)-tuples over P_{e-s,k1}^(n+1) whose multilinear values are
     killed by alpha against every y in P_{e+(d-1)s, k2-1}, mod t^k2.
 
-    The generation condition is dropped here on purpose.  For d = 2 the
-    conditions are linear in the tuple and the count is a kernel size;
-    higher d enumerates (method="enumerate" forces that as an oracle).
+    The generation condition is dropped here on purpose.  The conditions
+    are linear in the last tuple entry, so the count is a sum of
+    p^(dim ker) over the first d-2 entries, by the rank engine
+    ``counting.count_multilinear_zeros`` (one kernel at d = 2);
+    method="enumerate" enumerates every tuple instead, as the oracle.
     """
-    p, n, d = F.p, F.n, F.d
+    if alpha.r != F.d * e:
+        raise ValueError("functional lives on the wrong space")
     if k1 < k2 - 1:
         raise ValueError("need k1 >= k2 - 1")
     if not 0 <= s <= e:
         raise ValueError("need 0 <= s <= e")
     if alpha.m + 1 < k2:
         raise ValueError("functional has too few layers")
-    rdeg = e - s
     cond = _n_condition_matrix(F, e, alpha, k1, k2, s)
-    nvars = (n + 1) * (rdeg + 1) * (k1 + 1) * (d - 1)
-    if d == 2 and method != "enumerate":
-        system = _n_linear_system(F, cond, k1, rdeg)
-        return p ** (nvars - linalg.rank(system, p))
-    total = p**nvars
-    check_budget(total * (n + 1) * (d - 1), budget, "multilinear tuple count")
-    cached = _psi_flat_values(F, e, s, k1, total, nvars, rdeg)
-    if cached is not None:
-        good = np.ones(total, dtype=bool)
-        for j in range(n + 1):
-            good &= ~(cached[j] @ cond.T % p).any(axis=1)
-        return int(good.sum())
-    count = 0
-    step = 1 << 15
-    for start in range(0, total, step):
-        codes = np.arange(start, min(start + step, total), dtype=np.int64)
-        pts = batch_digits(codes, p, nvars).reshape(
-            -1, d - 1, n + 1, k1 + 1, rdeg + 1
-        )
-        good = np.ones(codes.size, dtype=bool)
-        for j in range(n + 1):
-            psi = _psi_section_batch(F, j, pts, k1, rdeg)
-            flat = psi.reshape(psi.shape[0], -1)
-            good &= ~(flat @ cond.T % p).any(axis=1)
-            if not good.any():
-                break
-        count += int(good.sum())
-    return count
-
-
-_PSI_FLAT_CACHE: dict[tuple, list[np.ndarray]] = {}
-_PSI_FLAT_LIMIT = 1 << 23
-
-
-def _psi_flat_values(F, e, s, k1, total, nvars, rdeg):
-    """Multilinear values of every tuple, flattened per output index;
-    cached because the tuple space does not depend on the functional."""
-    p, n = F.p, F.n
-    width = (k1 + 1) * ((F.d - 1) * rdeg + 1)
-    if total * (n + 1) * width > _PSI_FLAT_LIMIT:
-        return None
-    key = (F.key(), e, s, k1)
-    if key not in _PSI_FLAT_CACHE:
-        pts = batch_digits(np.arange(total, dtype=np.int64), p, nvars).reshape(
-            -1, F.d - 1, n + 1, k1 + 1, rdeg + 1
-        )
-        _PSI_FLAT_CACHE[key] = [
-            _psi_section_batch(F, j, pts, k1, rdeg).reshape(total, -1)
-            for j in range(n + 1)
-        ]
-    return _PSI_FLAT_CACHE[key]
-
-
-def _n_linear_system(F: SymmetricForm, cond: np.ndarray, k1: int, rdeg: int) -> np.ndarray:
-    """d = 2: stack cond composed with the (linear) multilinear map over j.
-
-    The single tuple slot has coordinates (variable i, layer k, degree a)
-    and Psi_j picks 2 a_{ij} times the matching coefficient of x_i.
-    """
-    p, n = F.p, F.n
-    blk = (k1 + 1) * (rdeg + 1)
-    nvars = (n + 1) * blk
-    rows = []
-    for j in range(n + 1):
-        comp = np.zeros((cond.shape[0], nvars), dtype=np.int64)
-        for i in range(n + 1):
-            cij = 2 * F.tensor_entry((i, j)) % p
-            if cij:
-                comp[:, i * blk : (i + 1) * blk] += cij * cond
-        rows.append(comp % p)
-    return np.concatenate(rows, axis=0)
+    if method == "enumerate":
+        return _count_multilinear_zeros_slow(F, e - s, k1, cond, budget)
+    return count_multilinear_zeros(F, e - s, k1, cond, budget)
 
 
 def _n_condition_matrix(F: SymmetricForm, e: int, alpha: DualFunctional,

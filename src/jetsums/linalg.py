@@ -7,15 +7,16 @@ in the dozens.
 Two eliminations share that contract.  ``rref_batch`` row-reduces a whole
 stack of matrices at once, one column step across the batch axis at a time;
 the fiber routes use it for the gradient maps of every base point of a
-degree-zero scan, and ``sections.minimal_divisor_table`` uses it for the
+degree-zero scan, ``sections.minimal_divisor_table`` uses it for the
 Hankel matrices of every functional at each (divisor degree, finite
-degree).  The scalar ``rref`` (with ``rank``, ``nullspace``, ``row_space``
-and ``solve`` built on it) serves callers that hold a single matrix --
-the auxiliary linear sum, the N counts, the annihilator of each distinct
-image class, and one reduction of [L | I] per base point of the jet-layer
-lifts (``layer_system``), after which ``solve_stack`` solves L x = b for a
-whole stack of right-hand sides with one matrix product -- and is the
-oracle the batched kernel is tested against.
+degree), and ``counting.count_multilinear_zeros`` for the last-slot maps of
+the multilinear zero counts.  The scalar ``rref`` (with ``rank``,
+``nullspace``, ``row_space`` and ``solve`` built on it) serves callers that
+hold a single matrix -- the auxiliary linear sum, the annihilator of each
+distinct image class, and one reduction of [L | I] per base point of the
+jet-layer lifts (``layer_system``), after which ``solve_stack`` solves
+L x = b for a whole stack of right-hand sides with one matrix product --
+and is the oracle the batched kernel is tested against.
 """
 
 from __future__ import annotations

@@ -384,6 +384,16 @@ def count_minimizers(alpha: DualFunctional, degree: int) -> int:
     )
 
 
+def check_divisor_table_budget(p: int, r: int, budget: int | None) -> None:
+    """Refuse a minimal-divisor table above the budget.  The figure is the
+    Hankel elimination work: p^(r+1) functionals, each with the entry-column
+    work max(R, 0) * (dh + 1)^2 of every (divisor degree b, finite degree dh)."""
+    work = sum(
+        (r - b + 1) * (dh + 1) ** 2 for b in range(r + 1) for dh in range(b + 1)
+    )
+    check_budget(p ** (r + 1) * work, budget, "minimal divisor Hankel eliminations")
+
+
 def minimal_divisor_table(p: int, r: int, budget: int | None = None):
     """Minimal divisor degree of every t-degree-zero functional on P_r.
 
@@ -401,12 +411,8 @@ def minimal_divisor_table(p: int, r: int, budget: int | None = None):
     (degree, split) the Hankel matrices of every still-unresolved functional
     go through one ``linalg.rref_batch`` call.
     """
+    check_divisor_table_budget(p, r, budget)
     total = p ** (r + 1)
-    # entry-column work per functional: max(R, 0) * (dh + 1)^2 per (b, dh)
-    work = sum(
-        (r - b + 1) * (dh + 1) ** 2 for b in range(r + 1) for dh in range(b + 1)
-    )
-    check_budget(total * work, budget, "minimal divisor Hankel eliminations")
     digits = np.arange(total)[:, None] // p ** np.arange(r + 1) % p
     degs = np.full(total, -1, dtype=np.int64)
     mult = np.zeros(total, dtype=np.int64)

@@ -192,6 +192,20 @@ def test_circle_weyl_golden_output(capsys):
     assert out == golden.read_text()
 
 
+def test_circle_weyl_d3_golden_output(capsys):
+    """The d = 3 sweep: its tightness is a ratio against the bound, so the
+    report pins the multilinear counts N of every sampled functional."""
+    golden = Path(__file__).parent / "data" / "weyl_fermat_q5_e1_m1_d3_s5.json"
+    code, out, _ = run_cli(
+        ["circle", "--q", "5", "--form", "fermat", "--n", "1", "--d", "3",
+         "--e", "1", "--m", "1", "--check", "weyl", "--max-degree", "1",
+         "--samples", "5", "--no-timestamp"],
+        capsys,
+    )
+    assert code == 0
+    assert out == golden.read_text()
+
+
 @pytest.mark.parametrize("golden,args", [
     ("major_conic_q3_e2_m1.json",
      ["--e", "2", "--m", "1", "--check", "major-identity"]),

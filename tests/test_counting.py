@@ -11,6 +11,7 @@ from jetsums.cli import random_smooth_form
 from jetsums.counting import (
     _base_solutions,
     _base_solutions_slow,
+    _count_multilinear_zeros_slow,
     base_scan,
     batch_generating_mask,
     count_jet_multilinear,
@@ -227,7 +228,23 @@ def test_psi_zero_section_counts():
     assert count_psi_zero_sections(F, 2, 2, 0) == 1
     assert count_psi_zero_sections(F, 1, 0, 0) == 1
     cubic = fermat_form(5, 1, 3)
-    assert count_psi_zero_sections(cubic, 1, 1, 0) >= 1
+    assert count_psi_zero_sections(cubic, 1, 1, 0) == 81
+    assert count_jet_multilinear(cubic, 1) == 4225
+    assert count_jet_multilinear(fermat_form(7, 1, 3), 1) == 17689
+
+
+@pytest.mark.parametrize("F,e,s,k,expected", [
+    (conic_form(3), 1, 0, 1, 1),
+    (fermat_form(5, 1, 3), 1, 1, 0, 81),
+    (fermat_form(5, 1, 3), 1, 0, 0, 2401),
+    (fermat_form(5, 1, 3), 0, 0, 1, 4225),
+    (fermat_form(5, 1, 3), 1, 1, 1, 4225),
+    (fermat_form(7, 2, 3), 1, 1, 0, 2197),
+])
+def test_psi_zero_sections_match_enumeration(F, e, s, k, expected):
+    identity = np.eye((k + 1) * ((F.d - 1) * (e - s) + 1), dtype=np.int64)
+    assert count_psi_zero_sections(F, e, s, k) == expected
+    assert _count_multilinear_zeros_slow(F, e - s, k, identity) == expected
 
 
 def test_budget_guard():

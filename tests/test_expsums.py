@@ -7,7 +7,14 @@ import pytest
 
 from jetsums import linalg
 from jetsums.arith import Cyclo, psi_m
-from jetsums.counting import base_scan, count_psi_zero_sections, encode_digits, mult_matrix
+from jetsums.counting import (
+    base_scan,
+    batch_digits,
+    batch_eval_jets,
+    count_psi_zero_sections,
+    encode_digits,
+    mult_matrix,
+)
 from jetsums.expsums import (
     IdentityViolation,
     _major_lhs,
@@ -330,6 +337,30 @@ def test_n_count_rank_matches_enumeration():
     assert n_count_plain(F, 2, zero, 0) == 3**9
 
 
+@pytest.mark.parametrize("p,n,k1,k2,s", [
+    (5, 1, 0, 1, 0), (5, 1, 0, 1, 1), (5, 1, 1, 1, 1), (7, 2, 0, 1, 1),
+])
+def test_n_count_rank_matches_enumeration_d3(p, n, k1, k2, s):
+    # d = 3, e = 1: the rank route sums kernels over the first tuple entry
+    F = fermat_form(p, n, 3)
+    rng = random.Random(11 * p + k1 + s)
+    for _ in range(3):
+        a = dual_from_code(p, 3, 1, rng.randrange(p**8))
+        assert n_count(F, 1, a, k1, k2, s) == n_count(
+            F, 1, a, k1, k2, s, method="enumerate"
+        )
+
+
+def test_n_count_rejects_functional_off_the_value_space():
+    # conic(3) at e = 2 has values in P_4; a functional on P_6 used to be
+    # counted as the zero functional and one on P_2 raised IndexError
+    F = conic_form(3)
+    for a in (dual_from_code(3, 6, 1, 3**6), dual_from_code(3, 2, 1, 5)):
+        for method in ("auto", "enumerate"):
+            with pytest.raises(ValueError, match="wrong space"):
+                n_count(F, 2, a, 0, 1, 0, method=method)
+
+
 def test_n_count_factorization():
     F = conic_form(3)
     rng = random.Random(6)
@@ -492,6 +523,38 @@ def test_value_histogram_large_prime_matches_python_reference():
         for u in image:
             ref[(v0 + u) % p + p * v0] += p ** (F.n + 1 - (1 if any(row) else 0))
     assert value_histogram(F, 0, 1).tolist() == ref
+
+
+def test_all_sums_spot_checks_against_direct_sum():
+    # every tuple of P_{1,1}^3 (3^12) evaluated by the array kernel, with
+    # generation decided by the scalar test on the 3^6 base layers; the
+    # character psi_1(alpha(v)) has exponent alpha_0.v_0 + alpha_0.v_1 +
+    # alpha_1.v_0, independent of the w-coordinates of the transform
+    F = conic_form(3)
+    p, e, m = 3, 1, 1
+    width = F.d * e + 1
+    ncols = (F.n + 1) * (e + 1)
+    gen = np.array([
+        globally_generates(tuple(JetPoly.from_ints(p, e, 0, row) for row in x0))
+        for x0 in batch_digits(np.arange(p**ncols), p, ncols).reshape(-1, F.n + 1, e + 1)
+    ])
+    codes = np.arange(p ** (2 * ncols), dtype=np.int64)
+    layers = batch_digits(codes, p, 2 * ncols).reshape(-1, 2, F.n + 1, e + 1)
+    values = batch_eval_jets(F, layers.transpose(0, 2, 1, 3))[gen[codes % p**ncols]]
+    sums = all_sums(F, e, m)
+    rng = random.Random(12)
+    for code in [0] + [rng.randrange(p ** (2 * width)) for _ in range(12)]:
+        a = np.array(dual_from_code(p, F.d * e, m, code).parts)
+        expo = (values[:, 0] @ (a[0] + a[1]) + values[:, 1] @ a[0]) % p
+        assert (sums[code] == np.bincount(expo, minlength=p)).all()
+
+
+def test_histogram_budget_is_checked_before_the_cache():
+    F = conic_form(3)
+    all_sums(F, 1, 0)
+    for fn in (all_sums, value_histogram):
+        with pytest.raises(BudgetExceeded):
+            fn(F, 1, 0, budget=10)
 
 
 def test_histogram_mass_beyond_int64_is_refused():

@@ -246,3 +246,10 @@ def test_divisor_table_budget(monkeypatch):
     with pytest.raises(BudgetExceeded):
         divisor_table(5, 8)
     assert int(divisor_table(5, 6).degree.max()) == 4
+
+
+def test_divisor_table_budget_does_not_depend_on_the_cache():
+    divisor_table(3, 4)
+    with pytest.raises(BudgetExceeded) as err:
+        divisor_table(3, 4, budget=10**4)
+    assert err.value.needed == 3**5 * 182
