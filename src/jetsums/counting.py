@@ -179,12 +179,18 @@ def batch_generating_mask(coords: np.ndarray, p: int) -> np.ndarray:
     return ok
 
 
+def _check_scan(F: SymmetricForm, e: int, budget: int | None) -> int:
+    """Refuse the degree-zero scan above the budget; returns its row count."""
+    total = F.p ** ((F.n + 1) * (e + 1))
+    check_budget(total * (F.d + F.n + 2), budget, "degree-zero tuple scan")
+    return total
+
+
 def iter_base_chunks(F: SymmetricForm, e: int, budget: int | None = None):
     """Stream (codes, coords, values, generating) over the degree-zero space."""
     p, n = F.p, F.n
     width = (n + 1) * (e + 1)
-    total = p**width
-    check_budget(total * (F.d + n + 2), budget, "degree-zero tuple scan")
+    total = _check_scan(F, e, budget)
     for start in range(0, total, CHUNK):
         codes = np.arange(start, min(start + CHUNK, total), dtype=np.int64)
         coords = batch_digits(codes, p, width).reshape(-1, n + 1, e + 1)
@@ -202,6 +208,7 @@ class BaseScan:
     coords: np.ndarray      # (N, n+1, e+1), smallest signed dtype holding p-1
     values: np.ndarray      # (N, de+1), same dtype
     generating: np.ndarray  # (N,) bool
+    fibers: tuple | None = None  # see ``generating_fibers``
 
 
 _BASE_CACHE: dict[tuple, BaseScan] = {}
@@ -209,14 +216,13 @@ _BASE_CACHE_LIMIT = 2_200_000
 
 
 def base_scan(F: SymmetricForm, e: int, budget: int | None = None) -> BaseScan:
+    # both refusals come before the lookup, so they do not depend on earlier calls
+    limit = min(_BASE_CACHE_LIMIT, 10**18 if budget is None else budget)
+    check_budget(F.p ** ((F.n + 1) * (e + 1)), limit, "materialized tuple scan")
+    _check_scan(F, e, budget)
     key = (F.key(), e)
     if key not in _BASE_CACHE:
-        p, n = F.p, F.n
-        total = p ** ((n + 1) * (e + 1))
-        check_budget(
-            total, min(_BASE_CACHE_LIMIT, 10**18 if budget is None else budget),
-            "materialized tuple scan",
-        )
+        p = F.p
         # int8 would wrap for p > 128 and send every later code negative
         dtype = np.min_scalar_type(-p)
         cs, vs, gs = [], [], []
@@ -363,35 +369,46 @@ def fiber_chunks(F: SymmetricForm, coords: np.ndarray):
         yield rows, L, image, rank
 
 
-def fiber_classes(F: SymmetricForm, coords: np.ndarray, values: np.ndarray):
-    """Group base points by (value layer, image of z -> z . grad F(x0)).
+def image_keys(mats: np.ndarray, p: int, lead: np.ndarray | None = None):
+    """Key a stack of matrices by image with one ``rref_batch``: image[i] is
+    the rref of mats[i]^T, whose first rank[i] rows span the image; keys[i]
+    the row (lead, rank, image) as one opaque bytes item, far cheaper to sort
+    than rows along axis 0; first and inverse as ``np.unique`` gives them."""
+    image, rank = linalg.rref_batch(mats.transpose(0, 2, 1), p)
+    cols = [rank[:, None], image.reshape(rank.size, -1)]
+    keys = np.concatenate(cols if lead is None else [lead, *cols], axis=1)
+    keys = keys.view(np.dtype((np.void, keys.shape[1] * keys.itemsize))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return image, rank, keys, first, inverse.ravel()
 
-    A base point's fiber enters the value and pair histograms only through
-    its value v0 and the image of its gradient map (the kernel dimension and
-    the annihilator are fixed by the image), so callers handle each class
-    once, weighted by its size.  Returns ([(v0, image rref basis, count)],
-    per-point image rank).
-    """
-    width = values.shape[1]
-    classes: dict[bytes, list] = {}
-    ranks = []
-    for rows, _, image, rank in fiber_chunks(F, coords):
-        keys = np.concatenate(
-            [values[rows].astype(np.int64), rank[:, None], image.reshape(rank.size, -1)],
-            axis=1,
-        )
-        # one opaque bytes item per row: far cheaper to sort than axis=0
-        flat = keys.view(np.dtype((np.void, keys.shape[1] * keys.itemsize))).ravel()
-        _, first, counts = np.unique(flat, return_index=True, return_counts=True)
-        for i, count in zip(first, counts):
-            entry = classes.setdefault(flat[i].tobytes(), [keys[i], 0])
-            entry[1] += int(count)
-        ranks.append(rank)
-    out = []
-    for key, count in classes.values():
-        rank = int(key[width])
-        out.append((key[:width], key[width + 1 :].reshape(-1, width)[:rank], count))
-    return out, np.concatenate(ranks) if ranks else np.zeros(0, dtype=np.int64)
+
+def fiber_classes(F: SymmetricForm, coords: np.ndarray, values: np.ndarray):
+    """Group base points by (value layer, image of z -> z . grad F(x0)), on
+    which alone a point's top-layer coset depends.  Returns (the class of
+    each point, numbered in first-seen order; each class's image basis)."""
+    index: dict[bytes, int] = {}
+    images, ids = [], [np.zeros(0, dtype=np.int64)]
+    for start in range(0, coords.shape[0], FIBER_CHUNK):
+        rows = slice(start, start + FIBER_CHUNK)
+        mats = mult_matrix_batch(F, coords[rows])
+        image, rank, keys, first, inverse = image_keys(mats, F.p, values[rows].astype(np.int64))
+        local = []
+        for i in first:
+            local.append(index.setdefault(keys[i].tobytes(), len(images)))
+            if local[-1] == len(images):
+                images.append(image[i, : rank[i]].copy())
+        ids.append(np.array(local, dtype=np.int64)[inverse])
+    return np.concatenate(ids), images
+
+
+def generating_fibers(F: SymmetricForm, e: int, budget: int | None = None):
+    """(coords, ids, images): the generating points of ``base_scan`` and their
+    ``fiber_classes``, computed once per (F, e) on the scan's cache entry."""
+    scan = base_scan(F, e, budget)
+    if scan.fibers is None:
+        coords = scan.coords[scan.generating]
+        scan.fibers = (coords, *fiber_classes(F, coords, scan.values[scan.generating]))
+    return scan.fibers
 
 
 # ---------------------------------------------------------------------------
@@ -617,12 +634,12 @@ class LayerSystem:
 
 
 def next_layer(F: SymmetricForm, X: np.ndarray) -> np.ndarray:
-    """c_k for a stack X of known layers 0..k-1, shape (N, n+1, k, e+1):
-    the t^k coefficient of F on the tuple whose layer k is zero."""
+    """F on a stack X of known layers 0..k-1, shape (N, n+1, k, e+1), with
+    layer k zero: (N, k+1, de+1), whose last layer is c_k."""
     N, nv, k, ec = X.shape
     Y = np.zeros((N, nv, k + 1, ec), dtype=np.int64)
     Y[:, :, :k] = X
-    return batch_eval_jets(F, Y)[:, k]
+    return batch_eval_jets(F, Y)
 
 
 def append_layer(X: np.ndarray, size: int, layers, offsets: np.ndarray | None, p: int):
@@ -661,7 +678,7 @@ def walk_layers(F: SymmetricForm, X: np.ndarray, top: int, system: LayerSystem):
         if X.shape[0]:
             yield X
         return
-    ok, part = system.solve(next_layer(F, X))
+    ok, part = system.solve(next_layer(F, X)[:, -1])
     span = system.span
     blocks = append_layer(X[ok], span.shape[0], lambda lo, hi: span[lo:hi], part[ok], F.p)
     for block in blocks:
@@ -698,7 +715,7 @@ def _solution_fibers(F: SymmetricForm, e: int, m: int, budget: int | None):
         )
         walks = 0
         for X in walk_layers(F, x0[None, :, None, :], m - 1, system):
-            walks += int(system.solve(next_layer(F, X))[0].sum())
+            walks += int(system.solve(next_layer(F, X)[:, -1])[0].sum())
         yield x0, walks * p**kerdim
 
 

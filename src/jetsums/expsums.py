@@ -14,10 +14,13 @@ objects:
   butterfly per coordinate, which returns every S(alpha) at once as
   cyclotomic coefficient vectors.
 
-Inner linear sums (the auxiliary z-sum, the x1-sum of the pair sums, the
-functional sums over a full dual layer) are evaluated through kernels and
-small precomputed tables rather than per-element enumeration; slow
-enumerations cross-check them in the test suite.
+The value, pair and slice histograms share one fiber engine at every jet
+order: base points (fiber classes computed once per (F, e), or base
+solutions), middle layers run freely or in solution cosets, and one
+top-layer leaf, ``_top_layer``, that adds the image coset of the gradient
+map with weight p^(dim ker), or enumerates the top layer where pair classes
+need it.  The x1-sum of the pair sums and the full dual layer sums go
+through kernels and small tables; slow enumerations cross-check them.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from . import linalg
 from .arith import Cyclo, compare_abs_power
 from .counting import (
     FIBER_CHUNK,
+    WALK_CHUNK,
     append_layer,
     base_scan,
     batch_digits,
@@ -40,7 +44,8 @@ from .counting import (
     count_tangent_pairs,
     encode_digits,
     fiber_chunks,
-    fiber_classes,
+    generating_fibers,
+    image_keys,
     iter_base_chunks,
     mult_matrix,
     next_layer,
@@ -127,10 +132,11 @@ def w_code_from_values(values: np.ndarray, p: int, m: int) -> np.ndarray:
     zeta^(alpha.w) with the plain flat dot product.
     """
     N, layers, width = values.shape
-    w = np.empty_like(values)
-    csum = np.cumsum(values, axis=1) % p
+    w = np.empty((N, layers, width), dtype=np.int64)
+    csum = np.zeros((N, width), dtype=np.int64)
     for i in range(layers):
-        w[:, i, :] = csum[:, layers - 1 - i, :]
+        csum += values[:, i]
+        w[:, layers - 1 - i] = csum % p
     return encode_digits(w.reshape(N, layers * width), p)
 
 
@@ -209,113 +215,150 @@ def _in_range(codes: np.ndarray, size: int) -> np.ndarray:
     return codes
 
 
-def _coset_codes(v0: np.ndarray, im: np.ndarray, p: int) -> np.ndarray:
-    """m = 1 w-codes above a base value v0: layer-1 values u run over the
-    span of im, and w_0 = v0 + u, w_1 = v0."""
-    w0 = (v0[None, :] + linalg.span_elements(im, p)) % p
-    return encode_digits(w0, p) + int(encode_digits(v0[None, :], p)[0]) * p ** v0.size
+class _AnnClasses:
+    """Annihilator classes of pair maps in first-seen order, each kept as an
+    rref basis (rows) in ``bases``; class 0 (``TRIVIAL``) is {0}.  Each
+    distinct image has its annihilator computed once."""
+
+    TRIVIAL = 0
+
+    def __init__(self, p: int, rows: int):
+        self.p = p
+        self.bases = [np.zeros((0, rows), dtype=np.int64)]
+        self._index = {b"": self.TRIVIAL}  # rref basis -> class
+        self._seen: dict[bytes, int] = {}   # image key -> class
+
+    def of(self, F: SymmetricForm, X: np.ndarray) -> np.ndarray:
+        """Class of the unfolded pair map z -> z . grad F(x) for every tuple
+        x of a (N, n+1, m+1, e+1) stack, in order, FIBER_CHUNK at a time."""
+        p, out = self.p, np.empty(X.shape[0], dtype=np.int64)
+        for start in range(0, X.shape[0], FIBER_CHUNK):
+            M = unfolded_mult_matrix_batch(F, X[start : start + FIBER_CHUNK])
+            image, rank, keys, first, inverse = image_keys(M, p)
+            ids = np.empty(first.size, dtype=np.int64)
+            for u in np.argsort(first):
+                sig = keys[first[u]].tobytes()
+                if sig not in self._seen:
+                    ann = linalg.annihilator(image[first[u], : rank[first[u]]], M.shape[1], p)
+                    basis = linalg.row_space(ann, p) if ann.size else ann
+                    k = self._seen[sig] = self._index.setdefault(basis.tobytes(), len(self.bases))
+                    if k == len(self.bases):
+                        self.bases.append(basis)
+                ids[u] = self._seen[sig]
+            out[start : start + rank.size] = ids[inverse]
+        return out
 
 
-def _ann_registry(ann_bases: list, p: int):
-    """Index annihilator classes in first-seen order.
-
-    Returns key(ann): the index in ``ann_bases`` of the span of the rows of
-    ``ann``, keyed by its rref basis (appended when new).
-    """
-    index: dict[bytes, int] = {}
-
-    def key(ann: np.ndarray) -> int:
-        basis = linalg.row_space(ann, p) if ann.size else ann
-        sig = basis.tobytes() if basis.size else b""
-        if sig not in index:
-            index[sig] = len(ann_bases)
-            ann_bases.append(basis)
-        return index[sig]
-
-    return key
-
-
-def _pair_classes(F: SymmetricForm, X: np.ndarray, ann_key, seen: dict) -> np.ndarray:
-    """Annihilator class of the unfolded pair map z -> z . grad F(x) for
-    every tuple x of a (N, n+1, m+1, e+1) stack, in the stack's order.
-
-    Tuples are keyed by the rref of their image, FIBER_CHUNK at a time, as
-    ``fiber_classes`` does; each image not in ``seen`` (image key -> class)
-    gets its annihilator computed once and registered through ``ann_key``,
-    in the order of the first tuple that has it.
-    """
-    p = F.p
-    out = np.empty(X.shape[0], dtype=np.int64)
-    for start in range(0, X.shape[0], FIBER_CHUNK):
-        M = unfolded_mult_matrix_batch(F, X[start : start + FIBER_CHUNK])
-        image, rank = linalg.rref_batch(M.transpose(0, 2, 1), p)
-        keys = np.concatenate([rank[:, None], image.reshape(rank.size, -1)], axis=1)
-        flat = keys.view(np.dtype((np.void, keys.shape[1] * keys.itemsize))).ravel()
-        _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
-        ids = np.empty(first.size, dtype=np.int64)
-        for u in np.argsort(first):
-            i = first[u]
-            sig = flat[i].tobytes()
-            if sig not in seen:
-                ann = linalg.annihilator(image[i, : rank[i]], M.shape[1], p)
-                seen[sig] = ann_key(ann)
-            ids[u] = seen[sig]
-        out[start : start + rank.size] = ids[inverse.ravel()]
-    return out
-
-
-def _free_top_layer(F: SymmetricForm, X: np.ndarray):
-    """Complete each tuple of a stack X of layers 0..m-1 by every top layer
-    in F_p^((n+1)(e+1)), in (tuple, top-layer code) order.  Yields blocks
-    (tuples, their F-values)."""
-    p = F.p
+def _free_layers(X: np.ndarray, top: int, p: int):
+    """Extend a stack X of known layers 0..k-1 by every layer in
+    F_p^((n+1)(e+1)) through layer ``top``, depth first, in (tuple, layer
+    code) order, in blocks of at most WALK_CHUNK rows (X itself if done)."""
+    if X.shape[2] > top:
+        yield X
+        return
     ncols = X.shape[1] * X.shape[3]
-
-    def tops(lo, hi):
-        return batch_digits(np.arange(lo, hi, dtype=np.int64), p, ncols)
-
-    for full in append_layer(X, p**ncols, tops, None, p):
-        yield full, batch_eval_jets(F, full)
+    tops = append_layer(X, p**ncols, lambda lo, hi: batch_digits(np.arange(lo, hi), p, ncols), None, p)
+    for block in tops:
+        yield from _free_layers(block, top, p)
 
 
-def _add_counts(hist: dict, keys) -> None:
-    """hist[key] += 1 for each key of an iterable of hashable keys."""
-    for key in keys:
-        hist[key] = hist.get(key, 0) + 1
+def _top_layer(F: SymmetricForm, X: np.ndarray, m: int, image: np.ndarray | None,
+               ann: _AnnClasses | None):
+    """The leaf of every fiber route: complete a stack X of tuples known
+    through layer m-1, whose base maps L share one image, by layer m.
+
+    Yields blocks (V, span, weight, classes): row i stands for the value
+    layers V[i] with each row of span added to layer m, and pair class
+    classes[i].  Layer m enters only at t^m, as c_m + L x^m, so given the
+    image of L, V is F with layer m zero, span the image, the weight
+    p^(dim ker L), and the pair map of an onto L has trivial annihilator
+    (block triangular).  With ``image`` None every top layer is enumerated
+    (none at m = 0: the base layer is the top) and classed by ``ann``.
+    """
+    p = F.p
+    if image is None:
+        for full in _free_layers(X, m, p):
+            V = batch_eval_jets(F, full)
+            yield V, np.zeros((1, V.shape[2]), dtype=np.int64), 1, ann.of(F, full)
+        return
+    V, span = next_layer(F, X), linalg.span_elements(image, p)
+    kerdim = X.shape[1] * X.shape[3] - image.shape[0]
+    step = max(1, WALK_CHUNK // span.shape[0])  # about WALK_CHUNK values per block
+    for i in range(0, V.shape[0], step):
+        block = V[i : i + step]
+        yield block, span, p**kerdim, None if ann is None else np.full(len(block), ann.TRIVIAL)
+
+
+def _w_codes(V: np.ndarray, span: np.ndarray, p: int) -> np.ndarray:
+    """w-codes (N, len(span)) of the value layers V (N, m+1, de+1) with each
+    row of span added to layer m, which only w_0, the low digits, sees."""
+    w0 = V.sum(axis=1) % p
+    high = w_code_from_values(V, p, V.shape[1] - 1) - encode_digits(w0, p)
+    return high[:, None] + encode_digits((w0[:, None] + span) % p, p)
+
+
+def _base_leaves(F: SymmetricForm, e: int, m: int, ann: _AnnClasses | None,
+                 budget: int | None):
+    """``_top_layer`` blocks over every generating tuple of P_{e,m}^(n+1),
+    classed by ``ann`` if given; the refusals are made at the call.
+
+    Base points enter in groups sharing their gradient image.  With no layer
+    between base and top (m <= 1) a coset depends only on the fiber class,
+    so each class enters once, weighted by its size (one group per image
+    and size); above that every point enters and the middle layers run
+    freely.  Points whose pairs need the top layer enumerated (L not onto)
+    come last, in scan order.
+    """
+    p, width, ncols = F.p, F.d * e + 1, (F.n + 1) * (e + 1)
+    coords, ids, images = generating_fibers(F, e, budget)
+    _, first, counts = np.unique(ids, return_index=True, return_counts=True)
+    pairs = ann is not None and m > 0
+    explicit = np.array([pairs and im.shape[0] < width for im in images], dtype=bool)
+    if m >= 2:
+        check_budget(ids.size * p ** (ncols * (m - 1) + width), budget, "free jet-layer walk")
+    if explicit.any():
+        check_budget(ids.size * p ** (ncols * m), budget, "non-surjective pair annihilator scan")
+    by_image: dict[tuple, list] = {}
+    for k in np.flatnonzero(~explicit).tolist():
+        by_image.setdefault((images[k].tobytes(), int(counts[k]) if m <= 1 else 1), []).append(k)
+    groups = [
+        (coords[first[ks] if m <= 1 else np.isin(ids, ks)], images[ks[0]] if m else None, weight)
+        for (_, weight), ks in by_image.items()
+    ] + ([(coords[explicit[ids]], None, 1)] if explicit.any() else [])
+    return ((V, span, weight * mult, klass)
+            for X, image, weight in groups
+            for W in _free_layers(X.astype(np.int64)[:, :, None, :], m - 1, p)
+            for V, span, mult, klass in _top_layer(F, W, m, image, ann))
+
+
+def _add_counts(hist: dict, codes: np.ndarray, klass: np.ndarray, weight: int) -> None:
+    """hist[(code, class)] += weight for every entry of codes (N, S), with the
+    class of its row."""
+    for k in np.unique(klass).tolist():
+        uniq, counts = np.unique(codes[klass == k], return_counts=True)
+        for code, count in zip(uniq.tolist(), counts.tolist()):
+            hist[(code, k)] = hist.get((code, k), 0) + count * weight
 
 
 def value_histogram(F: SymmetricForm, e: int, m: int, budget: int | None = None) -> np.ndarray:
-    """Histogram over w-codes of F-values on gg tuples in P_{e,m}^(n+1).
-
-    m = 0 streams the tuple space; m = 1 fibers over the base layer, where
-    the top layer contributes one image coset of the gradient multiplication
-    map with multiplicity p^(dim ker).  Base points are grouped by value and
-    image first, so each coset is spanned once per class.
-    """
+    """Histogram over w-codes of F-values on gg tuples in P_{e,m}^(n+1):
+    m = 0 streams the tuple space, higher orders take the fiber engine
+    (``_base_leaves``)."""
     _check_histogram(F, e, m, budget)
+    p, width = F.p, F.d * e + 1
+    if m:
+        leaves = _base_leaves(F, e, m, None, budget)
+    else:  # every generating tuple is a base point: no linear algebra
+        zero = np.zeros((1, width), dtype=np.int64)
+        leaves = ((values[gg][:, None], zero, 1, None)
+                  for _, _, values, gg in iter_base_chunks(F, e, budget))
     key = (F.key(), e, m)
     if key in _HIST_CACHE:
         return _HIST_CACHE[key]
-    p, n = F.p, F.n
-    de = F.d * e
-    width = de + 1
     size = p ** (width * (m + 1))
-    if m == 0:
-        hist = np.zeros(size, dtype=np.int64)
-        for _, _, values, gg in iter_base_chunks(F, e, budget):
-            codes = encode_digits(values[gg], p)
-            hist += np.bincount(_in_range(codes, size), minlength=size)
-    elif m == 1:
-        hist = np.zeros(size, dtype=np.int64)
-        scan = base_scan(F, e, budget)
-        gg = scan.generating
-        ncols = (n + 1) * (e + 1)
-        classes, _ = fiber_classes(F, scan.coords[gg], scan.values[gg])
-        for v0, im, count in classes:
-            codes = _in_range(_coset_codes(v0, im, p), size)
-            np.add.at(hist, codes, count * p ** (ncols - im.shape[0]))
-    else:
-        raise NotImplementedError("value histograms cover m <= 1")
+    hist = np.zeros(size, dtype=np.int64)
+    for V, span, weight, _ in leaves:
+        np.add.at(hist, _in_range(_w_codes(V, span, p), size), weight)
     _HIST_CACHE[key] = hist
     return hist
 
@@ -573,56 +616,19 @@ _PAIR_CACHE: dict[tuple, PairData] = {}
 
 
 def pair_data(F: SymmetricForm, e: int, m: int, budget: int | None = None) -> PairData:
+    """The joint histogram of ``value_histogram``'s fiber engine with pair
+    classes: a base map that is onto gives cosets in the trivial class, any
+    other has its top layer enumerated and each tuple classed."""
+    de = F.d * e
+    ann = _AnnClasses(F.p, (m + 1) * (de + 1))
+    leaves = _base_leaves(F, e, m, ann, budget)  # refusals before the lookup
     key = (F.key(), e, m)
     if key in _PAIR_CACHE:
         return _PAIR_CACHE[key]
-    p, n = F.p, F.n
-    de = F.d * e
-    width = de + 1
-    ncols = (n + 1) * (e + 1)
     hist: dict = {}
-    ann_bases: list[np.ndarray] = []
-    ann_key = _ann_registry(ann_bases, p)
-
-    scan = base_scan(F, e, budget)
-    gg = scan.generating
-    coords, values = scan.coords[gg], scan.values[gg]
-    if m == 0:
-        classes, _ = fiber_classes(F, coords, values)
-        for v0, im, count in classes:
-            # annihilator of the image = left kernel of L
-            k = ann_key(linalg.annihilator(im, width, p))
-            code = int(encode_digits(v0[None], p)[0])
-            hist[(code, k)] = hist.get((code, k), 0) + count
-    elif m == 1:
-        trivial = ann_key(np.zeros((0, 2 * width), dtype=np.int64))
-        classes, ranks = fiber_classes(F, coords, values)
-        for v0, im, count in classes:
-            if im.shape[0] < width:
-                continue
-            # block-triangular with surjective diagonal: annihilator is 0
-            # for every lift x0 + t*x1, so the layer-1 value can be
-            # grouped into image cosets
-            weight = count * p ** (ncols - width)
-            for code in _coset_codes(v0, im, p):
-                key2 = (int(code), trivial)
-                hist[key2] = hist.get(key2, 0) + weight
-        explicit = np.nonzero(ranks < width)[0]
-        if explicit.size:
-            check_budget(
-                int(ranks.size) * p**ncols,
-                budget,
-                "non-surjective pair annihilator scan",
-            )
-            seen: dict = {}
-            bases = coords[explicit].astype(np.int64)[:, :, None, :]
-            for full, vals in _free_top_layer(F, bases):
-                klass = _pair_classes(F, full, ann_key, seen)
-                codes = w_code_from_values(vals, p, 1)
-                _add_counts(hist, zip(codes.tolist(), klass.tolist()))
-    else:
-        raise NotImplementedError("pair data covers m <= 1")
-    data = PairData(p, e, m, de, hist, ann_bases)
+    for V, span, weight, klass in leaves:
+        _add_counts(hist, _w_codes(V, span, F.p), klass, weight)
+    data = PairData(F.p, e, m, de, hist, ann.bases)
     _PAIR_CACHE[key] = data
     return data
 
@@ -786,57 +792,34 @@ def slice_histogram(F: SymmetricForm, e: int, m: int, budget: int | None = None,
                     with_ann: bool = False):
     """KK(u) = #{x gg : F(x) = t^m u}, u over P_de (degree-zero layer).
 
-    Fibered: base solutions, middle layers walked in solution cosets of the
-    gradient multiplication map, top layer contributing one image coset
-    with multiplicity p^(dim ker).  With ``with_ann`` the counts are split
-    by the annihilator class of the pair map; a surjective base map forces
-    the trivial annihilator for the whole fiber (block triangular), other
-    bases fall back to explicit enumeration of the top layer, under the
-    budget.
-
+    Base solutions, middle layers walked in solution cosets of the gradient
+    map, then the fiber engine's leaf; ``with_ann`` splits the counts by
+    annihilator class, enumerating the top layer above maps not onto.
     Returns (array KK, dict {(u_code, ann_key): count}, ann_bases).
     """
-    p, n = F.p, F.n
-    de = F.d * e
-    width = de + 1
-    ncols = (n + 1) * (e + 1)
+    p, width, ncols = F.p, F.d * e + 1, (F.n + 1) * (e + 1)
     _check_mass(F, e, m, "slice histogram")
     kk = np.zeros(p**width, dtype=np.int64)
     hist: dict = {}
-    ann_bases: list[np.ndarray] = []
-    ann_key = _ann_registry(ann_bases, p)
-    seen: dict = {}
-
-    trivial = ann_key(np.zeros((0, (m + 1) * width), dtype=np.int64))
+    ann = _AnnClasses(p, (m + 1) * width)
     x0s = _base_solutions(F, e, budget)
     for rows, Ls, images, ranks in fiber_chunks(F, x0s):
         for x0, L, image, rank in zip(x0s[rows], Ls, images, ranks):
             system = LayerSystem.of(L, p)
-            walks = walk_layers(F, x0[None, :, None, :], m - 1, system)
-            if with_ann and rank < width:
-                for X in walks:
+            explicit = with_ann and rank < width
+            if not explicit:
+                check_budget(p ** (system.kerdim * (m - 1) + rank), budget, "slice histogram")
+            for X in walk_layers(F, x0[None, :, None, :], m - 1, system):
+                if explicit:
                     check_budget(p**ncols * ncols, budget, "explicit slice fiber")
-                    for full, vals in _free_top_layer(F, X):
-                        codes = _in_range(encode_digits(vals[:, m], p), kk.size)
-                        kk += np.bincount(codes, minlength=kk.size)
-                        klass = _pair_classes(F, full, ann_key, seen)
-                        _add_counts(hist, zip(codes.tolist(), klass.tolist()))
-                continue
-            imspan = linalg.span_elements(image[:rank], p)
-            weight = p**system.kerdim
-            check_budget(
-                p ** (system.kerdim * (m - 1)) * imspan.shape[0], budget, "slice histogram"
-            )
-            for X in walks:
-                c = next_layer(F, X)
-                codes = encode_digits((c[:, None, :] + imspan[None]) % p, p).ravel()
-                kk += np.bincount(_in_range(codes, kk.size), minlength=kk.size) * weight
-                if with_ann:
-                    uniq, counts = np.unique(codes, return_counts=True)
-                    for code, count in zip(uniq.tolist(), counts.tolist()):
-                        key = (code, trivial)
-                        hist[key] = hist.get(key, 0) + count * weight
-    return kk, hist, ann_bases
+                for V, span, weight, klass in _top_layer(
+                    F, X, m, None if explicit else image[:rank], ann
+                ):
+                    codes = encode_digits((V[:, None, m] + span) % p, p)
+                    np.add.at(kk, _in_range(codes, kk.size), weight)
+                    if with_ann:
+                        _add_counts(hist, codes, klass, weight)
+    return kk, hist, ann.bases
 
 
 # ---------------------------------------------------------------------------

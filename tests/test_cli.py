@@ -260,11 +260,12 @@ def test_random_form_generation(capsys):
 
 
 def test_unsupported_configuration_exits_2():
-    # exit 1 means a checked identity failed; m = 2 value histograms are not
-    # implemented, which is a configuration the tool cannot run
+    # exit 1 means a checked identity failed; the vectorized generation test
+    # of the full scan covers degree bounds e <= 2, so e = 3 is a
+    # configuration the tool cannot run
     proc = subprocess.run(
         [sys.executable, "-m", "jetsums.cli", "circle", "--check", "orthogonality",
-         "--q", "3", "--form", "conic", "--e", "1", "--m", "2", "--no-timestamp"],
+         "--q", "3", "--form", "conic", "--e", "3", "--m", "0", "--no-timestamp"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 2

@@ -14,6 +14,7 @@ from jetsums.counting import (
     count_psi_zero_sections,
     encode_digits,
     mult_matrix,
+    unfolded_mult_matrix,
 )
 from jetsums.expsums import (
     IdentityViolation,
@@ -555,6 +556,13 @@ def test_histogram_budget_is_checked_before_the_cache():
     for fn in (all_sums, value_histogram):
         with pytest.raises(BudgetExceeded):
             fn(F, 1, 0, budget=10)
+    # a refusal must not depend on an earlier unbudgeted call either
+    pair_data(F, 1, 0)
+    with pytest.raises(BudgetExceeded, match="materialized tuple scan"):
+        pair_data(F, 1, 0, budget=10)
+    base_scan(F, 2)
+    with pytest.raises(BudgetExceeded, match="materialized tuple scan"):
+        base_scan(F, 2, budget=10)
 
 
 def test_histogram_mass_beyond_int64_is_refused():
@@ -562,3 +570,75 @@ def test_histogram_mass_beyond_int64_is_refused():
         value_histogram(fermat_form(137, 1, 2), 2, 1, budget=10**40)
     with pytest.raises(BudgetExceeded, match="int64"):
         slice_histogram(fermat_form(137, 1, 2), 2, 2, budget=10**40)
+
+
+def _direct_histograms_m2(F):
+    """value_histogram(F, 0, 2) and the pair_data(F, 0, 2) classes by direct
+    enumeration of every tuple of P_{0,2}^(n+1): generation by the scalar
+    test on the base layer, annihilators from the scalar unfolded matrix,
+    w-codes spelled out from the partial sums of the value layers."""
+    p, n, m = F.p, F.n, 2
+    size = (m + 1) * (n + 1)
+    X = batch_digits(np.arange(p**size), p, size).reshape(-1, n + 1, m + 1, 1)
+    values = batch_eval_jets(F, X)[:, :, 0]  # (N, m+1): degree bound 0
+    w = np.cumsum(values, axis=1)[:, ::-1] % p  # w_i = v_0 + ... + v_(m-i)
+    codes = w @ p ** np.arange(m + 1)
+    hist = np.zeros(p ** (m + 1), dtype=np.int64)
+    pairs: dict = {}
+    for x, code in zip(X, codes.tolist()):
+        jets = tuple(JetPoly.from_layers(p, 0, m, row.tolist()) for row in x)
+        if not globally_generates(tuple(JetPoly.from_ints(p, 0, 0, row[0]) for row in x)):
+            continue
+        hist[code] += 1
+        M = unfolded_mult_matrix(F, jets)
+        ann = linalg.nullspace(np.ascontiguousarray(M.T), p)
+        basis = linalg.row_space(ann, p) if ann.size else ann
+        key = (code, basis.tobytes())
+        pairs[key] = pairs.get(key, 0) + 1
+    return hist, pairs
+
+
+@pytest.mark.parametrize("F", [conic_form(3), _x0x1(2), _x0sq(1), _x0sq(2)],
+                         ids=["conic", "x0x1", "x0sq-n1", "x0sq-n2"])
+def test_jet_order_two_histograms_match_direct_enumeration(F):
+    # the singular forms have base maps that are not onto, so pair_data runs
+    # the explicit leaf above its free middle layer
+    hist, pairs = _direct_histograms_m2(F)
+    assert (value_histogram(F, 0, 2) == hist).all()
+    data = pair_data(F, 0, 2)
+    assert data.ann_bases[0].size == 0
+    grouped = {
+        (code, data.ann_bases[k].tobytes()): count for (code, k), count in data.hist.items()
+    }
+    assert grouped == pairs
+
+
+def test_exp_sum_jet_order_two_matches_slow_oracle():
+    rng = random.Random(13)
+    for F, draws in ((fermat_form(3, 1, 2), 3), (conic_form(3), 1)):
+        for _ in range(draws):
+            a = dual_from_code(3, 0, 2, rng.randrange(3**3))
+            assert exp_sum(F, 0, 2, a) == exp_sum_slow(F, 0, 2, a)
+
+
+@pytest.mark.parametrize("e", [0, 1])
+@pytest.mark.parametrize("pairs", [False, True])
+def test_orthogonality_m2_and_major_identity_m3(e, pairs):
+    F = conic_form(3)
+    assert check_orthogonality(F, e, 2, pairs=pairs).verdict == "equal"
+    assert check_major_identity(F, e, 3, pairs=pairs).verdict == "equal"
+
+
+def test_fiber_classes_run_once_per_form_and_degree(monkeypatch):
+    from jetsums import counting, expsums
+
+    calls = []
+    real = counting.fiber_classes
+    monkeypatch.setattr(counting, "fiber_classes", lambda *a: calls.append(1) or real(*a))
+    monkeypatch.setattr(counting, "_BASE_CACHE", {})
+    for name in ("_HIST_CACHE", "_TRANSFORM_CACHE", "_PAIR_CACHE"):
+        monkeypatch.setattr(expsums, name, {})
+    F = conic_form(3)
+    value_histogram(F, 2, 1)
+    pair_data(F, 2, 0)
+    assert len(calls) == 1

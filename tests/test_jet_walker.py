@@ -31,7 +31,7 @@ from jetsums.counting import (
     unfolded_mult_matrix,
     unfolded_mult_matrix_batch,
 )
-from jetsums.expsums import pair_data, slice_histogram, w_code_from_values
+from jetsums.expsums import all_sums, pair_data, slice_histogram, w_code_from_values
 from jetsums.forms import conic_form, eval_form, fermat_form, gradient, make_form
 from jetsums.sections import BudgetExceeded, JetPoly
 
@@ -377,3 +377,8 @@ def test_walker_budget_figures():
     with pytest.raises(BudgetExceeded, match="explicit slice fiber") as err:
         slice_histogram(x0sq(2), 1, 2, budget=3**6 * 6 - 1, with_ann=True)
     assert err.value.needed == 3**6 * 6
+    # the free middle layer of the m = 2 sums: 16,848 generating base points,
+    # 3^9 middle layers each, and an image coset of at most 3^5 values
+    with pytest.raises(BudgetExceeded, match="free jet-layer walk") as err:
+        all_sums(F, 2, 2, budget=16848 * 3**14 - 1)
+    assert err.value.needed == 16848 * 3**14
