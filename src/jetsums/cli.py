@@ -130,7 +130,15 @@ def _apply_config(args: argparse.Namespace, argv: list[str]) -> argparse.Namespa
 def _budget(args) -> int:
     if args.force:
         return FORCED_BUDGET
-    return args.budget if getattr(args, "budget", None) else DEFAULT_BUDGET
+    return args.budget if getattr(args, "budget", None) is not None else DEFAULT_BUDGET
+
+
+def _check_ranges(args) -> None:
+    """Refuse a negative degree bound or jet order and a budget below 1."""
+    for name, low in (("e", 0), ("m", 0), ("budget", 1)):
+        val = getattr(args, name, None)
+        if val is not None and val < low:
+            raise ConfigError(f"--{name} must be >= {low}, got {val}")
 
 
 def _load_form(args, p: int) -> forms.SymmetricForm:
@@ -391,6 +399,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args = _apply_config(args, argv)
+        _check_ranges(args)
         if args.command == "count":
             return _cmd_count(args)
         if args.command == "circle":

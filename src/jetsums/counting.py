@@ -22,9 +22,11 @@ generating tuple, and as the lift's oracle.  Higher jet layers enter
 through exact linear algebra (image / kernel of the multiplication-by-
 gradient map), which is what makes jet orders m >= 1 affordable: tuples of
 P_{e,m} are (N, n+1, m+1, e+1) int64 stacks for the array jet kernel
-(``batch_eval_jets``, ``batch_gradient``, ``unfolded_mult_matrix_batch``),
-and ``walk_layers`` lifts whole stacks through the solution cosets of the
-gradient map above one base point.  Every operation computes the size of
+(``batch_eval_jets``, ``batch_gradient``, ``unfolded_mult_matrix_batch``).
+The counts, solution tuples and slice histograms share one loop over the
+base solutions, ``base_systems``, which reduces the stacked [L | I] of
+FIBER_CHUNK of them at a time; ``walk_layers`` lifts whole stacks through
+the solution cosets of L above each.  Every operation computes the size of
 its search space first and refuses to start above the configured budget.
 """
 
@@ -33,6 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -354,21 +357,6 @@ def mult_matrix_batch(F: SymmetricForm, coords: np.ndarray) -> np.ndarray:
     return unfolded_mult_matrix_batch(F, np.asarray(coords)[:, :, None, :])
 
 
-def fiber_chunks(F: SymmetricForm, coords: np.ndarray):
-    """Stream (rows, L, image, rank) over a stack of base points, FIBER_CHUNK
-    at a time.
-
-    rows is the slice of ``coords`` covered; L the batched gradient maps;
-    image the rref of each L^T, whose first rank rows are the canonical basis
-    of the image of L (a subspace key), so dim ker L = L.shape[2] - rank.
-    """
-    for start in range(0, coords.shape[0], FIBER_CHUNK):
-        rows = slice(start, start + FIBER_CHUNK)
-        L = mult_matrix_batch(F, coords[rows])
-        image, rank = linalg.rref_batch(L.transpose(0, 2, 1), F.p)
-        yield rows, L, image, rank
-
-
 def image_keys(mats: np.ndarray, p: int, lead: np.ndarray | None = None):
     """Key a stack of matrices by image with one ``rref_batch``: image[i] is
     the rref of mats[i]^T, whose first rank[i] rows span the image; keys[i]
@@ -463,8 +451,7 @@ def count_solutions(
     worker; shards are independent and reduce by integer addition, so
     worker count cannot change the result.
     """
-    if F.p <= F.d:
-        raise ValueError("need p > d")
+    _check_count_inputs(F, e, m)
     mu = moduli_dimension(F.n, F.d, e)
     exponent = (m + 1) * (mu + 1)
     if method == "slow":
@@ -486,6 +473,14 @@ def count_solutions(
     else:
         raw = sum(count for _, count in _solution_fibers(F, e, m, budget))
     return _record(F, e, m, raw, exponent, "solutions")
+
+
+def _check_count_inputs(F: SymmetricForm, e: int, m: int) -> None:
+    """The counts' refusals: p must exceed d, and e and m be non-negative."""
+    if F.p <= F.d:
+        raise ValueError("need p > d")
+    if e < 0 or m < 0:
+        raise ValueError(f"need e >= 0 and m >= 0, got e={e}, m={m}")
 
 
 def _count_lift(shard) -> int:
@@ -609,28 +604,78 @@ WALK_CHUNK = 1 << 12  # candidate rows per walker block
 
 
 @dataclass
-class LayerSystem:
-    """L x = b above one base point, solved for stacks of right-hand sides
-    from one reduction of [L | I]."""
+class _Block:
+    """A (N, rows, cols) stack of maps and, once a system of it asks, the
+    rref R of each [L | I] and the rank of each L, by one ``rref_batch``."""
 
+    L: np.ndarray
     p: int
-    E: np.ndarray
-    pivots: list
-    ker: np.ndarray
-    span: np.ndarray  # every kernel vector, in ``linalg.span_elements`` order
+
+    @cached_property
+    def reduced(self) -> tuple[np.ndarray, list]:
+        N, nrows, ncols = self.L.shape
+        eye = np.broadcast_to(np.eye(nrows, dtype=np.int64), (N, nrows, nrows))
+        R, _ = linalg.rref_batch(np.concatenate([self.L, eye], axis=2), self.p)
+        return R, R[:, :, :ncols].any(axis=2).sum(axis=1).tolist()
+
+
+@dataclass
+class LayerSystem:
+    """L x = b above one base point, for stacks of right-hand sides, from the
+    rref R of [L | I]: its first rank rows carry the rref of L and its I part
+    E has E L = rref(L).  R, pivots, kernel and span wait until asked."""
+
+    block: _Block
+    i: int
 
     @classmethod
-    def of(cls, L: np.ndarray, p: int) -> "LayerSystem":
-        E, pivots, ker = linalg.layer_system(L, p)
-        return cls(p, E, pivots, ker, linalg.span_elements(ker, p))
+    def batch(cls, L: np.ndarray, p: int) -> list["LayerSystem"]:
+        """The systems of a (N, rows, cols) stack of maps, sharing one block."""
+        block = _Block(L, p)
+        return [cls(block, i) for i in range(len(L))]
+
+    @property
+    def L(self) -> np.ndarray:
+        return self.block.L[self.i]
+
+    @property
+    def R(self) -> np.ndarray:
+        return self.block.reduced[0][self.i]
+
+    @property
+    def rank(self) -> int:
+        return self.block.reduced[1][self.i]
 
     @property
     def kerdim(self) -> int:
-        return self.ker.shape[0]
+        return self.L.shape[1] - self.rank
+
+    @cached_property
+    def pivots(self) -> list:
+        return (self.R[: self.rank, : self.L.shape[1]] != 0).argmax(axis=1).tolist()
+
+    @cached_property
+    def ker(self) -> np.ndarray:
+        return linalg._kernel_basis(self.R, self.pivots, self.L.shape[1], self.block.p)
+
+    @cached_property
+    def span(self) -> np.ndarray:
+        """Every kernel vector, in ``linalg.span_elements`` order."""
+        return linalg.span_elements(self.ker, self.block.p)
 
     def solve(self, c: np.ndarray):
         """(consistent, particular solution) of L x = -c for each row of c."""
-        return linalg.solve_stack(self.E, self.pivots, self.ker.shape[1], -c, self.p)
+        ncols = self.L.shape[1]
+        return linalg.solve_stack(self.R[:, ncols:], self.pivots, ncols, -c, self.block.p)
+
+
+def base_systems(F: SymmetricForm, e: int, budget: int | None):
+    """Yield (x0, its LayerSystem) over the gg base solutions, in
+    ``_base_solutions`` order, FIBER_CHUNK systems per reduction."""
+    x0s = _base_solutions(F, e, budget)
+    for start in range(0, x0s.shape[0], FIBER_CHUNK):
+        block = x0s[start : start + FIBER_CHUNK]
+        yield from zip(block, LayerSystem.batch(mult_matrix_batch(F, block), F.p))
 
 
 def next_layer(F: SymmetricForm, X: np.ndarray) -> np.ndarray:
@@ -685,15 +730,8 @@ def walk_layers(F: SymmetricForm, X: np.ndarray, top: int, system: LayerSystem):
         yield from walk_layers(F, block, top, system)
 
 
-def _fiber_systems(F: SymmetricForm, x0s: np.ndarray):
-    """(base point, its LayerSystem) over a stack of base points."""
-    for rows, Ls, _, _ in fiber_chunks(F, x0s):
-        for x0, L in zip(x0s[rows], Ls):
-            yield x0, LayerSystem.of(L, F.p)
-
-
 def _solution_fibers(F: SymmetricForm, e: int, m: int, budget: int | None):
-    """Yield (base point, fiber count) over gg solutions mod t^(m+1).
+    """Yield (base point, fiber count) over gg solutions mod t^(m+1), m >= 1.
 
     Solutions are fibered over the degree-zero layer: the layers below m
     are walked inside the solution cosets of L, and the top layer
@@ -701,15 +739,11 @@ def _solution_fibers(F: SymmetricForm, e: int, m: int, budget: int | None):
     consistent.
     """
     p = F.p
-    x0s = _base_solutions(F, e, budget)
-    if m == 1:
-        # the only layer-1 constraint is L(x^1) = 0
-        for rows, Ls, _, ranks in fiber_chunks(F, x0s):
-            for x0, L, rank in zip(x0s[rows], Ls, ranks):
-                yield x0, p ** (L.shape[1] - int(rank))
-        return
-    for x0, system in _fiber_systems(F, x0s):
+    for x0, system in base_systems(F, e, budget):
         kerdim = system.kerdim
+        if m == 1:  # the walk is x0 itself, and L x^1 = -c_1 = 0 always holds
+            yield x0, p**kerdim
+            continue
         check_budget(
             p ** (kerdim * (m - 1)) * (m + 1), budget, "jet-layer fiber enumeration"
         )
@@ -752,16 +786,11 @@ def _generates(p: int, x0: np.ndarray) -> bool:
 def _solution_stacks(F: SymmetricForm, e: int, m: int, budget: int | None):
     """Every gg tuple with F(x) = 0, as (N, n+1, m+1, e+1) stacks in base
     order, then in the order of the nested kernel enumeration."""
-    p = F.p
-    x0s = _base_solutions(F, e, budget)
-    if m == 0:
-        if x0s.shape[0]:
-            yield x0s[:, :, None, :]
-        return
-    for x0, system in _fiber_systems(F, x0s):
-        check_budget(
-            p ** (system.kerdim * m) * (m + 1), budget, "solution tuple enumeration"
-        )
+    for x0, system in base_systems(F, e, budget):
+        if m:  # at m = 0 the figure is 1 and the walk never reduces L
+            check_budget(
+                F.p ** (system.kerdim * m) * (m + 1), budget, "solution tuple enumeration"
+            )
         yield from walk_layers(F, x0[None, :, None, :], m, system)
 
 
@@ -827,8 +856,7 @@ def count_tangent_pairs(
     Normalization exponent is 2(m+1)(mu+1); x1 ranges over P_{e,m}^(n+1)
     and is counted through kernel dimensions.
     """
-    if F.p <= F.d:
-        raise ValueError("need p > d")
+    _check_count_inputs(F, e, m)
     mu = moduli_dimension(F.n, F.d, e)
     exponent = 2 * (m + 1) * (mu + 1)
     total = 0

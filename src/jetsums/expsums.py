@@ -38,21 +38,19 @@ from .counting import (
     WALK_CHUNK,
     append_layer,
     base_scan,
+    base_systems,
     batch_digits,
     batch_eval_jets,
     count_solutions,
     count_tangent_pairs,
     encode_digits,
-    fiber_chunks,
     generating_fibers,
     image_keys,
     iter_base_chunks,
-    mult_matrix,
+    mult_matrix_batch,
     next_layer,
     unfolded_mult_matrix_batch,
     walk_layers,
-    LayerSystem,
-    _base_solutions,
     _count_multilinear_zeros_slow,
     count_multilinear_zeros,
 )
@@ -317,7 +315,9 @@ def _base_leaves(F: SymmetricForm, e: int, m: int, ann: _AnnClasses | None,
     if m >= 2:
         check_budget(ids.size * p ** (ncols * (m - 1) + width), budget, "free jet-layer walk")
     if explicit.any():
-        check_budget(ids.size * p ** (ncols * m), budget, "non-surjective pair annihilator scan")
+        work = (m + 1) * ncols * ((m + 1) * width) ** 2  # rows x cols^2 of each M^T ranked
+        check_budget(int(explicit[ids].sum()) * p ** (ncols * m) * work, budget,
+                     "non-surjective pair annihilator scan")
     by_image: dict[tuple, list] = {}
     for k in np.flatnonzero(~explicit).tolist():
         by_image.setdefault((images[k].tobytes(), int(counts[k]) if m <= 1 else 1), []).append(k)
@@ -516,7 +516,7 @@ def t_inner_sum(F: SymmetricForm, e: int, alpha0: DualFunctional,
     if not globally_generates(y):
         raise ValueError("y must globally generate")
     x0 = np.array([[jet.coeffs[0] for jet in s.coeffs] for s in y], dtype=np.int64)
-    L = mult_matrix(F, x0)
+    L = mult_matrix_batch(F, x0[None])[0]
     if method == "rank":
         functional = np.array(alpha0.parts[0], dtype=np.int64) @ L % p
         if functional.any():
@@ -567,7 +567,7 @@ def t_vanishing_report(F: SymmetricForm, e: int, g: int = 0, samples: int = 100,
     full = p ** ((n + 1) * (e + 1))
     for ci in chosen:
         x0 = scan.coords[gidx[ci]].astype(np.int64)
-        L = mult_matrix(F, x0)
+        L = mult_matrix_batch(F, x0[None])[0]
         hist = t_value_histogram(F, L, budget)
         sums = char_transform(hist, p, width)
         zero_val = Cyclo(p, sums[0])
@@ -802,23 +802,19 @@ def slice_histogram(F: SymmetricForm, e: int, m: int, budget: int | None = None,
     kk = np.zeros(p**width, dtype=np.int64)
     hist: dict = {}
     ann = _AnnClasses(p, (m + 1) * width)
-    x0s = _base_solutions(F, e, budget)
-    for rows, Ls, images, ranks in fiber_chunks(F, x0s):
-        for x0, L, image, rank in zip(x0s[rows], Ls, images, ranks):
-            system = LayerSystem.of(L, p)
-            explicit = with_ann and rank < width
-            if not explicit:
-                check_budget(p ** (system.kerdim * (m - 1) + rank), budget, "slice histogram")
-            for X in walk_layers(F, x0[None, :, None, :], m - 1, system):
-                if explicit:
-                    check_budget(p**ncols * ncols, budget, "explicit slice fiber")
-                for V, span, weight, klass in _top_layer(
-                    F, X, m, None if explicit else image[:rank], ann
-                ):
-                    codes = encode_digits((V[:, None, m] + span) % p, p)
-                    np.add.at(kk, _in_range(codes, kk.size), weight)
-                    if with_ann:
-                        _add_counts(hist, codes, klass, weight)
+    for x0, system in base_systems(F, e, budget):
+        explicit = with_ann and system.rank < width
+        if not explicit:
+            check_budget(p ** (system.kerdim * (m - 1) + system.rank), budget, "slice histogram")
+        image = None if explicit else system.L[:, system.pivots].T  # pivot columns span im L
+        for X in walk_layers(F, x0[None, :, None, :], m - 1, system):
+            if explicit:
+                check_budget(p**ncols * ncols, budget, "explicit slice fiber")
+            for V, span, weight, klass in _top_layer(F, X, m, image, ann):
+                codes = encode_digits((V[:, None, m] + span) % p, p)
+                np.add.at(kk, _in_range(codes, kk.size), weight)
+                if with_ann:
+                    _add_counts(hist, codes, klass, weight)
     return kk, hist, ann.bases
 
 

@@ -5,18 +5,16 @@ is exact integer arithmetic; p is small (a machine prime) and dimensions are
 in the dozens.
 
 Two eliminations share that contract.  ``rref_batch`` row-reduces a whole
-stack of matrices at once, one column step across the batch axis at a time;
-the fiber routes use it for the gradient maps of every base point of a
-degree-zero scan, ``sections.minimal_divisor_table`` uses it for the
-Hankel matrices of every functional at each (divisor degree, finite
-degree), and ``counting.count_multilinear_zeros`` for the last-slot maps of
-the multilinear zero counts.  The scalar ``rref`` (with ``rank``,
-``nullspace``, ``row_space`` and ``solve`` built on it) serves callers that
-hold a single matrix -- the auxiliary linear sum, the annihilator of each
-distinct image class, and one reduction of [L | I] per base point of the
-jet-layer lifts (``layer_system``), after which ``solve_stack`` solves
-L x = b for a whole stack of right-hand sides with one matrix product --
-and is the oracle the batched kernel is tested against.
+stack of matrices at once, one column step across the batch axis at a time:
+the gradient maps of every base point of a degree-zero scan, the stacked
+[L | I] of each block of base solutions of the jet-layer lifts (after which
+``solve_stack`` solves L x = b for a stack of right-hand sides with one
+matrix product), the Hankel matrices of ``sections.minimal_divisor_table``
+and the last-slot maps of ``counting.count_multilinear_zeros``.  The scalar
+``rref`` (with ``rank``, ``nullspace``, ``row_space`` and ``solve`` built on
+it) serves callers that hold a single matrix -- the annihilator of each
+distinct image class, the rank of a coordinate change -- and is the oracle
+the batched kernel is tested against.
 """
 
 from __future__ import annotations
@@ -143,21 +141,10 @@ def solve(mat: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray | None:
     return x
 
 
-def layer_system(mat: np.ndarray, p: int):
-    """One elimination of [mat | I] for many right-hand sides.
-
-    Returns (E, pivots, ker): E is invertible with E @ mat the rref of mat,
-    pivots its pivot columns and ker equals ``nullspace(mat, p)``.
-    """
-    nrows, ncols = mat.shape
-    r, piv = rref(np.concatenate([mat % p, np.eye(nrows, dtype=np.int64)], axis=1), p)
-    pivots = [c for c in piv if c < ncols]
-    return r[:, ncols:], pivots, _kernel_basis(r, pivots, ncols, p)
-
-
 def solve_stack(E: np.ndarray, pivots: list[int], ncols: int, rhs: np.ndarray,
                 p: int) -> tuple[np.ndarray, np.ndarray]:
-    """``solve`` for every row b of rhs at once, from ``layer_system``.
+    """``solve`` for every row b of rhs at once, from the I part E of the
+    rref of [mat | I] (so E @ mat is the rref of mat) and mat's pivots.
 
     Returns (consistent, x): row b is consistent when (E b)[rank:] vanishes,
     and then x[b] is the solution ``solve`` gives, (E b)[:rank] at the pivot

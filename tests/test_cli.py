@@ -308,3 +308,35 @@ def test_count_degree_bound_3_unsupported():
     assert proc.returncode == 2
     assert proc.stderr.startswith("unsupported: ")
     assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--q", "3", "--form", "conic", "--e", "2", "--m", "-1"],
+    ["count", "--q", "3", "--form", "conic", "--e", "-1", "--m", "0"],
+    ["circle", "--check", "orthogonality", "--q", "3", "--form", "conic",
+     "--e", "1", "--m", "-1"],
+    ["circle", "--check", "major-identity", "--q", "3", "--form", "conic",
+     "--e", "-1", "--m", "1"],
+    ["count", "--q", "3", "--form", "conic", "--e", "2", "--m", "0", "--budget", "0"],
+], ids=["m-negative", "e-negative", "orthogonality-m", "major-e", "budget-zero"])
+def test_out_of_range_inputs_exit_2(argv, capsys):
+    # each of these once answered (a count with m = -1), ran at the default
+    # budget (--budget 0) or ended in a traceback
+    code, out, err = run_cli([*argv, "--no-timestamp"], capsys)
+    assert code == 2
+    assert out == "" and err.startswith("error: --")
+
+
+def test_pair_scan_beyond_forced_budget_exits_2(tmp_path, capsys):
+    # x0*x1 over F_3 at e = 1, m = 2: the pairs above its 192 base maps that
+    # are not onto are charged 192 * 3^12 * (18 * 9^2), above 1e11
+    form = tmp_path / "x0x1.txt"
+    form.write_text("1 1 0 1\n")
+    code, out, err = run_cli(
+        ["circle", "--check", "orthogonality", "--pairs", "--q", "3",
+         "--form-file", str(form), "--e", "1", "--m", "2", "--force",
+         "--no-timestamp"],
+        capsys,
+    )
+    assert code == 2
+    assert out == "" and "non-surjective pair annihilator scan" in err

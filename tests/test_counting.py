@@ -268,6 +268,15 @@ def test_small_characteristic_rejected():
         count_solutions(F, 1, 0)
 
 
+@pytest.mark.parametrize("e,m", [(-1, 0), (2, -1), (-1, -1)])
+def test_negative_degree_or_order_rejected(e, m):
+    # m = -1 once counted the m = 0 solutions with exponent 0, and e = -1
+    # ended in an IndexError
+    for count in (count_solutions, count_tangent_pairs):
+        with pytest.raises(ValueError, match="need e >= 0 and m >= 0"):
+            count(conic_form(3), e, m)
+
+
 def _draw_form(draw, p, n, d):
     """A random nonzero form of the given shape, possibly singular."""
     exps = [ex for ex in itertools.product(range(d + 1), repeat=n + 1) if sum(ex) == d]

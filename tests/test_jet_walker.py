@@ -9,6 +9,7 @@ routes, kept here as oracles: they lift one candidate at a time through
 
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -17,9 +18,11 @@ from hypothesis import strategies as st
 
 from jetsums import linalg
 from jetsums.counting import (
+    FIBER_CHUNK,
     _base_solutions,
     base_scan,
     _solution_fibers,
+    _solution_stacks,
     batch_digits,
     batch_eval_jets,
     batch_gradient,
@@ -351,12 +354,64 @@ def test_fiber_counts_match_enumeration_m2_e1(F, samples):
 
 def test_tangent_pairs_match_kernel_per_tuple():
     # the batched ranks against one scalar rank per solution tuple
-    for F, e, m in ((conic_form(3), 2, 0), (x0x1(), 0, 2), (x0x1(), 1, 1)):
+    # conic(5) at e = 2 has 480 base solutions, more than one FIBER_CHUNK
+    for F, e, m in ((conic_form(3), 2, 0), (x0x1(), 0, 2), (x0x1(), 1, 1),
+                    (conic_form(5), 2, 0)):
         total = 0
         for x0 in solution_tuples(F, e, m):
             M = unfolded_mult_matrix(F, x0)
             total += F.p ** (M.shape[1] - linalg.rank(M, F.p))
         assert count_tangent_pairs(F, e, m).raw_count == total
+
+
+def test_fibers_cross_the_chunk_boundary():
+    # conic(5) at e = 2: 480 base solutions, reduced FIBER_CHUNK at a time
+    F, e = conic_form(5), 2
+    x0s = _base_solutions(F, e, None)
+    assert len(x0s) > FIBER_CHUNK
+    fibers = list(_solution_fibers(F, e, 1, None))
+    assert [x0.tolist() for x0, _ in fibers] == x0s.tolist()
+    for x0, count in fibers:
+        L = mult_matrix(F, x0)
+        assert count == F.p ** (L.shape[1] - linalg.rank(L, F.p))
+    # the counts depend on ranks alone, which agree at every point of the
+    # smooth conic; the tuples also need each point's own system
+    X = np.concatenate(list(_solution_stacks(F, e, 1, None)))
+    assert X.shape[0] == sum(count for _, count in fibers)
+    assert (X[:, :, 0].reshape(len(x0s), -1, *x0s.shape[1:]) == x0s[:, None]).all()
+    assert not batch_eval_jets(F, X).any()
+    # m = 2 against the scalar-solve recursion, on both sides of the boundary
+    fibers = [count for _, count in _solution_fibers(F, e, 2, None)]
+    rng = random.Random(11)
+    for i in sorted(rng.sample(range(len(x0s)), 4) + [FIBER_CHUNK - 1, FIBER_CHUNK]):
+        L = mult_matrix(F, x0s[i])
+        ker = linalg.nullspace(L, F.p)
+        assert fibers[i] == sum(_extend_layer_counts(F, e, 2, [x0s[i]], L, ker, 1))
+
+
+def test_m0_stacks_and_m1_counts_build_no_kernel(monkeypatch):
+    # the m = 0 stacks need no reduction at all, the m = 1 count one rank
+    # per base point; neither builds a kernel or its span
+    calls = []
+    for name in ("rref_batch", "_kernel_basis", "span_elements"):
+        real = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda *a, _f=real, _n=name: calls.append(_n) or _f(*a))
+    F = conic_form(5)
+    assert sum(len(X) for X in _solution_stacks(F, 2, 0, None)) == 480
+    assert calls == []
+    assert sum(count for _, count in _solution_fibers(F, 2, 1, None)) == 480 * 5**4
+    assert calls == ["rref_batch"] * 2
+
+
+def test_pair_scan_is_charged_by_its_eliminations():
+    # x0*x1 at e = 1, m = 2: 192 base maps are not onto, each with 3^12 top
+    # tuples whose 18 x 9 pair maps M^T are ranked; refused at once, above
+    # even the forced 1e11
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="non-surjective pair annihilator scan") as err:
+        pair_data(x0x1(), 1, 2, budget=10**11)
+    assert err.value.needed == 192 * 3**12 * 18 * 9**2
+    assert time.perf_counter() - start < 1
 
 
 def test_walker_budget_figures():

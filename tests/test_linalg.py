@@ -2,7 +2,8 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from jetsums.linalg import layer_system, nullspace, rref, rref_batch, solve, solve_stack
+from jetsums.counting import LayerSystem
+from jetsums.linalg import nullspace, row_space, rref, rref_batch, solve, solve_stack
 
 
 @st.composite
@@ -54,19 +55,25 @@ def test_rref_batch_leaves_input_alone():
 
 @given(matrix_stacks(), st.integers(0, 2**32))
 def test_solve_stack_matches_scalar_solve(case, seed):
-    # right-hand sides from the image (consistent) and at random
+    # systems from the batched reduction of the stacked [L | I]; right-hand
+    # sides from the image (consistent) and at random
     p, mats = case
     rng = np.random.default_rng(seed)
-    for mat in mats:
+    for mat, system in zip(mats, LayerSystem.batch(mats % p, p)):
         nrows, ncols = mat.shape
-        E, pivots, ker = layer_system(mat, p)
-        assert (E @ mat % p == rref(mat, p)[0]).all()
-        assert (ker == nullspace(mat, p)).all()
+        E = system.R[:, ncols:]
+        ref, pivots = rref(mat, p)
+        assert (E @ mat % p == ref).all()
+        assert system.pivots == pivots and system.rank == len(pivots)
+        assert (system.ker == nullspace(mat, p)).all()
+        image = row_space(system.L[:, system.pivots].T, p)
+        assert image.shape == (len(pivots), nrows)
+        assert (image == row_space(np.ascontiguousarray(mat.T), p)).all()
         rhs = np.concatenate([
             rng.integers(0, p, size=(4, ncols)) @ mat.T % p,
             rng.integers(0, p, size=(4, nrows)),
         ])
-        ok, x = solve_stack(E, pivots, ncols, rhs, p)
+        ok, x = solve_stack(E, system.pivots, ncols, rhs, p)
         for b, flag, sol in zip(rhs, ok, x):
             ref = solve(mat, b, p)
             assert flag == (ref is not None)
