@@ -26,9 +26,8 @@ from pathlib import Path
 
 from . import bounds as bounds_mod
 from . import counting, expsums, forms
-from .sections import BudgetExceeded
+from .sections import DEFAULT_BUDGET, BudgetExceeded
 
-DEFAULT_BUDGET = 10**9
 FORCED_BUDGET = 10**11
 
 
@@ -209,15 +208,13 @@ def _cmd_count(args) -> int:
         primes = [int(x) for x in (args.primes or "").split(",") if x]
         if not primes:
             raise ConfigError("lw-trend needs --primes p1,p2,...")
-        name = args.form or "form-file"
 
         def family(p):
             la = argparse.Namespace(**vars(args))
             la.q = p
             return _load_form(la, p)
 
-        kind = "solutions"
-        records = counting.lw_trend(family, args.e, args.m, primes, budget, kind)
+        records = counting.lw_trend(family, args.e, args.m, primes, budget)
         rows = [
             {
                 "prime": rec.params["p"],

@@ -27,7 +27,8 @@ The counts, solution tuples and slice histograms share one loop over the
 base solutions, ``base_systems``, which reduces the stacked [L | I] of
 FIBER_CHUNK of them at a time; ``walk_layers`` lifts whole stacks through
 the solution cosets of L above each.  Every operation computes the size of
-its search space first and refuses to start above the configured budget.
+its search space first and refuses to start above the budget before any
+lookup in ``sections.MEMO``, the one bounded memo of reused results.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ import numpy as np
 from . import linalg
 from .forms import SymmetricForm, _gradient_monomials, gradient
 from .sections import (
+    MEMO,
     JetPoly,
     check_budget,
     globally_generates,
@@ -115,30 +117,27 @@ def batch_eval_form(F: SymmetricForm, coords: np.ndarray) -> np.ndarray:
     return out % F.p
 
 
-_IRRED_QUAD_CACHE: dict[int, list[tuple[int, int]]] = {}
-
-
 def monic_irreducible_quadratics(p: int) -> list[tuple[int, int]]:
     """(c0, c1) with x^2 + c1 x + c0 irreducible over F_p.
 
     A quadratic is irreducible exactly when it has no root in F_p; unlike a
     discriminant test this also holds in characteristic 2.
     """
-    if p not in _IRRED_QUAD_CACHE:
-        _IRRED_QUAD_CACHE[p] = [
-            (c0, c1)
-            for c1 in range(p)
-            for c0 in range(p)
-            if all((a * a + c1 * a + c0) % p for a in range(p))
-        ]
-    return _IRRED_QUAD_CACHE[p]
+    return [
+        (c0, c1)
+        for c1 in range(p)
+        for c0 in range(p)
+        if all((a * a + c1 * a + c0) % p for a in range(p))
+    ]
 
 
 def _irreducible_quad_table(p: int) -> np.ndarray:
-    table = np.zeros((p, p), dtype=bool)
-    for c0, c1 in monic_irreducible_quadratics(p):
-        table[c0, c1] = True
-    return table
+    def build():
+        table = np.zeros((p, p), dtype=bool)
+        table[tuple(zip(*monic_irreducible_quadratics(p)))] = True
+        return table
+
+    return MEMO.get(("irreducible_quad_table", p), build)
 
 
 def batch_generating_mask(coords: np.ndarray, p: int) -> np.ndarray:
@@ -206,37 +205,31 @@ def iter_base_chunks(F: SymmetricForm, e: int, budget: int | None = None):
 class BaseScan:
     """Materialized degree-zero layer (small spaces only)."""
 
-    p: int
-    e: int
     coords: np.ndarray      # (N, n+1, e+1), smallest signed dtype holding p-1
     values: np.ndarray      # (N, de+1), same dtype
     generating: np.ndarray  # (N,) bool
-    fibers: tuple | None = None  # see ``generating_fibers``
 
 
-_BASE_CACHE: dict[tuple, BaseScan] = {}
-_BASE_CACHE_LIMIT = 2_200_000
+SCAN_ROW_CAP = 2_200_000  # rows of the largest scan ``base_scan`` materializes
 
 
 def base_scan(F: SymmetricForm, e: int, budget: int | None = None) -> BaseScan:
     # both refusals come before the lookup, so they do not depend on earlier calls
-    limit = min(_BASE_CACHE_LIMIT, 10**18 if budget is None else budget)
+    limit = min(SCAN_ROW_CAP, 10**18 if budget is None else budget)
     check_budget(F.p ** ((F.n + 1) * (e + 1)), limit, "materialized tuple scan")
     _check_scan(F, e, budget)
-    key = (F.key(), e)
-    if key not in _BASE_CACHE:
-        p = F.p
+
+    def build():
         # int8 would wrap for p > 128 and send every later code negative
-        dtype = np.min_scalar_type(-p)
+        dtype = np.min_scalar_type(-F.p)
         cs, vs, gs = [], [], []
         for _, coords, values, gg in iter_base_chunks(F, e, budget):
             cs.append(coords.astype(dtype))
             vs.append(values.astype(dtype))
             gs.append(gg)
-        _BASE_CACHE[key] = BaseScan(
-            p, e, np.concatenate(cs), np.concatenate(vs), np.concatenate(gs)
-        )
-    return _BASE_CACHE[key]
+        return BaseScan(np.concatenate(cs), np.concatenate(vs), np.concatenate(gs))
+
+    return MEMO.get(("base_scan", F.key(), e), build)
 
 
 # ---------------------------------------------------------------------------
@@ -391,12 +384,12 @@ def fiber_classes(F: SymmetricForm, coords: np.ndarray, values: np.ndarray):
 
 def generating_fibers(F: SymmetricForm, e: int, budget: int | None = None):
     """(coords, ids, images): the generating points of ``base_scan`` and their
-    ``fiber_classes``, computed once per (F, e) on the scan's cache entry."""
+    ``fiber_classes``, computed once per (F, e) into the memo; the scan's
+    refusals come before the lookup."""
     scan = base_scan(F, e, budget)
-    if scan.fibers is None:
-        coords = scan.coords[scan.generating]
-        scan.fibers = (coords, *fiber_classes(F, coords, scan.values[scan.generating]))
-    return scan.fibers
+    gg = scan.generating
+    return MEMO.get(("generating_fibers", F.key(), e), lambda: (
+        scan.coords[gg], *fiber_classes(F, scan.coords[gg], scan.values[gg])))
 
 
 # ---------------------------------------------------------------------------
@@ -897,24 +890,11 @@ def _tangent_fiber_slow(F: SymmetricForm, x0, budget) -> int:
     return count
 
 
-def lw_trend(
-    form_family,
-    e: int,
-    m: int,
-    primes: list[int],
-    budget: int | None = None,
-    kind: str = "solutions",
-) -> list[CountRecord]:
-    """One exact count per prime; the normalized column is the quantity whose
-    trend toward 1 reflects the expected dimension (reported, not asserted)."""
-    out = []
-    for p in primes:
-        F = form_family(p)
-        if kind == "tangent_pairs":
-            out.append(count_tangent_pairs(F, e, m, budget))
-        else:
-            out.append(count_solutions(F, e, m, budget))
-    return out
+def lw_trend(form_family, e: int, m: int, primes: list[int],
+             budget: int | None = None) -> list[CountRecord]:
+    """One exact solution count per prime; the normalized column's trend
+    toward 1 reflects the expected dimension (reported, not asserted)."""
+    return [count_solutions(form_family(p), e, m, budget) for p in primes]
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ top-layer leaf, ``_top_layer``, that adds the image coset of the gradient
 map with weight p^(dim ker), or enumerates the top layer where pair classes
 need it.  The x1-sum of the pair sums and the full dual layer sums go
 through kernels and small tables; slow enumerations cross-check them.
+Reused results go through the bounded ``sections.MEMO``, after all refusals.
 """
 
 from __future__ import annotations
@@ -51,11 +52,13 @@ from .counting import (
     next_layer,
     unfolded_mult_matrix_batch,
     walk_layers,
+    _check_scan,
     _count_multilinear_zeros_slow,
     count_multilinear_zeros,
 )
 from .forms import SymmetricForm
 from .sections import (
+    MEMO,
     BudgetExceeded,
     DivisorP1,
     DualFunctional,
@@ -184,9 +187,6 @@ def dual_from_code(p: int, r: int, m: int, code: int) -> DualFunctional:
 # value histograms over generating tuples
 
 
-_HIST_CACHE: dict[tuple, np.ndarray] = {}
-_TRANSFORM_CACHE: dict[tuple, np.ndarray] = {}
-
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -196,13 +196,6 @@ def _check_mass(F: SymmetricForm, e: int, m: int, what: str) -> None:
     mass = F.p ** ((m + 1) * (F.n + 1) * (e + 1))
     if mass > _INT64_MAX:
         raise BudgetExceeded(mass, _INT64_MAX, f"{what} (int64 counts)")
-
-
-def _check_histogram(F: SymmetricForm, e: int, m: int, budget: int | None) -> None:
-    """The value histogram's refusals, made before any cache lookup so that
-    they do not depend on what ran earlier in the process."""
-    _check_mass(F, e, m, "value histogram")
-    check_budget(F.p ** ((F.d * e + 1) * (m + 1)), budget, "value histogram")
 
 
 def _in_range(codes: np.ndarray, size: int) -> np.ndarray:
@@ -295,6 +288,16 @@ def _w_codes(V: np.ndarray, span: np.ndarray, p: int) -> np.ndarray:
     return high[:, None] + encode_digits((w0[:, None] + span) % p, p)
 
 
+def _check_pair_scan(F: SymmetricForm, e: int, m: int, walks: int, budget: int | None,
+                     what: str) -> None:
+    """Refuse enumerating the p^((n+1)(e+1)) top layers above ``walks``
+    stacks and ranking each pair map M^T, (m+1)(n+1)(e+1) rows x
+    ((m+1)(de+1))^2 columns^2."""
+    ncols = (F.n + 1) * (e + 1)
+    work = (m + 1) * ncols * ((m + 1) * (F.d * e + 1)) ** 2
+    check_budget(walks * F.p**ncols * work, budget, what)
+
+
 def _base_leaves(F: SymmetricForm, e: int, m: int, ann: _AnnClasses | None,
                  budget: int | None):
     """``_top_layer`` blocks over every generating tuple of P_{e,m}^(n+1),
@@ -315,9 +318,8 @@ def _base_leaves(F: SymmetricForm, e: int, m: int, ann: _AnnClasses | None,
     if m >= 2:
         check_budget(ids.size * p ** (ncols * (m - 1) + width), budget, "free jet-layer walk")
     if explicit.any():
-        work = (m + 1) * ncols * ((m + 1) * width) ** 2  # rows x cols^2 of each M^T ranked
-        check_budget(int(explicit[ids].sum()) * p ** (ncols * m) * work, budget,
-                     "non-surjective pair annihilator scan")
+        _check_pair_scan(F, e, m, int(explicit[ids].sum()) * p ** (ncols * (m - 1)), budget,
+                         "non-surjective pair annihilator scan")
     by_image: dict[tuple, list] = {}
     for k in np.flatnonzero(~explicit).tolist():
         by_image.setdefault((images[k].tobytes(), int(counts[k]) if m <= 1 else 1), []).append(k)
@@ -340,38 +342,35 @@ def _add_counts(hist: dict, codes: np.ndarray, klass: np.ndarray, weight: int) -
             hist[(code, k)] = hist.get((code, k), 0) + count * weight
 
 
-def value_histogram(F: SymmetricForm, e: int, m: int, budget: int | None = None) -> np.ndarray:
-    """Histogram over w-codes of F-values on gg tuples in P_{e,m}^(n+1):
-    m = 0 streams the tuple space, higher orders take the fiber engine
-    (``_base_leaves``)."""
-    _check_histogram(F, e, m, budget)
-    p, width = F.p, F.d * e + 1
+def _value_leaves(F: SymmetricForm, e: int, m: int, budget: int | None):
+    """The value histogram's leaves: m = 0 streams the tuple space, higher
+    orders take the fiber engine (``_base_leaves``).  Every refusal is made
+    at the call, so ``all_sums`` makes them before its memo lookup."""
+    _check_mass(F, e, m, "value histogram")
+    check_budget(F.p ** ((F.d * e + 1) * (m + 1)), budget, "value histogram")
     if m:
-        leaves = _base_leaves(F, e, m, None, budget)
-    else:  # every generating tuple is a base point: no linear algebra
-        zero = np.zeros((1, width), dtype=np.int64)
-        leaves = ((values[gg][:, None], zero, 1, None)
-                  for _, _, values, gg in iter_base_chunks(F, e, budget))
-    key = (F.key(), e, m)
-    if key in _HIST_CACHE:
-        return _HIST_CACHE[key]
-    size = p ** (width * (m + 1))
+        return _base_leaves(F, e, m, None, budget)
+    _check_scan(F, e, budget)  # every generating tuple is a base point
+    zero = np.zeros((1, F.d * e + 1), dtype=np.int64)
+    return ((values[gg][:, None], zero, 1, None)
+            for _, _, values, gg in iter_base_chunks(F, e, budget))
+
+
+def value_histogram(F: SymmetricForm, e: int, m: int, budget: int | None = None) -> np.ndarray:
+    """Histogram over w-codes of F-values on gg tuples in P_{e,m}^(n+1)."""
+    leaves = _value_leaves(F, e, m, budget)
+    p, size = F.p, F.p ** ((F.d * e + 1) * (m + 1))
     hist = np.zeros(size, dtype=np.int64)
     for V, span, weight, _ in leaves:
         np.add.at(hist, _in_range(_w_codes(V, span, p), size), weight)
-    _HIST_CACHE[key] = hist
     return hist
 
 
 def all_sums(F: SymmetricForm, e: int, m: int, budget: int | None = None) -> np.ndarray:
     """S(alpha) for every alpha on P_{de,m}, as (p^k, p) coefficient rows."""
-    _check_histogram(F, e, m, budget)
-    key = (F.key(), e, m)
-    if key not in _TRANSFORM_CACHE:
-        hist = value_histogram(F, e, m, budget)
-        k = (F.d * e + 1) * (m + 1)
-        _TRANSFORM_CACHE[key] = char_transform(hist, F.p, k)
-    return _TRANSFORM_CACHE[key]
+    _value_leaves(F, e, m, budget)  # the refusals; a miss builds the leaves again
+    return MEMO.get(("all_sums", F.key(), e, m), lambda: char_transform(
+        value_histogram(F, e, m, budget), F.p, (F.d * e + 1) * (m + 1)))
 
 
 def exp_sum(F: SymmetricForm, e: int, m: int, alpha: DualFunctional,
@@ -422,16 +421,10 @@ class DivisorTable:
         return (self.de + 1) // 2
 
 
-_DIVTAB_CACHE: dict[tuple, DivisorTable] = {}
-
-
 def divisor_table(p: int, de: int, budget: int | None = None) -> DivisorTable:
-    # checked before the lookup, so a refusal does not depend on earlier calls
     check_divisor_table_budget(p, de, budget)
-    key = (p, de)
-    if key not in _DIVTAB_CACHE:
-        _DIVTAB_CACHE[key] = DivisorTable(p, de, *minimal_divisor_table(p, de, budget))
-    return _DIVTAB_CACHE[key]
+    return MEMO.get(("divisor_table", p, de),
+                    lambda: DivisorTable(p, de, *minimal_divisor_table(p, de, budget)))
 
 
 @dataclass(frozen=True)
@@ -612,9 +605,6 @@ class PairData:
     ann_bases: list[np.ndarray]
 
 
-_PAIR_CACHE: dict[tuple, PairData] = {}
-
-
 def pair_data(F: SymmetricForm, e: int, m: int, budget: int | None = None) -> PairData:
     """The joint histogram of ``value_histogram``'s fiber engine with pair
     classes: a base map that is onto gives cosets in the trivial class, any
@@ -622,15 +612,14 @@ def pair_data(F: SymmetricForm, e: int, m: int, budget: int | None = None) -> Pa
     de = F.d * e
     ann = _AnnClasses(F.p, (m + 1) * (de + 1))
     leaves = _base_leaves(F, e, m, ann, budget)  # refusals before the lookup
-    key = (F.key(), e, m)
-    if key in _PAIR_CACHE:
-        return _PAIR_CACHE[key]
-    hist: dict = {}
-    for V, span, weight, klass in leaves:
-        _add_counts(hist, _w_codes(V, span, F.p), klass, weight)
-    data = PairData(F.p, e, m, de, hist, ann.bases)
-    _PAIR_CACHE[key] = data
-    return data
+
+    def build():
+        hist: dict = {}
+        for V, span, weight, klass in leaves:
+            _add_counts(hist, _w_codes(V, span, F.p), klass, weight)
+        return PairData(F.p, e, m, de, hist, ann.bases)
+
+    return MEMO.get(("pair_data", F.key(), e, m), build)
 
 
 def exp_sum_pair(F: SymmetricForm, e: int, m: int, alpha: DualFunctional,
@@ -797,19 +786,21 @@ def slice_histogram(F: SymmetricForm, e: int, m: int, budget: int | None = None,
     annihilator class, enumerating the top layer above maps not onto.
     Returns (array KK, dict {(u_code, ann_key): count}, ann_bases).
     """
-    p, width, ncols = F.p, F.d * e + 1, (F.n + 1) * (e + 1)
+    p, width = F.p, F.d * e + 1
     _check_mass(F, e, m, "slice histogram")
+    systems = list(base_systems(F, e, budget))
+    if with_ann:  # at most p^(dim ker (m-1)) walks above each map not onto
+        walks = sum(p ** (s.kerdim * (m - 1)) for _, s in systems if s.rank < width)
+        _check_pair_scan(F, e, m, walks, budget, "explicit slice fiber")
     kk = np.zeros(p**width, dtype=np.int64)
     hist: dict = {}
     ann = _AnnClasses(p, (m + 1) * width)
-    for x0, system in base_systems(F, e, budget):
+    for x0, system in systems:
         explicit = with_ann and system.rank < width
         if not explicit:
             check_budget(p ** (system.kerdim * (m - 1) + system.rank), budget, "slice histogram")
         image = None if explicit else system.L[:, system.pivots].T  # pivot columns span im L
         for X in walk_layers(F, x0[None, :, None, :], m - 1, system):
-            if explicit:
-                check_budget(p**ncols * ncols, budget, "explicit slice fiber")
             for V, span, weight, klass in _top_layer(F, X, m, image, ann):
                 codes = encode_digits((V[:, None, m] + span) % p, p)
                 np.add.at(kk, _in_range(codes, kk.size), weight)

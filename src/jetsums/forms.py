@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arith import Jet, check_prime
-from .sections import JetPoly, mul_sections, check_budget
+from .sections import DEFAULT_BUDGET, JetPoly, mul_sections, check_budget
 from . import linalg
 
 
@@ -355,7 +355,7 @@ def smoothness_check(
     explicit = k_max is not None
     if k_max is None:
         # largest extension degree whose projective scan fits the budget
-        limit = 10**9 if budget is None else budget
+        limit = DEFAULT_BUDGET if budget is None else budget
         k_max = 1
         while k_max < cap and _scan_cost(F, k_max + 1) <= limit:
             k_max += 1

@@ -11,6 +11,7 @@ coordinate 1/x.
 from __future__ import annotations
 
 import itertools
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,37 @@ def check_budget(needed: int, budget: int | None, what: str = "enumeration") -> 
     limit = DEFAULT_BUDGET if budget is None else budget
     if needed > limit:
         raise BudgetExceeded(needed, limit, what)
+
+
+class Memo:
+    """The results a process reuses, keyed by tuples that begin with the
+    route's name: the SIZE most recently used, the least recently used
+    dropped first, with hits and misses counted per route.  A hit is not
+    checked against the budget again: every route makes all of its refusals
+    before ``get``, so the caller has already refused or admitted this
+    call's budget, and no refusal depends on an earlier call."""
+
+    SIZE = 32
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self) -> None:
+        """Forget every result and zero the counts."""
+        self._items, self.hits, self.misses = OrderedDict(), Counter(), Counter()
+
+    def get(self, key: tuple, build):
+        """The result stored under key, or build() stored under it."""
+        hit = key in self._items
+        (self.hits if hit else self.misses)[key[0]] += 1
+        value = self._items.pop(key) if hit else build()
+        self._items[key] = value  # now the most recently used
+        if len(self._items) > self.SIZE:
+            self._items.popitem(last=False)
+        return value
+
+
+MEMO = Memo()
 
 
 class JetPoly:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -340,3 +341,20 @@ def test_pair_scan_beyond_forced_budget_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert out == "" and "non-surjective pair annihilator scan" in err
+
+
+def test_explicit_slice_walks_beyond_budget_exit_2_at_once(tmp_path, capsys):
+    # the major identity's slice walk on the same form: its 96 base maps are
+    # not onto, each charged 3^4 middle-layer walks of 3^6 top tuples, about
+    # 8.3e9 at the default budget, before the first walk (it once ran on)
+    form = tmp_path / "x0x1.txt"
+    form.write_text("1 1 0 1\n")
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        ["circle", "--check", "major-identity", "--pairs", "--q", "3",
+         "--form-file", str(form), "--e", "1", "--m", "2", "--no-timestamp"],
+        capsys,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == "" and "explicit slice fiber" in err

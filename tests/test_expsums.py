@@ -13,6 +13,7 @@ from jetsums.counting import (
     batch_eval_jets,
     count_psi_zero_sections,
     encode_digits,
+    generating_fibers,
     mult_matrix,
     unfolded_mult_matrix,
 )
@@ -46,6 +47,7 @@ from jetsums.expsums import (
 )
 from jetsums.forms import conic_form, eval_form, fermat_form, make_form
 from jetsums.sections import (
+    MEMO,
     BudgetExceeded,
     DualFunctional,
     JetPoly,
@@ -551,18 +553,34 @@ def test_all_sums_spot_checks_against_direct_sum():
 
 
 def test_histogram_budget_is_checked_before_the_cache():
+    # a refusal must not depend on an earlier unbudgeted call of the route,
+    # which left its result in the memo
     F = conic_form(3)
-    all_sums(F, 1, 0)
-    for fn in (all_sums, value_histogram):
-        with pytest.raises(BudgetExceeded):
-            fn(F, 1, 0, budget=10)
-    # a refusal must not depend on an earlier unbudgeted call either
-    pair_data(F, 1, 0)
-    with pytest.raises(BudgetExceeded, match="materialized tuple scan"):
-        pair_data(F, 1, 0, budget=10)
-    base_scan(F, 2)
-    with pytest.raises(BudgetExceeded, match="materialized tuple scan"):
-        base_scan(F, 2, budget=10)
+    for fn, args, budget, what in (
+        (all_sums, (F, 1, 0), 10, "value histogram"),
+        (all_sums, (F, 1, 0), 1000, "degree-zero tuple scan"),
+        (value_histogram, (F, 1, 0), 10, "value histogram"),
+        (pair_data, (F, 1, 0), 10, "materialized tuple scan"),
+        (base_scan, (F, 2), 10, "materialized tuple scan"),
+        (generating_fibers, (F, 2), 10, "materialized tuple scan"),
+        (divisor_table, (3, 4), 10, "minimal divisor Hankel"),
+    ):
+        fn(*args)
+        with pytest.raises(BudgetExceeded, match=what):
+            fn(*args, budget=budget)
+
+
+def test_all_sums_builds_one_histogram_per_key(monkeypatch):
+    from jetsums import expsums
+
+    calls = []
+    real = expsums.value_histogram
+    monkeypatch.setattr(expsums, "value_histogram", lambda *a: calls.append(1) or real(*a))
+    MEMO.clear()
+    F = conic_form(3)
+    assert (all_sums(F, 1, 0) == all_sums(F, 1, 0)).all()
+    assert len(calls) == 1
+    assert (MEMO.hits["all_sums"], MEMO.misses["all_sums"]) == (1, 1)
 
 
 def test_histogram_mass_beyond_int64_is_refused():
@@ -630,14 +648,12 @@ def test_orthogonality_m2_and_major_identity_m3(e, pairs):
 
 
 def test_fiber_classes_run_once_per_form_and_degree(monkeypatch):
-    from jetsums import counting, expsums
+    from jetsums import counting
 
     calls = []
     real = counting.fiber_classes
     monkeypatch.setattr(counting, "fiber_classes", lambda *a: calls.append(1) or real(*a))
-    monkeypatch.setattr(counting, "_BASE_CACHE", {})
-    for name in ("_HIST_CACHE", "_TRANSFORM_CACHE", "_PAIR_CACHE"):
-        monkeypatch.setattr(expsums, name, {})
+    MEMO.clear()
     F = conic_form(3)
     value_histogram(F, 2, 1)
     pair_data(F, 2, 0)

@@ -427,11 +427,12 @@ def test_walker_budget_figures():
     with pytest.raises(BudgetExceeded, match="slice histogram") as err:
         slice_histogram(F, 2, 2, budget=3**4 * 3**5 - 1)
     assert err.value.needed == 3**4 * 3**5
-    # x0^2 on three variables: every base map is zero, so the top layer is
-    # enumerated, 3^6 points of 6 coordinates
+    # x0^2 on three variables: each of its 48 base maps is zero, so above
+    # its 3^6 middle-layer walks the 3^6 top tuples are enumerated and each
+    # pair map ranked, charged 18 rows x 9^2 columns^2
     with pytest.raises(BudgetExceeded, match="explicit slice fiber") as err:
-        slice_histogram(x0sq(2), 1, 2, budget=3**6 * 6 - 1, with_ann=True)
-    assert err.value.needed == 3**6 * 6
+        slice_histogram(x0sq(2), 1, 2, budget=48 * 3**12 * 1458 - 1, with_ann=True)
+    assert err.value.needed == 48 * 3**12 * 1458
     # the free middle layer of the m = 2 sums: 16,848 generating base points,
     # 3^9 middle layers each, and an image coset of at most 3^5 values
     with pytest.raises(BudgetExceeded, match="free jet-layer walk") as err:

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from jetsums import expsums
 from jetsums.expsums import divisor_table, dual_from_code
 from jetsums.sections import (
+    MEMO,
     BudgetExceeded,
     DivisorP1,
     DualFunctional,
     JetPoly,
+    Memo,
     count_divisors,
     count_minimizers,
     enumerate_divisors,
@@ -237,9 +238,9 @@ def test_divisor_table_matches_scan_property(pr, draw):
     assert tab.multiplicity[code] == want_mult[0]
 
 
-def test_divisor_table_budget(monkeypatch):
-    # a cached table is returned without a budget check: start from none
-    monkeypatch.setattr(expsums, "_DIVTAB_CACHE", {})
+def test_divisor_table_budget():
+    # start from an empty memo, so the first call below builds the table
+    MEMO.clear()
     with pytest.raises(BudgetExceeded) as err:
         divisor_table(5, 6, budget=10**4)
     assert err.value.needed == 5**7 * 714
@@ -253,3 +254,20 @@ def test_divisor_table_budget_does_not_depend_on_the_cache():
     with pytest.raises(BudgetExceeded) as err:
         divisor_table(3, 4, budget=10**4)
     assert err.value.needed == 3**5 * 182
+
+
+def test_memo_drops_the_least_recently_used_at_its_bound():
+    memo, builds = Memo(), []
+
+    def get(i):
+        return memo.get(("route", i), lambda: builds.append(i) or -i)
+
+    for i in range(Memo.SIZE):
+        assert get(i) == -i
+    assert get(0) == 0  # 0 is now the most recently used, 1 the least
+    get(Memo.SIZE)
+    assert builds == list(range(Memo.SIZE + 1))
+    get(0)
+    get(1)
+    assert builds[-1] == 1 and builds.count(0) == 1
+    assert (memo.hits["route"], memo.misses["route"]) == (2, Memo.SIZE + 2)
