@@ -91,10 +91,6 @@ class Jet:
 
     __rmul__ = __mul__
 
-    def scale_t(self, k: int) -> "Jet":
-        """Multiply by t^k (shift coefficients, truncate)."""
-        return Jet(self.p, (0,) * k + self.coeffs[: self.m + 1 - k])
-
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
@@ -189,15 +185,6 @@ class Cyclo:
         cf = self.canonical()
         return not any(cf)
 
-    def is_integer(self) -> bool:
-        cf = self.canonical()
-        return not any(cf[1:])
-
-    def as_integer(self) -> int:
-        cf = self.canonical()
-        if any(cf[1:]):
-            raise ValueError("value is not a rational integer")
-        return cf[0]
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):

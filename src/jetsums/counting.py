@@ -6,29 +6,32 @@ The main counts:
   mod t, with F(x) = 0 in P_{de,m} (any jet order m).
 * ``count_tangent_pairs`` -- pairs (x0, x1) with x0 as above and
   x1 . grad F(x0) = 0; x1 is counted through the kernel of an F_p-linear
-  map, never enumerated (a slow enumeration mode exists as an oracle).
+  map, never enumerated (``_tangent_fiber_slow`` enumerates one fiber as
+  the oracle).
 * ``count_multilinear_zeros`` -- (d-1)-tuples killed by linear conditions
   on the multilinear forms Psi_j attached to F, by ranks; it gives
   ``count_psi_zero_sections``, ``count_jet_multilinear`` and N(alpha).
 
-Enumeration runs over the degree-zero jet layer in numpy batches.  Its
+Tuples grow one layer at a time in one depth-first walk, ``descend``, in
+``append_layer`` blocks of at most WALK_CHUNK rows.  The degree-zero
 solutions come from a lift through the coefficient layers x[:, k] of the
-tuple: the s^k coefficient of F(x) depends only on the layers 0..k, the end
-coefficients are F of the end layers, so layer 0 and layer e run over the
-affine cone {a : F(a) = 0} and each middle layer keeps only the candidates
-whose s^k coefficient vanishes; the full p^((n+1)(e+1)) scan
-(``iter_base_chunks``) remains for the value histograms, which need every
-generating tuple, and as the lift's oracle.  Higher jet layers enter
+tuple (``_lift``): the s^k coefficient of F(x) depends only on the layers
+0..k, the end coefficients are F of the end layers, so layer 0 and layer e
+run over the affine cone {a : F(a) = 0} and each middle layer keeps only
+the candidates whose s^k coefficient vanishes; the full p^((n+1)(e+1))
+scan (``iter_base_chunks``) remains for the value histograms, which need
+every generating tuple, and as the lift's oracle.  Higher jet layers enter
 through exact linear algebra (image / kernel of the multiplication-by-
 gradient map), which is what makes jet orders m >= 1 affordable: tuples of
 P_{e,m} are (N, n+1, m+1, e+1) int64 stacks for the array jet kernel
 (``batch_eval_jets``, ``batch_gradient``, ``unfolded_mult_matrix_batch``).
 The counts, solution tuples and slice histograms share one loop over the
 base solutions, ``base_systems``, which reduces the stacked [L | I] of
-FIBER_CHUNK of them at a time; ``walk_layers`` lifts whole stacks through
-the solution cosets of L above each.  Every operation computes the size of
-its search space first and refuses to start above the budget before any
-lookup in ``sections.MEMO``, the one bounded memo of reused results.
+FIBER_CHUNK of them at a time; ``walk_layers`` grows whole stacks through
+the solution cosets of L above each, the sums' free layers take every
+layer.  Every operation computes the size of its search space first and
+refuses to start above the budget before any lookup in ``sections.MEMO``,
+the one bounded memo of reused results.
 """
 
 from __future__ import annotations
@@ -60,13 +63,13 @@ CHUNK = 1 << 17
 # 0.6 MiB higher than at 256 or 128, most likely because the step's arrays
 # then pass glibc's 128 KiB mmap threshold and freeing them raises it.
 FIBER_CHUNK = 256
-# Candidate rows per block of the degree-zero lift.  For the m = 0 counts of
-# conic(5) and four seeded smooth cubics over F_5 at e = 2, the peak RSS rose
-# above its post-import level by 7.6-19.8 MiB with CHUNK-row blocks (growing
-# with the cone of the cubic), by 1.9-2.5 MiB at 4096 rows and 0.8 MiB at
-# 1024, at the same speed; conic(11), e = 2, took 2.3 s at 4096 and 2.5 s at
-# 1024.
-LIFT_CHUNK = 1 << 12
+# Candidate rows per block of every layer walk (``descend``).  For the m = 0
+# counts of conic(5) and four seeded smooth cubics over F_5 at e = 2, the
+# peak RSS of the degree-zero lift rose above its post-import level by
+# 7.6-19.8 MiB with CHUNK-row blocks (growing with the cone of the cubic), by
+# 1.9-2.5 MiB at 4096 rows and 0.8 MiB at 1024, at the same speed;
+# conic(11), e = 2, took 2.3 s at 4096 and 2.5 s at 1024.
+WALK_CHUNK = 1 << 12
 
 # ---------------------------------------------------------------------------
 # coefficient-array plumbing (degree-zero jet layer)
@@ -230,6 +233,50 @@ def base_scan(F: SymmetricForm, e: int, budget: int | None = None) -> BaseScan:
         return BaseScan(np.concatenate(cs), np.concatenate(vs), np.concatenate(gs))
 
     return MEMO.get(("base_scan", F.key(), e), build)
+
+
+# ---------------------------------------------------------------------------
+# the one layer walk: coefficient layers in F_p^(n+1) for the degree-zero
+# lift, jet layers in F_p^((n+1)(e+1)) for the walker and the free layers
+
+
+def descend(X: np.ndarray, top: int, children):
+    """Grow a stack X of known layers 0..k-1 depth first through layer top.
+
+    ``children(X)`` yields X's blocks with layer k appended (``append_layer``
+    blocks, some rows possibly dropped).  Yields the non-empty finished
+    stacks, of layers 0..top.
+    """
+    if X.shape[2] <= top:
+        for block in children(X):
+            yield from descend(block, top, children)
+    elif X.shape[0]:
+        yield X
+
+
+def append_layer(X: np.ndarray, size: int, layers, offsets: np.ndarray | None, p: int):
+    """Append one layer to each tuple of a stack X (N, n+1, k, *shape), once
+    for each of ``size`` candidate layers, in (tuple, candidate) order.
+
+    ``layers(lo, hi)`` returns candidates lo..hi-1 as flat (hi-lo,
+    (n+1) prod(shape)) rows; with ``offsets`` tuple i gets offsets[i] +
+    candidate (mod p).  Yields (M, n+1, k+1, *shape) blocks of at most
+    WALK_CHUNK rows.
+    """
+    N, nv, k, *shape = X.shape
+    lstep = max(1, min(size, WALK_CHUNK))
+    pstep = WALK_CHUNK // lstep
+    for i in range(0, N, pstep):
+        parents = X[i : i + pstep]
+        for lo in range(0, size, lstep):
+            layer = layers(lo, min(lo + lstep, size))[None]
+            if offsets is not None:
+                layer = (offsets[i : i + pstep, None] + layer) % p
+            P, L = parents.shape[0], layer.shape[1]
+            both = (np.broadcast_to(parents[:, None], (P, L, nv, k, *shape)),
+                    np.broadcast_to(layer.reshape(-1, L, nv, 1, *shape), (P, L, nv, 1, *shape)))
+            # the block is left unbound here, so a caller that filters it frees it
+            yield np.concatenate(both, axis=3).reshape(-1, nv, k + 1, *shape)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +556,7 @@ def _check_lift_budget(F: SymmetricForm, e: int, budget: int | None) -> None:
     per_row = F.d + n + 2
     what = "degree-zero coefficient lift"
     check_budget(p ** (n + 1) * per_row, budget, what)
-    cone = sum(len(block) for block in _cone_blocks(F, 0, p ** (n + 1)))
+    cone = sum(len(block) for block in _lift(F, 0, 0, p ** (n + 1)))
     stages = cone * p ** ((n + 1) * max(e - 1, 0)) * (cone if e else 1)
     check_budget((p ** (n + 1) + stages) * per_row, budget, what)
 
@@ -525,48 +572,31 @@ def _base_solutions_slow(F: SymmetricForm, e: int, budget: int | None) -> np.nda
     return zeros[np.array([_generates(F.p, x0) for x0 in zeros], dtype=bool)]
 
 
-def _cone_blocks(F: SymmetricForm, lo: int, hi: int):
-    """Stream the affine cone {a in F_p^(n+1) : F(a) = 0} over the layer
-    codes [lo, hi), in code order, LIFT_CHUNK codes at a time."""
-    for start in range(lo, hi, LIFT_CHUNK):
-        codes = np.arange(start, min(start + LIFT_CHUNK, hi), dtype=np.int64)
-        vecs = batch_digits(codes, F.p, F.n + 1)
-        yield vecs[~batch_eval_form(F, vecs[:, :, None]).any(axis=1)]
+def _lift(F: SymmetricForm, e: int, lo: int, hi: int):
+    """The (N, n+1, e+1) degree-zero tuples whose layer 0 has its code in
+    [lo, hi) and whose F has zero s^0..s^(e-1) and s^(de) coefficients, in
+    non-empty stacks in lift order (layer 0 first, each layer by code).
 
-
-def _lift(F: SymmetricForm, e: int, top: np.ndarray | None, rows: np.ndarray):
-    """Extend (N, n+1, k) stacks of known layers 0..k-1 to all e+1 layers.
-
-    Layer k < e runs over F_p^(n+1) and a candidate survives when the s^k
-    coefficient of F, a function of the layers 0..k only, vanishes; layer e
-    runs over the cone ``top``, since the s^(de) coefficient is F(x[:, e]).
-    Parents expand in blocks, so no candidate stack exceeds LIFT_CHUNK rows,
-    and the stages run depth first.  Yields the last-stage (N, n+1, e+1)
-    stacks.
+    Layer 0 runs over the codes [lo, hi) and each middle layer k over
+    F_p^(n+1); a candidate survives when the s^k coefficient of F, a
+    function of the layers 0..k only, vanishes (F(x[:, 0]) at k = 0, so
+    layer 0 is the affine cone).  Layer e > 0 runs over the whole cone,
+    stage 0 of the lift over every code, since the s^(de) coefficient is
+    F(x[:, e]).  The stages are ``append_layer`` blocks run by ``descend``.
     """
-    p, n = F.p, F.n
-    k = rows.shape[2]
-    if k > e:
-        yield rows
-        return
-    size = top.shape[0] if k == e else p ** (n + 1)
-    lstep = min(size, LIFT_CHUNK)
-    pstep = LIFT_CHUNK // lstep
-    for i in range(0, rows.shape[0], pstep):
-        parents = rows[i : i + pstep]
-        for lo in range(0, size, lstep):
-            hi = min(lo + lstep, size)
-            if k == e:
-                layer = top[lo:hi]
-            else:
-                layer = batch_digits(np.arange(lo, hi, dtype=np.int64), p, n + 1)
-            cand = np.empty((len(parents), hi - lo, n + 1, k + 1), dtype=np.int64)
-            cand[..., :k] = parents[:, None]
-            cand[..., k] = layer
-            cand = cand.reshape(-1, n + 1, k + 1)
-            if k < e:
-                cand = cand[batch_eval_form(F, cand)[:, k] == 0]
-            yield from _lift(F, e, top, cand)
+    p, nv = F.p, F.n + 1
+    cone = np.concatenate(list(_lift(F, 0, 0, p**nv)))[:, :, 0] if e else None
+
+    def children(X):
+        k = X.shape[2]
+        if e and k == e:
+            return append_layer(X, len(cone), lambda a, b: cone[a:b], None, p)
+        start, size = (lo, hi - lo) if k == 0 else (0, p**nv)
+        codes = lambda a, b: batch_digits(np.arange(start + a, start + b, dtype=np.int64), p, nv)
+        keep = lambda Y: Y[batch_eval_form(F, Y)[:, k] == 0]
+        return map(keep, append_layer(X, size, codes, None, p))  # holds no unfiltered block
+
+    yield from descend(np.zeros((1, nv, 0), dtype=np.int64), e, children)
 
 
 def _lift_solutions(F: SymmetricForm, e: int, lo: int, hi: int):
@@ -576,12 +606,10 @@ def _lift_solutions(F: SymmetricForm, e: int, lo: int, hi: int):
     # the generation mask refuses e >= 3; refuse before any work, also when
     # no candidate reaches the last stage
     batch_generating_mask(np.zeros((0, n + 1, e + 1), dtype=np.int64), p)
-    top = np.concatenate(list(_cone_blocks(F, 0, p ** (n + 1)))) if e else None
-    for base in _cone_blocks(F, lo, hi):
-        for coords in _lift(F, e, top, base[:, :, None]):
-            values = batch_eval_form(F, coords)
-            gg = batch_generating_mask(coords, p)
-            yield coords[gg & ~values.any(axis=1)]
+    for coords in _lift(F, e, lo, hi):
+        values = batch_eval_form(F, coords)
+        gg = batch_generating_mask(coords, p)
+        yield coords[gg & ~values.any(axis=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -592,9 +620,6 @@ def _lift_solutions(F: SymmetricForm, e: int, lo: int, hi: int):
 # coefficient of F on the layers below k, is the same for every x^k.  So the
 # lifts of a base point through layer k are the solutions of L x^k = -c_k:
 # a coset of ker L, or nothing.
-
-WALK_CHUNK = 1 << 12  # candidate rows per walker block
-
 
 @dataclass
 class _Block:
@@ -680,47 +705,20 @@ def next_layer(F: SymmetricForm, X: np.ndarray) -> np.ndarray:
     return batch_eval_jets(F, Y)
 
 
-def append_layer(X: np.ndarray, size: int, layers, offsets: np.ndarray | None, p: int):
-    """Append one layer to each tuple of a stack X (N, n+1, k, e+1), once
-    for each of ``size`` candidate layers, in (tuple, candidate) order.
-
-    ``layers(lo, hi)`` returns candidates lo..hi-1 as flat (hi-lo,
-    (n+1)(e+1)) rows; with ``offsets`` tuple i gets offsets[i] + candidate
-    (mod p).  Yields (M, n+1, k+1, e+1) blocks of at most WALK_CHUNK rows.
-    """
-    N, nv, k, ec = X.shape
-    lstep = min(size, WALK_CHUNK)
-    pstep = WALK_CHUNK // lstep
-    for i in range(0, N, pstep):
-        parents = X[i : i + pstep]
-        for lo in range(0, size, lstep):
-            layer = layers(lo, min(lo + lstep, size))[None]
-            if offsets is not None:
-                layer = (offsets[i : i + pstep, None] + layer) % p
-            out = np.empty((parents.shape[0], layer.shape[1], nv, k + 1, ec), dtype=np.int64)
-            out[..., :k, :] = parents[:, None]
-            out[..., k, :] = layer.reshape(layer.shape[:2] + (nv, ec))
-            yield out.reshape(-1, nv, k + 1, ec)
-
-
 def walk_layers(F: SymmetricForm, X: np.ndarray, top: int, system: LayerSystem):
     """Lift a stack X of known layers 0..k-1 through the layers k..top.
 
     Layer j of a candidate is its particular solution of L x^j = -c_j plus
     each kernel vector in turn, so the lifts come out in the order of the
-    nested kernel enumeration; inconsistent candidates drop out.  Parents
-    expand in blocks (``append_layer``) and the layers run depth first.
-    Yields non-empty (N, n+1, top+1, e+1) stacks.
+    nested kernel enumeration; inconsistent candidates drop out.  Yields
+    the non-empty (N, n+1, top+1, e+1) stacks of ``descend``.
     """
-    if X.shape[2] > top:
-        if X.shape[0]:
-            yield X
-        return
-    ok, part = system.solve(next_layer(F, X)[:, -1])
-    span = system.span
-    blocks = append_layer(X[ok], span.shape[0], lambda lo, hi: span[lo:hi], part[ok], F.p)
-    for block in blocks:
-        yield from walk_layers(F, block, top, system)
+    def children(Y):
+        ok, part = system.solve(next_layer(F, Y)[:, -1])
+        span = system.span
+        return append_layer(Y[ok], span.shape[0], lambda lo, hi: span[lo:hi], part[ok], F.p)
+
+    yield from descend(X, top, children)
 
 
 def _solution_fibers(F: SymmetricForm, e: int, m: int, budget: int | None):
@@ -758,8 +756,8 @@ def _count_solutions_slow(F: SymmetricForm, e: int, m: int, budget: int | None) 
         return len(_base_solutions_slow(F, e, budget))
     count = 0
     generates: dict[bytes, bool] = {}
-    for start in range(0, total, LIFT_CHUNK):
-        codes = np.arange(start, min(start + LIFT_CHUNK, total), dtype=np.int64)
+    for start in range(0, total, WALK_CHUNK):
+        codes = np.arange(start, min(start + WALK_CHUNK, total), dtype=np.int64)
         X = batch_digits(codes, p, width * (m + 1)).reshape(-1, m + 1, n + 1, e + 1)
         X = X.transpose(0, 2, 1, 3)
         for x0 in X[~batch_eval_jets(F, X).any(axis=(1, 2)), :, 0]:
@@ -842,21 +840,17 @@ def count_tangent_pairs(
     e: int,
     m: int,
     budget: int | None = None,
-    method: str = "auto",
 ) -> CountRecord:
     """#{(x0, x1) : x0 gg solution, x1 . grad F(x0) = 0 in P_{de,m}}.
 
     Normalization exponent is 2(m+1)(mu+1); x1 ranges over P_{e,m}^(n+1)
-    and is counted through kernel dimensions.
+    and is counted through kernel dimensions (``_tangent_fiber_slow``
+    enumerates one fiber, as the oracle).
     """
     _check_count_inputs(F, e, m)
     mu = moduli_dimension(F.n, F.d, e)
     exponent = 2 * (m + 1) * (mu + 1)
     total = 0
-    if method == "slow":
-        for x0 in solution_tuples(F, e, m, budget):
-            total += _tangent_fiber_slow(F, x0, budget)
-        return _record(F, e, m, total, exponent, "tangent_pairs")
     ncols = (m + 1) * (F.n + 1) * (e + 1)
     for X in _rechunk(_solution_stacks(F, e, m, budget), FIBER_CHUNK):
         M = unfolded_mult_matrix_batch(F, X)

@@ -44,6 +44,7 @@ from .counting import (
     batch_eval_jets,
     count_solutions,
     count_tangent_pairs,
+    descend,
     encode_digits,
     generating_fibers,
     image_keys,
@@ -242,15 +243,11 @@ class _AnnClasses:
 
 def _free_layers(X: np.ndarray, top: int, p: int):
     """Extend a stack X of known layers 0..k-1 by every layer in
-    F_p^((n+1)(e+1)) through layer ``top``, depth first, in (tuple, layer
-    code) order, in blocks of at most WALK_CHUNK rows (X itself if done)."""
-    if X.shape[2] > top:
-        yield X
-        return
+    F_p^((n+1)(e+1)) through layer ``top``: the ``descend`` stacks, in
+    (tuple, layer code) order."""
     ncols = X.shape[1] * X.shape[3]
-    tops = append_layer(X, p**ncols, lambda lo, hi: batch_digits(np.arange(lo, hi), p, ncols), None, p)
-    for block in tops:
-        yield from _free_layers(block, top, p)
+    every = lambda lo, hi: batch_digits(np.arange(lo, hi), p, ncols)
+    yield from descend(X, top, lambda Y: append_layer(Y, p**ncols, every, None, p))
 
 
 def _top_layer(F: SymmetricForm, X: np.ndarray, m: int, image: np.ndarray | None,
@@ -301,18 +298,12 @@ def _check_pair_scan(F: SymmetricForm, e: int, m: int, walks: int, budget: int |
 def _base_leaves(F: SymmetricForm, e: int, m: int, ann: _AnnClasses | None,
                  budget: int | None):
     """``_top_layer`` blocks over every generating tuple of P_{e,m}^(n+1),
-    classed by ``ann`` if given; the refusals are made at the call.
-
-    Base points enter in groups sharing their gradient image.  With no layer
-    between base and top (m <= 1) a coset depends only on the fiber class,
-    so each class enters once, weighted by its size (one group per image
-    and size); above that every point enters and the middle layers run
-    freely.  Points whose pairs need the top layer enumerated (L not onto)
-    come last, in scan order.
+    classed by ``ann`` if given.  The refusals are made at the call, from
+    the class sizes alone; the points are grouped (``_image_groups``) only
+    when the blocks are first asked for, so a memo hit never groups them.
     """
     p, width, ncols = F.p, F.d * e + 1, (F.n + 1) * (e + 1)
     coords, ids, images = generating_fibers(F, e, budget)
-    _, first, counts = np.unique(ids, return_index=True, return_counts=True)
     pairs = ann is not None and m > 0
     explicit = np.array([pairs and im.shape[0] < width for im in images], dtype=bool)
     if m >= 2:
@@ -320,17 +311,32 @@ def _base_leaves(F: SymmetricForm, e: int, m: int, ann: _AnnClasses | None,
     if explicit.any():
         _check_pair_scan(F, e, m, int(explicit[ids].sum()) * p ** (ncols * (m - 1)), budget,
                          "non-surjective pair annihilator scan")
+
+    def leaves():
+        for X, image, weight in _image_groups(coords, ids, images, explicit, m):
+            for W in _free_layers(X.astype(np.int64)[:, :, None, :], m - 1, p):
+                for V, span, mult, klass in _top_layer(F, W, m, image, ann):
+                    yield V, span, weight * mult, klass
+
+    return leaves()
+
+
+def _image_groups(coords, ids, images, explicit, m: int) -> list:
+    """(points, image, weight) groups of the base points sharing their
+    gradient image.  With no layer between base and top (m <= 1) a coset
+    depends only on the fiber class, so each class enters once by its first
+    point, weighted by its size (one group per image and size); above that
+    every point enters.  The points whose pairs need the top layer
+    enumerated (``explicit`` classes) come last, in scan order, with no
+    image."""
+    _, first, counts = np.unique(ids, return_index=True, return_counts=True)
     by_image: dict[tuple, list] = {}
     for k in np.flatnonzero(~explicit).tolist():
         by_image.setdefault((images[k].tobytes(), int(counts[k]) if m <= 1 else 1), []).append(k)
-    groups = [
+    return [
         (coords[first[ks] if m <= 1 else np.isin(ids, ks)], images[ks[0]] if m else None, weight)
         for (_, weight), ks in by_image.items()
     ] + ([(coords[explicit[ids]], None, 1)] if explicit.any() else [])
-    return ((V, span, weight * mult, klass)
-            for X, image, weight in groups
-            for W in _free_layers(X.astype(np.int64)[:, :, None, :], m - 1, p)
-            for V, span, mult, klass in _top_layer(F, W, m, image, ann))
 
 
 def _add_counts(hist: dict, codes: np.ndarray, klass: np.ndarray, weight: int) -> None:
@@ -368,7 +374,7 @@ def value_histogram(F: SymmetricForm, e: int, m: int, budget: int | None = None)
 
 def all_sums(F: SymmetricForm, e: int, m: int, budget: int | None = None) -> np.ndarray:
     """S(alpha) for every alpha on P_{de,m}, as (p^k, p) coefficient rows."""
-    _value_leaves(F, e, m, budget)  # the refusals; a miss builds the leaves again
+    _value_leaves(F, e, m, budget)  # the refusals only: the leaves are lazy
     return MEMO.get(("all_sums", F.key(), e, m), lambda: char_transform(
         value_histogram(F, e, m, budget), F.p, (F.d * e + 1) * (m + 1)))
 
@@ -826,6 +832,8 @@ def n_count(F: SymmetricForm, e: int, alpha: DualFunctional, k1: int, k2: int,
     """
     if alpha.r != F.d * e:
         raise ValueError("functional lives on the wrong space")
+    if k1 < 0:
+        raise ValueError(f"need k1 >= 0, got k1={k1}")
     if k1 < k2 - 1:
         raise ValueError("need k1 >= k2 - 1")
     if not 0 <= s <= e:

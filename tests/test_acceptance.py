@@ -91,6 +91,7 @@ def test_criterion_2_threshold_calibration():
               "d in [3,8], g in [1,20]")
 
 
+@pytest.mark.slow
 def test_criterion_3_sweep_certificates():
     start = time.time()
     canonical = [(3, 0), (3, 1), (4, 0), (4, 1), (2, 1), (2, 2)]
@@ -155,6 +156,7 @@ def test_criterion_7_t_vanishing():
               "T = 0 for all 1 <= deg <= 3 and T(0) = 3^9 over 120 slices")
 
 
+@pytest.mark.slow
 def test_criterion_8_weyl_inequality():
     start = time.time()
     F = conic_form(3)

@@ -319,10 +319,16 @@ def test_count_degree_bound_3_unsupported():
     ["circle", "--check", "major-identity", "--q", "3", "--form", "conic",
      "--e", "-1", "--m", "1"],
     ["count", "--q", "3", "--form", "conic", "--e", "2", "--m", "0", "--budget", "0"],
-], ids=["m-negative", "e-negative", "orthogonality-m", "major-e", "budget-zero"])
+    ["circle", "--check", "shrink", "--q", "3", "--form", "conic", "--e", "1",
+     "--k", "-1", "--samples", "2"],
+    ["circle", "--check", "shrink", "--q", "3", "--form", "conic", "--e", "1",
+     "--samples", "-1"],
+], ids=["m-negative", "e-negative", "orthogonality-m", "major-e", "budget-zero",
+        "shrink-k-negative", "shrink-samples-negative"])
 def test_out_of_range_inputs_exit_2(argv, capsys):
-    # each of these once answered (a count with m = -1), ran at the default
-    # budget (--budget 0) or ended in a traceback
+    # each of these once answered (a count with m = -1, a shrink sweep over
+    # -1 samples), ran at the default budget (--budget 0) or ended in a
+    # traceback (exit 1 for --k -1)
     code, out, err = run_cli([*argv, "--no-timestamp"], capsys)
     assert code == 2
     assert out == "" and err.startswith("error: --")

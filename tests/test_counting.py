@@ -13,6 +13,8 @@ from jetsums.counting import (
     _base_solutions_slow,
     _count_multilinear_zeros_slow,
     base_scan,
+    batch_digits,
+    batch_eval_form,
     batch_generating_mask,
     count_jet_multilinear,
     count_psi_zero_sections,
@@ -334,6 +336,30 @@ def _assert_lift_matches_scan(F, e):
 def test_lift_matches_full_scan(F):
     for e in (0, 1, 2):
         _assert_lift_matches_scan(F, e)
+
+
+def test_lift_layer_zero_is_the_cone_in_code_order():
+    # fermat(5, 5, 2) has 5^6 layer codes, so [lo, hi) spans several blocks
+    # and starts and ends inside one
+    F = fermat_form(5, 5, 2)
+    lo, hi = 1000, 13000
+    vecs = batch_digits(np.arange(lo, hi), F.p, F.n + 1)
+    cone = vecs[~batch_eval_form(F, vecs[:, :, None]).any(axis=1)]
+    lifted = np.concatenate(list(counting._lift(F, 0, lo, hi)))
+    assert lifted.shape == cone.shape + (1,)
+    assert (lifted[:, :, 0] == cone).all()
+
+
+@pytest.mark.parametrize("F,e", [
+    (conic_form(5), 2), (fermat_form(5, 1, 3), 2), (make_form(3, 2, 2, [((1, 1, 0), 1)]), 1),
+], ids=["conic5", "fermat5-cubic", "x0x1"])
+def test_lift_over_a_split_of_layer_zero_is_the_whole_lift(F, e):
+    codes = F.p ** (F.n + 1)
+    whole = np.concatenate(list(counting._lift_solutions(F, e, 0, codes)))
+    for edges in ([0, 1, codes // 3, codes // 3, codes - 1, codes], [0, codes // 2, codes]):
+        parts = [counting._lift_solutions(F, e, lo, hi) for lo, hi in zip(edges, edges[1:])]
+        union = np.concatenate([rows for part in parts for rows in part])
+        assert union.shape == whole.shape and (union == whole).all()
 
 
 def test_slow_count_does_not_use_the_lift(monkeypatch):

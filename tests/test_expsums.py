@@ -80,6 +80,7 @@ def test_char_transform_is_exact_dft():
         assert Cyclo(p, out[code]) == Cyclo(p, acc)
 
 
+@pytest.mark.slow
 def test_exp_sum_matches_slow_oracle():
     F = conic_form(3)
     rng = random.Random(1)
@@ -364,6 +365,15 @@ def test_n_count_rejects_functional_off_the_value_space():
                 n_count(F, 2, a, 0, 1, 0, method=method)
 
 
+def test_n_count_rejects_negative_jet_order():
+    # k1 = -1 once reached the rank engine with a slot of 0 and divided by it
+    F = conic_form(3)
+    a = dual_from_code(3, 4, 0, 5)
+    for method in ("auto", "enumerate"):
+        with pytest.raises(ValueError, match="k1 >= 0"):
+            n_count(F, 2, a, -1, 0, 0, method=method)
+
+
 def test_n_count_factorization():
     F = conic_form(3)
     rng = random.Random(6)
@@ -581,6 +591,28 @@ def test_all_sums_builds_one_histogram_per_key(monkeypatch):
     assert (all_sums(F, 1, 0) == all_sums(F, 1, 0)).all()
     assert len(calls) == 1
     assert (MEMO.hits["all_sums"], MEMO.misses["all_sums"]) == (1, 1)
+
+
+def test_memo_hits_never_group_the_base_points(monkeypatch):
+    # a hit of all_sums or pair_data makes the refusals from the class sizes
+    # alone; the grouping of the points by image runs on a miss only
+    from jetsums import expsums
+
+    calls = []
+    real = expsums._image_groups
+    monkeypatch.setattr(expsums, "_image_groups", lambda *a: calls.append(1) or real(*a))
+    MEMO.clear()
+    F = conic_form(3)
+    for build in (all_sums, pair_data):
+        first = build(F, 1, 1)
+        assert len(calls) == 1
+        assert build(F, 1, 1) is first
+        assert len(calls) == 1
+        calls.clear()
+    assert MEMO.hits["all_sums"] == MEMO.hits["pair_data"] == 1
+    with pytest.raises(BudgetExceeded, match="free jet-layer walk"):
+        all_sums(F, 1, 2, budget=10**6)
+    assert calls == []
 
 
 def test_histogram_mass_beyond_int64_is_refused():

@@ -16,11 +16,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from jetsums import linalg
+from jetsums import counting, expsums, linalg
 from jetsums.counting import (
     FIBER_CHUNK,
+    WALK_CHUNK,
     _base_solutions,
     base_scan,
+    base_systems,
     _solution_fibers,
     _solution_stacks,
     batch_digits,
@@ -33,6 +35,7 @@ from jetsums.counting import (
     solution_tuples,
     unfolded_mult_matrix,
     unfolded_mult_matrix_batch,
+    walk_layers,
 )
 from jetsums.expsums import all_sums, pair_data, slice_histogram, w_code_from_values
 from jetsums.forms import conic_form, eval_form, fermat_form, gradient, make_form
@@ -265,7 +268,10 @@ def _assert_same_slices(fast, slow):
 @pytest.mark.parametrize("F,e,m", [
     (conic_form(3), 2, 2), (conic_form(3), 1, 3), (fermat_form(3, 2, 2), 0, 2),
     (x0x1(), 0, 2), (x0x1(), 0, 3), (x0sq(), 0, 2), (x0sq(), 0, 1),
-    (x0sq(2), 0, 2), (x0x1(), 1, 1),
+    (x0sq(2), 0, 2),
+    # its pairs case takes most of the suite's slice time, in the oracle; a
+    # mark belongs to the value, so the fast singles case carries it too
+    pytest.param(x0x1(), 1, 1, marks=pytest.mark.slow),
 ], ids=lambda v: getattr(v, "name", str(v)))
 def test_slice_histogram_matches_recursion(F, e, m, with_ann):
     _assert_same_slices(
@@ -387,6 +393,34 @@ def test_fibers_cross_the_chunk_boundary():
         L = mult_matrix(F, x0s[i])
         ker = linalg.nullspace(L, F.p)
         assert fibers[i] == sum(_extend_layer_counts(F, e, 2, [x0s[i]], L, ker, 1))
+
+
+def test_every_walk_block_is_within_walk_chunk(monkeypatch):
+    # the memory contract of the one layer walk: every block the lift,
+    # walk_layers and the free layers hold or yield has at most WALK_CHUNK
+    # rows, at every stage (the spy) and at the last (the yields)
+    staged = []
+    real = counting.append_layer
+
+    def spy(*args):
+        for block in real(*args):
+            staged.append(block.shape[0])
+            yield block
+
+    monkeypatch.setattr(counting, "append_layer", spy)
+    monkeypatch.setattr(expsums, "append_layer", spy)
+    F = conic_form(7)  # e = 2: 7^3 codes per middle layer, a cone of 49 at the top
+    lift = [len(X) for X in counting._lift(F, 2, 0, 7**3)]
+    F = conic_form(3)  # e = 2, m = 2: a kernel of 81 at both layers
+    walk = [len(X) for x0, system in base_systems(F, 2, None)
+            for X in walk_layers(F, x0[None, :, None, :], 2, system)]
+    X = base_scan(F, 2).coords[:2].astype(np.int64)[:, :, None, :]
+    free = [len(X) for X in expsums._free_layers(X, 1, 3)]  # 3^9 codes each
+    assert sum(walk) == count_solutions(F, 2, 2).raw_count
+    assert sum(free) == 2 * 3**9
+    for sizes in (lift, walk, free, staged):
+        assert len(sizes) > 1 and max(sizes) <= WALK_CHUNK
+    assert max(free) == WALK_CHUNK
 
 
 def test_m0_stacks_and_m1_counts_build_no_kernel(monkeypatch):
