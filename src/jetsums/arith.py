@@ -175,12 +175,6 @@ class Cyclo:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "Cyclo":
-        out = [0] * self.p
-        for j, c in enumerate(self.counts):
-            out[(-j) % self.p] = c
-        return Cyclo(self.p, out)
-
     def is_zero(self) -> bool:
         cf = self.canonical()
         return not any(cf)

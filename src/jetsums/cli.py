@@ -215,7 +215,7 @@ def _cmd_count(args) -> int:
             la.q = p
             return _load_form(la, p)
 
-        records = counting.lw_trend(family, args.e, args.m, primes, budget)
+        records = counting.lw_trend(family, _require(args, "e"), args.m, primes, budget)
         rows = [
             {
                 "prime": rec.params["p"],
@@ -252,6 +252,9 @@ def _cmd_circle(args) -> int:
     p = _require(args, "q")
     F = _load_form(args, p)
     e = _require(args, "e")
+    if args.check in ("t-vanishing", "shrink", "n-counts") and args.samples == 0:
+        # a sweep over no samples checks nothing
+        raise ConfigError(f"--samples must be >= 1 for --check {args.check}")
     if args.check == "orthogonality":
         rep = expsums.check_orthogonality(F, e, args.m, args.pairs, budget)
     elif args.check == "major-identity":
@@ -262,6 +265,11 @@ def _cmd_circle(args) -> int:
         alphas = expsums.weyl_alpha_sample(
             F, e, args.m, args.max_degree, args.samples, args.seed, budget
         )
+        if not alphas:
+            raise ConfigError(
+                f"--samples {args.samples} with --max-degree {args.max_degree} "
+                "leaves no functional to check"
+            )
         worst = None
         failed = 0
         undecided = 0

@@ -505,9 +505,7 @@ def count_solutions(
         nshards = min(layers, default_workers() if workers is None else max(1, workers))
         edges = np.linspace(0, layers, nshards + 1, dtype=np.int64)
         shards = [
-            (F.monomials_key(), F.p, F.n, F.d, e, int(lo), int(hi))
-            for lo, hi in zip(edges[:-1], edges[1:])
-            if hi > lo
+            (F, e, int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo
         ]
         raw = map_reduce(_count_lift, shards, lambda a, b: a + b, 0, workers)
     else:
@@ -524,15 +522,8 @@ def _check_count_inputs(F: SymmetricForm, e: int, m: int) -> None:
 
 
 def _count_lift(shard) -> int:
-    mons, p, n, d, e, lo, hi = shard
-    F = _form_from_key(mons, p, n, d)
+    F, e, lo, hi = shard
     return sum(len(rows) for rows in _lift_solutions(F, e, lo, hi))
-
-
-def _form_from_key(mons, p, n, d):
-    from .forms import make_form
-
-    return make_form(p, n, d, list(mons))
 
 
 def _base_solutions(F: SymmetricForm, e: int, budget: int | None) -> np.ndarray:

@@ -4,7 +4,9 @@ Forms are ingested as sparse monomial lists (exponent vector, coefficient)
 and symmetrized by dividing by multinomial coefficients; this needs p > d,
 which is also what makes the d! factor in the multilinear forms invertible.
 Evaluation, gradients and the multilinear forms all run over any ring with
-+ and *, so the same code serves F_p vectors and jet sections.
++ and *, so the same code serves F_p vectors and jet sections.  The
+smoothness search over F_{p^k} = F_p[theta]/(g) is the array jet kernel's
+``counting.batch_gradient`` on polynomials in theta plus one reduction mod g.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arith import Jet, check_prime
-from .sections import DEFAULT_BUDGET, JetPoly, mul_sections, check_budget
+from .sections import DEFAULT_BUDGET, JetPoly, check_budget, mul_sections, poly_gcd
 from . import linalg
 
 
@@ -48,9 +50,6 @@ class SymmetricForm:
 
     def key(self) -> tuple:
         return (self.p, self.n, self.d, tuple(sorted(self.monomials.items())))
-
-    def monomials_key(self) -> tuple:
-        return tuple(sorted(self.monomials.items()))
 
     def __hash__(self):
         return hash(self.key())
@@ -305,27 +304,14 @@ def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
     k = len(poly) - 1
     if poly[0] == 0:
         return False
-    # trial division by all monic polys of degree <= k/2
+    # trial division by all monic polys of degree <= k/2: a monic divisor
+    # is its own gcd with poly
     for deg in range(1, k // 2 + 1):
         for tail in itertools.product(range(p), repeat=deg):
-            div = tail + (1,)
-            if _poly_divides(div, poly, p):
+            div = list(tail) + [1]
+            if poly_gcd(div, list(poly), p) == div:
                 return False
     return True
-
-
-def _poly_divides(div: tuple[int, ...], poly: tuple[int, ...], p: int) -> bool:
-    r = list(poly)
-    while len(r) >= len(div):
-        lead = r[-1] % p
-        shift = len(r) - len(div)
-        if lead:
-            for i, c in enumerate(div):
-                r[i + shift] = (r[i + shift] - lead * c) % p
-        r.pop()
-        while r and r[-1] % p == 0:
-            r.pop()
-    return not r
 
 
 @dataclass
@@ -384,35 +370,32 @@ def _scan_cost(F: SymmetricForm, k: int) -> int:
 def _search_singular(F: SymmetricForm, k: int):
     """Vectorized gradient-vanishing scan over P^n(F_{p^k}).
 
-    Field elements are coefficient vectors mod the chosen irreducible; the
-    scan enumerates projective representatives with first nonzero
-    coordinate 1.
+    F_{p^k} = F_p[theta]/(g) for the chosen irreducible g, so a point is a
+    stack of n+1 polynomials in theta of degree < k: the jet kernel's
+    ``batch_gradient`` (one layer, degree bound k-1) gives grad F as
+    polynomials of degree <= (d-1)(k-1), and one product with the table of
+    theta^j mod g reduces them into the field.  The scan enumerates
+    projective representatives with first nonzero coordinate 1.
     """
-    p, n = F.p, F.n
-    modpoly = irreducible_poly(p, k)
-    red = _reduction_table(modpoly, p, k)
+    from .counting import batch_digits, batch_gradient
 
-    grad_mons = _gradient_monomials(F)
+    p, n = F.p, F.n
+    red = _reduction_table(irreducible_poly(p, k), p, (F.d - 1) * (k - 1))
+    q = p**k
     for lead in range(n + 1):
         free = n - lead
-        q = p**k
         total = q**free
         batch = max(1, min(total, 1 << 16))
         for start in range(0, total, batch):
             idx = np.arange(start, min(start + batch, total), dtype=np.int64)
-            coords = np.zeros((idx.size, n + 1, k), dtype=np.int64)
-            coords[:, lead, 0] = 1
-            rem = idx.copy()
-            for v in range(lead + 1, n + 1):
-                code = rem % q
-                rem //= q
-                for c in range(k):
-                    coords[:, v, c] = code % p
-                    code //= p
-            bad = _grad_zero_mask(grad_mons, coords, red, p, k)
+            X = np.zeros((idx.size, n + 1, 1, k), dtype=np.int64)
+            X[:, lead, 0, 0] = 1
+            X[:, lead + 1 :, 0] = batch_digits(idx, p, free * k).reshape(idx.size, free, k)
+            grad = batch_gradient(F, X)[:, :, 0] @ red % p
+            bad = ~grad.any(axis=(1, 2))
             if bad.any():
-                i = int(np.nonzero(bad)[0][0])
-                return tuple(tuple(int(c) for c in coords[i, v]) for v in range(n + 1))
+                i = int(np.argmax(bad))
+                return tuple(tuple(int(c) for c in X[i, v, 0]) for v in range(n + 1))
     return None
 
 
@@ -431,42 +414,14 @@ def _gradient_monomials(F: SymmetricForm):
     return out
 
 
-def _reduction_table(modpoly: tuple[int, ...], p: int, k: int) -> np.ndarray:
-    """x^j mod the irreducible for j = 0..2k-2, as rows of length k."""
-    rows = np.zeros((2 * k - 1, k), dtype=np.int64)
+def _reduction_table(modpoly: tuple[int, ...], p: int, top: int) -> np.ndarray:
+    """x^j mod the irreducible for j = 0..top, as rows of length k."""
+    k = len(modpoly) - 1
+    rows = np.zeros((top + 1, k), dtype=np.int64)
     cur = [1] + [0] * (k - 1)
-    for j in range(2 * k - 1):
+    for j in range(top + 1):
         rows[j] = cur
         shifted = [0] + cur  # multiply by x
         lead = shifted[k]
         cur = [(shifted[i] - lead * modpoly[i]) % p for i in range(k)]
     return rows
-
-
-def _ext_mul(a: np.ndarray, b: np.ndarray, red: np.ndarray, p: int, k: int) -> np.ndarray:
-    """Batched product in F_{p^k}; a, b are (..., k) coefficient arrays."""
-    conv = np.zeros(a.shape[:-1] + (2 * k - 1,), dtype=np.int64)
-    for i in range(k):
-        for j in range(k):
-            conv[..., i + j] += a[..., i] * b[..., j]
-    conv %= p
-    return np.tensordot(conv, red, axes=([-1], [0])) % p
-
-
-def _grad_zero_mask(grad_mons, coords: np.ndarray, red: np.ndarray, p: int, k: int) -> np.ndarray:
-    nb = coords.shape[0]
-    ones = np.zeros((nb, k), dtype=np.int64)
-    ones[:, 0] = 1
-    mask = np.ones(nb, dtype=bool)
-    for mons in grad_mons:
-        val = np.zeros((nb, k), dtype=np.int64)
-        for exps, c in mons:
-            term = ones.copy()
-            for v, e in enumerate(exps):
-                for _ in range(e):
-                    term = _ext_mul(term, coords[:, v, :], red, p, k)
-            val = (val + c * term) % p
-        mask &= ~val.any(axis=1)
-        if not mask.any():
-            break
-    return mask

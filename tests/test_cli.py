@@ -323,15 +323,40 @@ def test_count_degree_bound_3_unsupported():
      "--k", "-1", "--samples", "2"],
     ["circle", "--check", "shrink", "--q", "3", "--form", "conic", "--e", "1",
      "--samples", "-1"],
+    ["count", "--form", "conic", "--target", "lw-trend", "--primes", "3,5"],
+    ["circle", "--check", "shrink", "--q", "3", "--form", "conic", "--e", "1",
+     "--samples", "0"],
+    ["circle", "--check", "n-counts", "--q", "3", "--form", "conic", "--e", "1",
+     "--samples", "0"],
+    ["circle", "--check", "t-vanishing", "--q", "3", "--form", "conic", "--e", "1",
+     "--samples", "0"],
+    ["circle", "--check", "weyl", "--q", "3", "--form", "conic", "--e", "1",
+     "--m", "1", "--max-degree", "-1", "--samples", "0"],
 ], ids=["m-negative", "e-negative", "orthogonality-m", "major-e", "budget-zero",
-        "shrink-k-negative", "shrink-samples-negative"])
+        "shrink-k-negative", "shrink-samples-negative", "lw-trend-no-e",
+        "shrink-samples-zero", "n-counts-samples-zero", "t-vanishing-samples-zero",
+        "weyl-no-functionals"])
 def test_out_of_range_inputs_exit_2(argv, capsys):
-    # each of these once answered (a count with m = -1, a shrink sweep over
-    # -1 samples), ran at the default budget (--budget 0) or ended in a
-    # traceback (exit 1 for --k -1)
+    # each of these once answered (a count with m = -1, a sweep over -1 or
+    # 0 samples reported "holds"), ran at the default budget (--budget 0)
+    # or ended in a traceback (exit 1 for --k -1 and for lw-trend without
+    # --e)
     code, out, err = run_cli([*argv, "--no-timestamp"], capsys)
     assert code == 2
     assert out == "" and err.startswith("error: --")
+
+
+def test_weyl_without_samples_checks_the_exhaustive_functionals(capsys):
+    # --samples 0 is refused only where nothing else is checked: at
+    # --max-degree 0 the sweep still covers every degree-0 functional
+    code, out, _ = run_cli(
+        ["circle", "--check", "weyl", "--q", "3", "--form", "conic", "--e", "1",
+         "--m", "1", "--max-degree", "0", "--samples", "0", "--no-timestamp"],
+        capsys,
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["params"]["alphas"] > 0 and payload["verdict"] == "holds"
 
 
 def test_pair_scan_beyond_forced_budget_exits_2(tmp_path, capsys):

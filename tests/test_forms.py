@@ -1,11 +1,16 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from jetsums.arith import Jet
 from jetsums.forms import (
     SmoothnessReport,
+    _gradient_monomials,
+    _is_irreducible,
+    _reduction_table,
+    _search_singular,
     conic_form,
     difference_apply,
     eval_form,
@@ -259,6 +264,211 @@ def test_irreducible_poly_choice():
     assert irreducible_poly(3, 1) == (0, 1)
     c0, c1, one = irreducible_poly(3, 2)
     assert one == 1 and (c1 * c1 - 4 * c0) % 3 == 2  # non-square discriminant
+
+
+# ---------------------------------------------------------------------------
+# the smoothness search against independent oracles
+
+
+def _random_forms(seed, per_shape=4):
+    """Seeded random forms, d in {2, 3}, n in {1, 2}, p in {3, 5, 7}; about
+    a third of the coefficients are zero, so singular forms occur too."""
+    rng = random.Random(seed)
+    for p in (3, 5, 7):
+        for n in (1, 2):
+            for d in (2, 3):
+                if p <= d:
+                    continue
+                exps = [c for c in itertools.product(range(d + 1), repeat=n + 1) if sum(c) == d]
+                for _ in range(per_shape):
+                    mons = [(ex, rng.randrange(p) if rng.random() < 0.7 else 0) for ex in exps]
+                    yield make_form(p, n, d, mons)
+
+
+def _poly_product(*factors):
+    """Product of polynomials given as {exponent vector: coefficient}."""
+    out = {(0, 0, 0): 1}
+    for f in factors:
+        nxt = {}
+        for ea, ca in out.items():
+            for eb, cb in f.items():
+                ex = tuple(a + b for a, b in zip(ea, eb))
+                nxt[ex] = nxt.get(ex, 0) + ca * cb
+        out = nxt
+    return list(out.items())
+
+
+def _line_times_conic(seed, count=6):
+    """L Q on P^2 for seeded random linear L and quadratic Q: singular
+    where L meets Q, sometimes only in a conjugate pair over F_{p^2}."""
+    rng = random.Random(seed)
+    units = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    quads = [tuple(a + b for a, b in zip(u, v)) for u, v in
+             itertools.combinations_with_replacement(units, 2)]
+    for p in (5, 7):
+        for _ in range(count):
+            L = {u: rng.randrange(p) for u in units}
+            Q = {u: rng.randrange(p) for u in quads}
+            yield make_form(p, 2, 3, _poly_product(L, Q))
+
+
+def _scalar_search(F):
+    """First point of P^n(F_p) in scan order (lead coordinate 1, the next
+    coordinate the fastest digit) where every forms.gradient vanishes."""
+    p, n = F.p, F.n
+    for lead in range(n + 1):
+        for code in range(p ** (n - lead)):
+            x = [0] * (n + 1)
+            x[lead] = 1
+            for v in range(lead + 1, n + 1):
+                x[v], code = code % p, code // p
+            grads = gradient(F, tuple(sec(p, 0, (c,)) for c in x))
+            if all(g.is_zero() for g in grads):
+                return tuple((c,) for c in x)
+    return None
+
+
+def _ext_mul_oracle(a, b, red, p, k):
+    """The removed per-product F_{p^k} multiply: reduce after each product."""
+    conv = np.zeros(a.shape[:-1] + (2 * k - 1,), dtype=np.int64)
+    for i in range(k):
+        for j in range(k):
+            conv[..., i + j] += a[..., i] * b[..., j]
+    conv %= p
+    return np.tensordot(conv, red, axes=([-1], [0])) % p
+
+
+def _search_oracle(F, k):
+    """The removed search: F_{p^k} arithmetic per gradient monomial, with an
+    early exit once no point of a batch survives."""
+    p, n = F.p, F.n
+    red = _reduction_table(irreducible_poly(p, k), p, 2 * k - 2)
+    grad_mons = _gradient_monomials(F)
+    q = p**k
+    for lead in range(n + 1):
+        total = q ** (n - lead)
+        batch = max(1, min(total, 1 << 16))
+        for start in range(0, total, batch):
+            idx = np.arange(start, min(start + batch, total), dtype=np.int64)
+            coords = np.zeros((idx.size, n + 1, k), dtype=np.int64)
+            coords[:, lead, 0] = 1
+            rem = idx.copy()
+            for v in range(lead + 1, n + 1):
+                code = rem % q
+                rem //= q
+                for c in range(k):
+                    coords[:, v, c] = code % p
+                    code //= p
+            ones = np.zeros((idx.size, k), dtype=np.int64)
+            ones[:, 0] = 1
+            mask = np.ones(idx.size, dtype=bool)
+            for mons in grad_mons:
+                val = np.zeros((idx.size, k), dtype=np.int64)
+                for exps, c in mons:
+                    term = ones.copy()
+                    for v, ev in enumerate(exps):
+                        for _ in range(ev):
+                            term = _ext_mul_oracle(term, coords[:, v, :], red, p, k)
+                    val = (val + c * term) % p
+                mask &= ~val.any(axis=1)
+                if not mask.any():
+                    break
+            if mask.any():
+                i = int(np.nonzero(mask)[0][0])
+                return tuple(tuple(int(c) for c in coords[i, v]) for v in range(n + 1))
+    return None
+
+
+def test_search_over_prime_field_matches_scalar_gradient_scan():
+    outcomes = set()
+    for F in _random_forms(11):
+        witness = _search_singular(F, 1)
+        assert witness == _scalar_search(F), F.monomials
+        outcomes.add(witness is None)
+    assert outcomes == {True, False}
+
+
+def test_search_over_extension_fields_matches_removed_search():
+    outcomes = set()
+    cases = extension_only = 0
+    for F in itertools.chain(_random_forms(12), _line_times_conic(13)):
+        for k in range(2, (F.d - 1) ** F.n + 1):
+            if (F.p**k) ** F.n > 3 * 10**5:
+                break
+            witness = _search_singular(F, k)
+            assert witness == _search_oracle(F, k), (F.monomials, k)
+            outcomes.add(witness is None)
+            cases += 1
+            if k == 2 and witness is not None and _search_singular(F, 1) is None:
+                extension_only += 1
+    assert cases >= 20 and outcomes == {True, False}
+    assert extension_only >= 2
+
+
+def test_quartic_singular_only_over_quadratic_extension():
+    # (x0^2 + x1^2)^2 over F_7: -1 is not a square mod 7, so the double
+    # roots x0 = +-i x1 live in F_49 only
+    F = parse_form_file("4 0 1\n2 2 2\n0 4 1\n", 7)
+    assert smoothness_check(F, k_max=1).singular_witness is None
+    assert smoothness_check(F).singular_witness == (2, ((1, 0), (0, 1)))
+
+
+def _poly_divides_oracle(div, poly, p):
+    r = list(poly)
+    while len(r) >= len(div):
+        lead = r[-1] % p
+        shift = len(r) - len(div)
+        if lead:
+            for i, c in enumerate(div):
+                r[i + shift] = (r[i + shift] - lead * c) % p
+        r.pop()
+        while r and r[-1] % p == 0:
+            r.pop()
+    return not r
+
+
+def _irreducible_poly_oracle(p, k):
+    """The removed trial division, over the same lexicographic order."""
+    if k == 1:
+        return (0, 1)
+    for tail in itertools.product(range(p), repeat=k):
+        poly = tail + (1,)
+        if poly[0] and not any(
+            _poly_divides_oracle(dt + (1,), poly, p)
+            for deg in range(1, k // 2 + 1)
+            for dt in itertools.product(range(p), repeat=deg)
+        ):
+            return poly
+
+
+def test_irreducible_poly_unchanged():
+    for p in (2, 3, 5, 7, 11, 13):
+        for k in range(1, 5):
+            assert irreducible_poly(p, k) == _irreducible_poly_oracle(p, k), (p, k)
+
+
+def _moebius(e):
+    out, f = 1, 2
+    while f * f <= e:
+        if e % f == 0:
+            e //= f
+            if e % f == 0:
+                return 0
+            out = -out
+        f += 1
+    return -out if e > 1 else out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_irreducible_count_is_gauss_count(p):
+    # (1/k) sum_{e | k} mu(e) p^(k/e) monic irreducibles of degree k; at
+    # k = 1 _is_irreducible rejects x, so the count starts at k = 2
+    for k in range(2, 5):
+        found = sum(
+            _is_irreducible(tail + (1,), p) for tail in itertools.product(range(p), repeat=k)
+        )
+        gauss = sum(_moebius(e) * p ** (k // e) for e in range(1, k + 1) if k % e == 0)
+        assert found * k == gauss, (p, k)
 
 
 def test_form_file_parsing():
