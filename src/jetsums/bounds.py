@@ -418,11 +418,11 @@ def certify(
                          "bound": f"{num2[i]}/{den2[i]}"}
                     )
                 ok = ~bad_pre
-                if ok.any():
+                # exact test first: few grids of a sweep beat the running best
+                if (ok & (num2 * best_den > best_num * den2)).any():
                     i = _argmax_ratio(num2, den2, ok)
-                    if num2[i] * best_den > best_num * den2[i]:
-                        best_num, best_den = int(num2[i]), int(den2[i])
-                        witness = {"e": e, "m": m, "D": int(Ds[i])}
+                    best_num, best_den = int(num2[i]), int(den2[i])
+                    witness = {"e": e, "m": m, "D": int(Ds[i])}
                 if m == m_lo:
                     agreement &= _check_single_pipeline(d, g, e, m, Ds, num2, den2)
         else:
@@ -474,17 +474,16 @@ def certify(
                              "D_alpha": int(Ds[i]), "D_beta": int(Ds[j]),
                              "bound": f"{num2[i, j]}/{den2[i, j]}"}
                         )
-                if ok.any():
+                if (ok & (num2 * best_den > best_num * den2)).any():
                     i, j = np.unravel_index(
                         _argmax_ratio(num2.ravel(), den2.ravel(), ok.ravel()),
                         ok.shape,
                     )
-                    if num2[i, j] * best_den > best_num * den2[i, j]:
-                        best_num, best_den = int(num2[i, j]), int(den2[i, j])
-                        witness = {
-                            "e": e, "m": m, "D_alpha": int(Ds[i]),
-                            "D_beta": int(Ds[j]),
-                        }
+                    best_num, best_den = int(num2[i, j]), int(den2[i, j])
+                    witness = {
+                        "e": e, "m": m, "D_alpha": int(Ds[i]),
+                        "D_beta": int(Ds[j]),
+                    }
                 if m == m_lo:
                     agreement &= _check_pair_pipeline(
                         d, g, e, m, Ds, minor, M2, f2

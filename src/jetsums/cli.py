@@ -58,8 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", type=int, default=0, help="jet order")
         p.add_argument("--seed", type=int, default=0)
         budget_options(p)
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker count (env JETSUMS_WORKERS)")
         p.add_argument("--out", help="write the report to this path")
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit the timestamp field for byte-stable output")
@@ -68,6 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(pc)
     pc.add_argument("--target", choices=["mm", "m1m", "lw-trend"], default="mm")
     pc.add_argument("--primes", help="comma-separated primes for lw-trend")
+    pc.add_argument("--workers", type=int, default=None,
+                    help="worker count of the m = 0 solution count (env JETSUMS_WORKERS)")
 
     pgc = sub.add_parser("circle", help="exponential-sum checks")
     common(pgc)

@@ -24,7 +24,10 @@ every generating tuple, and as the lift's oracle.  Higher jet layers enter
 through exact linear algebra (image / kernel of the multiplication-by-
 gradient map), which is what makes jet orders m >= 1 affordable: tuples of
 P_{e,m} are (N, n+1, m+1, e+1) int64 stacks for the array jet kernel
-(``batch_eval_jets``, ``batch_gradient``, ``unfolded_mult_matrix_batch``).
+(``batch_eval_jets``, ``batch_gradient``, ``unfolded_mult_matrix_batch``),
+which has one polynomial product, ``_section_mul_batch``, run on one
+batch-last copy of each stack; the scan and the lift evaluate F through it
+too, ``batch_eval_form`` being the jet order 0 case of ``batch_eval_jets``.
 The counts, solution tuples and slice histograms share one loop over the
 base solutions, ``base_systems``, which reduces the stacked [L | I] of
 FIBER_CHUNK of them at a time; ``walk_layers`` grows whole stacks through
@@ -90,34 +93,13 @@ def encode_digits(digits: np.ndarray, p: int) -> np.ndarray:
     return digits.astype(np.int64) @ weights
 
 
-def batch_poly_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Coefficient-array product of polynomial batches (..., da+1) x (..., db+1)."""
-    da = a.shape[-1] - 1
-    db = b.shape[-1] - 1
-    out = np.zeros(a.shape[:-1] + (da + db + 1,), dtype=np.int64)
-    for i in range(da + 1):
-        for j in range(db + 1):
-            out[..., i + j] += a[..., i] * b[..., j]
-    return out % p
-
-
 def batch_eval_form(F: SymmetricForm, coords: np.ndarray) -> np.ndarray:
     """F on batched coefficient tuples; coords has shape (N, n+1, e+1).
 
-    Returns (N, de+1) coefficient arrays of the value, entries mod p.
+    Returns (N, de+1) coefficient arrays of the value, entries mod p: the
+    jet order 0 case of ``batch_eval_jets``.
     """
-    coords = coords.astype(np.int64)
-    N = coords.shape[0]
-    e = coords.shape[2] - 1
-    out = np.zeros((N, F.d * e + 1), dtype=np.int64)
-    for exps, c in F.monomials.items():
-        term = None
-        for j, ej in enumerate(exps):
-            for _ in range(ej):
-                pj = coords[:, j, :]
-                term = pj.copy() if term is None else batch_poly_mul(term, pj, F.p)
-        out[:, : term.shape[1]] += c * term
-    return out % F.p
+    return _eval_batch_last(F, _batch_last(coords[:, :, None]))[0].T
 
 
 def monic_irreducible_quadratics(p: int) -> list[tuple[int, int]]:
@@ -281,69 +263,75 @@ def append_layer(X: np.ndarray, size: int, layers, offsets: np.ndarray | None, p
 
 # ---------------------------------------------------------------------------
 # array jet kernel: tuples of P_{e,m} as (N, n+1, m+1, e+1) int64 arrays,
-# indexed (tuple, variable, jet layer t^k, x-degree)
+# indexed (tuple, variable, jet layer t^k, x-degree); the arithmetic runs
+# on one batch-last copy, (n+1, m+1, e+1, N)
+
+
+def _batch_last(X: np.ndarray) -> np.ndarray:
+    """A contiguous int64 copy of a stack with its batch axis moved last."""
+    return np.moveaxis(np.asarray(X), 0, -1).astype(np.int64, order="C")
 
 
 def _section_mul_batch(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Product of section batches (..., m+1, ra+1) x (..., m+1, rb+1):
-    truncated convolution in the jet layer, full convolution in x-degree.
+    """Product of batch-last section stacks (m+1, ra+1, *batch) x
+    (m+1, rb+1, *batch): truncated convolution in the jet layer, full
+    convolution in x-degree.
 
     The loops run over the jet layer and x-degree of the factor of lower
     degree, each step one slice add over the other factor's layers and
-    degrees.  The batch axes are moved last for the arithmetic (views, no
-    copies), so every step works on long runs of the batch rather than on
-    rows of a few entries; the result is a view in the input layout.
+    degrees, on contiguous runs of the batch.
     """
-    if a.shape[-1] > b.shape[-1]:
+    if a.shape[1] > b.shape[1]:
         a, b = b, a
-    k = a.shape[-2] - 1
-    ra = a.shape[-1] - 1
-    rb = b.shape[-1] - 1
-    at = np.moveaxis(a, (-2, -1), (0, 1))
-    bt = np.moveaxis(b, (-2, -1), (0, 1))
-    shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    out = np.zeros((k + 1, ra + rb + 1) + shape, dtype=np.int64)
+    k, ra, rb = a.shape[0] - 1, a.shape[1] - 1, b.shape[1] - 1
+    out = np.zeros((k + 1, ra + rb + 1) + a.shape[2:], dtype=np.int64)
     for ka in range(k + 1):
         for i in range(ra + 1):
-            out[ka:, i : i + rb + 1] += at[ka, i] * bt[: k + 1 - ka]
+            out[ka:, i : i + rb + 1] += a[ka, i] * b[: k + 1 - ka]
     out %= p
-    return np.moveaxis(out, (0, 1), (-2, -1))
+    return out
 
 
 def _monomial_batch(X: np.ndarray, exps, p: int) -> np.ndarray:
-    """prod_j X[:, j]^exps[j] on a (N, n+1, m+1, e+1) stack; the empty
-    product is the unit jet, of x-degree 0."""
+    """prod_j X[j]^exps[j] on a batch-last (n+1, m+1, e+1, N) stack; the
+    empty product is the unit jet, of x-degree 0."""
     term = None
     for j, ej in enumerate(exps):
         for _ in range(ej):
-            term = X[:, j] if term is None else _section_mul_batch(term, X[:, j], p)
+            term = X[j] if term is None else _section_mul_batch(term, X[j], p)
     if term is None:
-        term = np.zeros((X.shape[0], X.shape[2], 1), dtype=np.int64)
-        term[:, 0, 0] = 1
+        term = np.zeros((X.shape[1], 1, X.shape[-1]), dtype=np.int64)
+        term[0, 0] = 1
     return term
+
+
+def _eval_batch_last(F: SymmetricForm, X: np.ndarray) -> np.ndarray:
+    """F on a batch-last stack: (n+1, m+1, e+1, N) -> (m+1, de+1, N)."""
+    _, mc, ec, N = X.shape
+    out = np.zeros((mc, F.d * (ec - 1) + 1, N), dtype=np.int64)
+    for exps, c in F.monomials.items():
+        out += c * _monomial_batch(X, exps, F.p)
+    out %= F.p
+    return out
 
 
 def batch_eval_jets(F: SymmetricForm, X: np.ndarray) -> np.ndarray:
     """F on a stack of tuples of P_{e,m}: (N, n+1, m+1, e+1) -> (N, m+1, de+1),
     the array form of ``forms.eval_form``."""
-    X = np.asarray(X, dtype=np.int64)
-    N, _, mc, ec = X.shape
-    out = np.zeros((N, mc, F.d * (ec - 1) + 1), dtype=np.int64)
-    for exps, c in F.monomials.items():
-        out += c * _monomial_batch(X, exps, F.p)
-    return out % F.p
+    return np.moveaxis(_eval_batch_last(F, _batch_last(X)), -1, 0)
 
 
 def batch_gradient(F: SymmetricForm, X: np.ndarray) -> np.ndarray:
     """The partial derivatives of F on a stack of tuples:
     (N, n+1, m+1, e+1) -> (N, n+1, m+1, (d-1)e+1), as ``forms.gradient``."""
-    X = np.asarray(X, dtype=np.int64)
-    N, nv, mc, ec = X.shape
-    out = np.zeros((N, nv, mc, (F.d - 1) * (ec - 1) + 1), dtype=np.int64)
+    X = _batch_last(X)
+    nv, mc, ec, N = X.shape
+    out = np.zeros((nv, mc, (F.d - 1) * (ec - 1) + 1, N), dtype=np.int64)
     for j, mons in enumerate(_gradient_monomials(F)):
         for exps, c in mons:
-            out[:, j] += c * _monomial_batch(X, exps, F.p)
-    return out % F.p
+            out[j] += c * _monomial_batch(X, exps, F.p)
+    out %= F.p
+    return np.moveaxis(out, -1, 0)
 
 
 def unfolded_mult_matrix_batch(F: SymmetricForm, X: np.ndarray) -> np.ndarray:
@@ -491,6 +479,8 @@ def count_solutions(
     worker; shards are independent and reduce by integer addition, so
     worker count cannot change the result.
     """
+    if method not in ("auto", "slow"):
+        raise ValueError(f"unknown method {method!r}")
     _check_count_inputs(F, e, m)
     mu = moduli_dimension(F.n, F.d, e)
     exponent = (m + 1) * (mu + 1)
@@ -970,15 +960,17 @@ def _psi_batch(F: SymmetricForm, flat: np.ndarray, k: int, rdeg: int) -> np.ndar
     ordered (slot, variable, jet layer, x-degree): (N, n+1, width), each
     value flattened by (jet layer, x-degree)."""
     p, n, d = F.p, F.n, F.d
-    pts = flat.reshape(-1, d - 1, n + 1, k + 1, rdeg + 1)
-    out = np.zeros((pts.shape[0], n + 1, k + 1, (d - 1) * rdeg + 1), dtype=np.int64)
+    pts = _batch_last(flat.reshape(-1, d - 1, n + 1, k + 1, rdeg + 1))
+    N = pts.shape[-1]
+    out = np.zeros((n + 1, k + 1, (d - 1) * rdeg + 1, N), dtype=np.int64)
     for idx in itertools.product(range(n + 1), repeat=d - 1):
         coeffs = [F.tensor_entry(idx + (j,)) for j in range(n + 1)]
         if not any(coeffs):
             continue
-        term = pts[:, 0, idx[0]]
+        term = pts[0, idx[0]]
         for slot in range(1, d - 1):
-            term = _section_mul_batch(term, pts[:, slot, idx[slot]], p)
+            term = _section_mul_batch(term, pts[slot, idx[slot]], p)
         for j, a in enumerate(coeffs):
-            out[:, j] += a * term
-    return (out % p * (math.factorial(d) % p) % p).reshape(pts.shape[0], n + 1, -1)
+            out[j] += a * term
+    out = out % p * (math.factorial(d) % p) % p
+    return np.moveaxis(out, -1, 0).reshape(N, n + 1, -1)

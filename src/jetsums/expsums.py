@@ -509,6 +509,8 @@ def t_inner_sum(F: SymmetricForm, e: int, alpha0: DualFunctional,
     linear form over all z (vectorized); the rank method evaluates the same
     sum through the kernel of the composed functional.
     """
+    if method not in ("histogram", "rank"):
+        raise ValueError(f"unknown method {method!r}")
     p, n = F.p, F.n
     if alpha0.m != 0 or alpha0.r != F.d * e:
         raise ValueError("alpha0 must be a t-degree-zero functional on P_de")
@@ -830,6 +832,8 @@ def n_count(F: SymmetricForm, e: int, alpha: DualFunctional, k1: int, k2: int,
     ``counting.count_multilinear_zeros`` (one kernel at d = 2);
     method="enumerate" enumerates every tuple instead, as the oracle.
     """
+    if method not in ("auto", "enumerate"):
+        raise ValueError(f"unknown method {method!r}")
     if alpha.r != F.d * e:
         raise ValueError("functional lives on the wrong space")
     if k1 < 0:

@@ -26,7 +26,13 @@ from jetsums.counting import (
     mult_matrix,
     mult_matrix_batch,
 )
-from jetsums.forms import conic_form, fermat_form, make_form, transform_form
+from jetsums.forms import (
+    conic_form,
+    fermat_form,
+    make_form,
+    multilinear_psi_sections,
+    transform_form,
+)
 from jetsums.sections import BudgetExceeded, JetPoly, globally_generates
 
 
@@ -311,6 +317,38 @@ def test_mult_matrix_batch_matches_scalar(case):
     batch = mult_matrix_batch(F, coords)
     for x0, mat in zip(coords, batch):
         assert (mat == mult_matrix(F, x0)).all()
+
+
+@st.composite
+def forms_and_psi_tuples(draw):
+    """A random form with d in {2, 3, 4} and a few (d-1)-tuples of
+    P_{rdeg,k}^(n+1), k <= 1 and rdeg <= 2, as ``_psi_batch``'s flat rows."""
+    d = draw(st.sampled_from([3, 4, 2]))
+    p = draw(st.sampled_from([q for q in (3, 5, 7) if q > d]))
+    n = draw(st.integers(1, 2))
+    k = draw(st.integers(0, 1))
+    rdeg = draw(st.integers(0, 2))
+    count = draw(st.integers(1, 3))
+    size = count * (d - 1) * (n + 1) * (k + 1) * (rdeg + 1)
+    entries = draw(st.lists(st.integers(0, p - 1), min_size=size, max_size=size))
+    flat = np.array(entries, dtype=np.int64).reshape(count, -1)
+    return _draw_form(draw, p, n, d), k, rdeg, flat
+
+
+@given(forms_and_psi_tuples())
+def test_psi_batch_matches_scalar_psi(case):
+    """The rank count and its enumeration oracle share ``_psi_batch``, so it
+    is checked here against Psi_j on JetPoly tuples, flattened by (jet
+    layer, x-degree)."""
+    F, k, rdeg, flat = case
+    values = counting._psi_batch(F, flat, k, rdeg)
+    for row, value in zip(flat, values):
+        ys = tuple(
+            tuple(JetPoly.from_layers(F.p, rdeg, k, x.tolist()) for x in y)
+            for y in row.reshape(F.d - 1, F.n + 1, k + 1, rdeg + 1)
+        )
+        psis = multilinear_psi_sections(F, ys)
+        assert value.tolist() == [[c for layer in s.layers() for c in layer] for s in psis]
 
 
 def test_base_scan_dtype_holds_large_primes():

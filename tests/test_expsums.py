@@ -12,6 +12,7 @@ from jetsums.counting import (
     batch_digits,
     batch_eval_jets,
     count_psi_zero_sections,
+    count_solutions,
     encode_digits,
     generating_fibers,
     mult_matrix,
@@ -188,6 +189,22 @@ def test_t_inner_sum_requires_generation():
     bad = tuple(JetPoly.from_ints(3, 2, 0, (0, 1, 0)) for _ in range(3))
     with pytest.raises(ValueError):
         t_inner_sum(F, 2, DualFunctional.zero(3, 4, 0), bad)
+
+
+def test_unknown_method_names_are_refused():
+    """Each ``method`` parameter takes only its own names, and refuses any
+    other before any work (budget 1 would refuse the work itself): an
+    oracle's name given to another route must not run the fast route."""
+    F = conic_form(3)
+    y = tuple(JetPoly.from_ints(3, 2, 0, row) for row in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    calls = {
+        "enumerate": lambda m: count_solutions(F, 2, 0, budget=1, method=m),
+        "slow": lambda m: n_count(F, 2, DualFunctional.zero(3, 4, 1), 0, 1, budget=1, method=m),
+        "auto": lambda m: t_inner_sum(F, 2, DualFunctional.zero(3, 4, 0), y, m, budget=1),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match="unknown method"):
+            call(name)
 
 
 def test_t_vanishing_sample():

@@ -26,6 +26,7 @@ from jetsums.counting import (
     _solution_fibers,
     _solution_stacks,
     batch_digits,
+    batch_eval_form,
     batch_eval_jets,
     batch_gradient,
     count_solutions,
@@ -62,7 +63,8 @@ def _jets(p, X):
 
 @st.composite
 def forms_and_tuples(draw):
-    d = draw(st.integers(2, 3))
+    # d = 1 has a constant gradient: the unit-jet monomial of the kernel
+    d = draw(st.sampled_from([2, 3, 4, 1]))
     p = draw(st.sampled_from([q for q in (3, 5, 7) if q > d]))
     n = draw(st.integers(1, 2))
     e = draw(st.integers(0, 2))
@@ -80,9 +82,18 @@ def forms_and_tuples(draw):
 @given(forms_and_tuples())
 def test_kernel_matches_jet_objects(case):
     F, X = case
+    _, nv, mc, ec = X.shape
+    width = F.d * (ec - 1) + 1
+    for Y in (X, X[:0]):  # each example also runs the empty stack of its shape
+        N = len(Y)
+        assert batch_eval_jets(F, Y).shape == (N, mc, width)
+        assert batch_gradient(F, Y).shape == (N, nv, mc, (F.d - 1) * (ec - 1) + 1)
+        assert unfolded_mult_matrix_batch(F, Y).shape == (N, mc * width, mc * nv * ec)
+        assert batch_eval_form(F, Y[:, :, 0]).shape == (N, width)
     values = batch_eval_jets(F, X)
     grads = batch_gradient(F, X)
     mats = unfolded_mult_matrix_batch(F, X)
+    assert (batch_eval_form(F, X[:, :, 0]) == values[:, 0]).all()
     for x, value, grad, mat in zip(X, values, grads, mats):
         jets = _jets(F.p, x)
         assert value.tolist() == [list(layer) for layer in eval_form(F, jets).layers()]
