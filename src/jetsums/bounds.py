@@ -7,7 +7,8 @@ finite sweep certificates over (e, m, D) grids.
 
 Two transcription pipelines are kept deliberately: compact closed forms,
 and a literal rendering of the displayed case expressions; certificates
-assert their exact agreement at every grid point.
+assert their exact agreement at the first jet order of every degree (every
+divisor degree for singles, an 8 x 8 sample of the minor pairs).
 """
 
 from __future__ import annotations
@@ -341,6 +342,27 @@ def _grid_cells(mode: str, d: int, g: int, e_span, m_span) -> int:
     return cells * (m_span[1] - m_span[0] + 1)
 
 
+SWEEP_BLOCK = 1 << 13  # cells per block of jet orders; a larger order runs alone
+
+
+def _check_int64(mode: str, d: int, g: int, e_hi: int, m_span, n_plus_1: int) -> None:
+    """Refuse a sweep whose doubled bounds could pass 2^63.
+
+    For D <= de/2 + 1 the shrink parameter lies in [0, e + 2g + 1], so
+    |e - s - g + 1| <= max(e + 1, 3g), and every jet-order factor of the
+    doubled numerators and denominators is at most |m| + 1.  The sweep
+    multiplies a denominator by n+1 or by a numerator, never more.
+    """
+    mm = max(map(abs, m_span)) + 1
+    den = mm * (2 * max(e_hi + 1, 3 * g) + int(4 * genus_slack(g)))
+    num = 2 ** (d - 1 if mode == "canonical" else d) * (
+        2 * (d * e_hi // 2 + 1) + mm * (d * e_hi + 1 + g))
+    worst = max(abs(n_plus_1), num) * den
+    if worst >= 2**63:
+        raise ValueError(f"certificate products may reach {worst:.3e}, "
+                         "past the int64 limit 2^63")
+
+
 def certify(
     mode: str,
     d: int,
@@ -354,8 +376,12 @@ def certify(
     inequality at every point, in exact integer arithmetic.
 
     Half-integer thresholds are doubled so that every comparison runs on
-    whole integer arrays over the divisor degrees of one (e, m).  The total
-    cell count is checked against the budget before any grid is built.
+    whole int64 arrays.  Each degree e is one (m, cell) grid over all jet
+    orders at once, in blocks of at most SWEEP_BLOCK cells: the cells are
+    the divisor degrees D (canonical) or only the minor pairs
+    (D_alpha, D_beta) in row-major order (terminal).  The total cell count
+    is checked against the budget, and the largest product against int64,
+    before any grid is built.
 
     Also asserts: the two transcription pipelines agree, the shrink
     parameter's max-term domination switches where predicted, and the
@@ -377,7 +403,9 @@ def certify(
         raise ValueError(f"degree span must start above the threshold {e0}")
     check_budget(_grid_cells(mode, d, g, e_span, m_span), budget,
                  "certificate grid")
+    _check_int64(mode, d, g, e_hi, m_span, n_plus_1)
     f2 = int(2 * genus_slack(g))
+    cap = None if mode == "canonical" else 3  # failures kept per kind and order
     failures: list = []
     best_num, best_den = 0, 1  # running max of the ratio, cross-multiplied
     witness = None
@@ -395,99 +423,65 @@ def certify(
             if d_lo > dmax:
                 continue
             Ds = np.arange(max(0, d_lo), dmax + 1, dtype=np.int64)
-            svals = _shrink_exponents(d, g, e, Ds)
             for D in Ds[~_dominant_term_splits(d, g, e, Ds)]:
                 failures.append({"kind": "dominant-term", "e": e, "D": int(D)})
-            for m in range(m_lo, m_hi + 1):
-                mp = _mprime(m)
-                den2 = 2 * (e - svals - g + 1) * ((m - mp) // (d - 1) + 1) - (
-                    m - mp + 1
-                ) * f2
-                num2 = 2 * 2 ** (d - 2) * (2 * Ds + m * (de + 1 - g))
-                bad_pre = (e - svals < 2 * g - 1) | (den2 <= 0)
-                bad_ineq = ~bad_pre & (num2 >= n_plus_1 * den2)
-                total_points += Ds.size
-                skipped += int(bad_pre.sum())
-                for i in np.nonzero(bad_pre)[0]:
-                    failures.append(
-                        {"kind": "precondition", "e": e, "m": m, "D": int(Ds[i])}
-                    )
-                for i in np.nonzero(bad_ineq)[0]:
-                    failures.append(
-                        {"kind": "inequality", "e": e, "m": m, "D": int(Ds[i]),
-                         "bound": f"{num2[i]}/{den2[i]}"}
-                    )
-                ok = ~bad_pre
-                # exact test first: few grids of a sweep beat the running best
-                if (ok & (num2 * best_den > best_num * den2)).any():
-                    i = _argmax_ratio(num2, den2, ok)
-                    best_num, best_den = int(num2[i]), int(den2[i])
-                    witness = {"e": e, "m": m, "D": int(Ds[i])}
-                if m == m_lo:
-                    agreement &= _check_single_pipeline(d, g, e, m, Ds, num2, den2)
+            cells = {"D": Ds}
+            ncells = Ds.size
         else:
             Ds = np.arange(0, dmax + 1, dtype=np.int64)
-            svals = _shrink_exponents(d, g, e, Ds)
-            ca = e - svals >= 2 * g - 1
             minor = np.maximum(Ds[:, None], Ds[None, :]) >= e - 2 * g + 2
             _count_pair_cases(case_counts, flags, d, g, e, Ds, minor)
-            # the masks do not depend on the jet order m
-            neither = ~(ca[:, None] | ca[None, :])
-            valid = minor & ~neither
-            uncovered = minor & neither
-            n_minor = int(minor.sum())
-            scale = 2 * 2 ** (d - 1)
-            for m in range(m_lo, m_hi + 1):
-                mp = _mprime(m)
-                qa2 = mp * f2 + 2 * (e - svals - g + 1) * (
-                    -((m - mp + 1) // -(d - 1))
-                )
-                qb2 = 2 * (e - svals - g + 1) * (-((m + 1) // -(d - 1)))
+            I, J = (ix.astype(np.int32) for ix in np.nonzero(minor))  # row-major
+            cells = {"D_alpha": I, "D_beta": J}  # the degrees: Ds[i] == i
+            ncells = I.size
+        w = e - _shrink_exponents(d, g, e, Ds) - g + 1
+        ca = w >= g  # e - s >= 2g - 1
+        if mode == "terminal":
+            neither = ~(ca[I] | ca[J])
+        step = max(1, SWEEP_BLOCK // max(1, ncells))
+        for m0 in range(m_lo, m_hi + 1, step):
+            ms = np.arange(m0, min(m0 + step, m_hi + 1), dtype=np.int64)[:, None]
+            mp = (ms + 2) // 2
+            if mode == "canonical":
+                den2 = 2 * w * ((ms - mp) // (d - 1) + 1) - (ms - mp + 1) * f2
+                num2 = 2 ** (d - 1) * (2 * Ds + ms * (de + 1 - g))
+                bad_pre = ~ca | (den2 <= 0)
+            else:
+                qa = mp * f2 + 2 * w * -((ms - mp + 1) // -(d - 1))
+                qb = 2 * w * -((ms + 1) // -(d - 1))
                 # the larger gain of the sides with e - s >= 2g - 1: a side
                 # without one enters at the least gain, so it never wins.
-                # Where neither side has one, M2 is never read: those cells
-                # are precondition failures.
-                low = min(qa2.min(), qb2.min())
-                M2 = np.maximum(np.where(ca, qa2, low)[:, None],
-                                np.where(ca, qb2, low)[None, :])
-                den2 = M2 - (m + 1) * f2
-                # 2^d (Da + Db + m(de - g + 1)) as one broadcast sum
-                num2 = (scale * Ds)[:, None] + (
-                    scale * (Ds + m * (de - g + 1)))[None, :]
-                ok = valid & (den2 > 0)
-                bad_pre = uncovered | (minor & (den2 <= 0))
-                bad_ineq = ok & (num2 >= n_plus_1 * den2)
-                total_points += n_minor
-                skipped += int(bad_pre.sum())
-                if bad_pre.any():
-                    ii = np.argwhere(bad_pre)[:3]
-                    for i, j in ii:
-                        failures.append(
-                            {"kind": "precondition", "e": e, "m": m,
-                             "D_alpha": int(Ds[i]), "D_beta": int(Ds[j])}
-                        )
-                if bad_ineq.any():
-                    ii = np.argwhere(bad_ineq)[:3]
-                    for i, j in ii:
-                        failures.append(
-                            {"kind": "inequality", "e": e, "m": m,
-                             "D_alpha": int(Ds[i]), "D_beta": int(Ds[j]),
-                             "bound": f"{num2[i, j]}/{den2[i, j]}"}
-                        )
-                if (ok & (num2 * best_den > best_num * den2)).any():
-                    i, j = np.unravel_index(
-                        _argmax_ratio(num2.ravel(), den2.ravel(), ok.ravel()),
-                        ok.shape,
-                    )
-                    best_num, best_den = int(num2[i, j]), int(den2[i, j])
-                    witness = {
-                        "e": e, "m": m, "D_alpha": int(Ds[i]),
-                        "D_beta": int(Ds[j]),
-                    }
-                if m == m_lo:
-                    agreement &= _check_pair_pipeline(
-                        d, g, e, m, Ds, minor, M2, f2
-                    )
+                # Cells where neither side has one are precondition failures.
+                low = min(qa.min(), qb.min())
+                qa, qb = np.where(ca, qa, low), np.where(ca, qb, low)
+                den2 = np.maximum(qa[:, I], qb[:, J]) - (ms + 1) * f2
+                num2 = 2 ** d * (I + J + ms * (de - g + 1))
+                bad_pre = neither | (den2 <= 0)
+            ok = ~bad_pre
+            bad_ineq = ok & (num2 >= n_plus_1 * den2)
+            total_points += bad_pre.size
+            skipped += int(np.count_nonzero(bad_pre))
+            # each jet order lists its precondition failures first
+            for r in np.flatnonzero(bad_pre.any(axis=1) | bad_ineq.any(axis=1)):
+                m = int(ms[r, 0])
+                for c in np.flatnonzero(bad_pre[r])[:cap]:
+                    failures.append({"kind": "precondition", "e": e, "m": m,
+                                     **_cell(cells, c)})
+                for c in np.flatnonzero(bad_ineq[r])[:cap]:
+                    failures.append({"kind": "inequality", "e": e, "m": m,
+                                     **_cell(cells, c),
+                                     "bound": f"{num2[r, c]}/{den2[r, c]}"})
+            # exact test first: few grids of a sweep beat the running best
+            if (ok & (num2 * best_den > best_num * den2)).any():
+                r, c = divmod(_argmax_ratio(num2.ravel(), den2.ravel(), ok.ravel()),
+                              num2.shape[1])
+                best_num, best_den = int(num2[r, c]), int(den2[r, c])
+                witness = {"e": e, "m": int(ms[r, 0]), **_cell(cells, c)}
+            if m0 == m_lo:
+                agreement &= (
+                    _check_single_pipeline(d, g, e, m_lo, Ds, num2[0], den2[0])
+                    if mode == "canonical" else
+                    _check_pair_pipeline(d, g, e, m_lo, Ds, minor, qa[0], qb[0]))
 
     monotonicity = check_display_monotonicity(mode, d, g, (e_lo, e_hi))
     mono_fail = [entry for entry in monotonicity if not entry["ok"]]
@@ -507,6 +501,10 @@ def certify(
         flags=flags,
         failures=failures,
     )
+
+
+def _cell(cells: dict, c) -> dict:
+    return {key: int(col[c]) for key, col in cells.items()}
 
 
 def _argmax_ratio(num: np.ndarray, den: np.ndarray, ok: np.ndarray) -> int:
@@ -533,7 +531,9 @@ def _check_single_pipeline(d, g, e, m, Ds, num2, den2) -> bool:
     return True
 
 
-def _check_pair_pipeline(d, g, e, m, Ds, minor, M2, f2) -> bool:
+def _check_pair_pipeline(d, g, e, m, Ds, minor, qa, qb) -> bool:
+    """pair_gain against pair_gain_display and the doubled one-sided gains
+    of the sweep, whose max at (i, j) is 2M, on an 8 x 8 sample of cells."""
     step = max(1, Ds.size // 8)
     for i in range(0, Ds.size, step):
         for j in range(0, Ds.size, step):
@@ -545,7 +545,7 @@ def _check_pair_pipeline(d, g, e, m, Ds, minor, M2, f2) -> bool:
                 if disp is not None:
                     return False
                 continue
-            if disp != M or 2 * M != M2[i, j]:
+            if disp != M or 2 * M != max(qa[i], qb[j]):
                 return False
     return True
 

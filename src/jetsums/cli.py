@@ -215,7 +215,8 @@ def _cmd_count(args) -> int:
             la.q = p
             return _load_form(la, p)
 
-        records = counting.lw_trend(family, _require(args, "e"), args.m, primes, budget)
+        records = counting.lw_trend(family, _require(args, "e"), args.m, primes,
+                                    budget, workers=args.workers)
         rows = [
             {
                 "prime": rec.params["p"],

@@ -866,10 +866,11 @@ def _tangent_fiber_slow(F: SymmetricForm, x0, budget) -> int:
 
 
 def lw_trend(form_family, e: int, m: int, primes: list[int],
-             budget: int | None = None) -> list[CountRecord]:
+             budget: int | None = None, workers: int | None = None) -> list[CountRecord]:
     """One exact solution count per prime; the normalized column's trend
     toward 1 reflects the expected dimension (reported, not asserted)."""
-    return [count_solutions(form_family(p), e, m, budget) for p in primes]
+    return [count_solutions(form_family(p), e, m, budget, workers=workers)
+            for p in primes]
 
 
 # ---------------------------------------------------------------------------

@@ -210,6 +210,79 @@ def test_certify_matches_scalar_sweep(monkeypatch, mode, d, g, e_span):
     assert fast == slow
 
 
+def test_single_pipeline_disagreement_fails(monkeypatch):
+    def off_by_one(*args):
+        pc = single_bound(*args)
+        return bounds.PointCheck(pc.value + 1, True) if pc.ok_preconditions else pc
+
+    monkeypatch.setattr(bounds, "single_bound_display", off_by_one)
+    cert = certify("canonical", 2, 1, (17, 30), (1, 5))
+    assert not cert.pipeline_agreement and cert.verdict == "fail"
+
+
+def test_pair_pipeline_disagreement_fails(monkeypatch):
+    real = bounds.pair_gain_display
+
+    def off_by_one(*args):
+        M = real(*args)
+        return None if M is None else M + 1
+
+    monkeypatch.setattr(bounds, "pair_gain_display", off_by_one)
+    cert = certify("terminal", 2, 1, (25, 30), (1, 4))
+    assert not cert.pipeline_agreement and cert.verdict == "fail"
+
+
+def _scalar_walk(mode, d, g, e_span, m_span, n_plus_1):
+    """The failures, skipped count, maximum and witness of a sweep, from
+    single_bound or pair_bound over Fractions in (e, m, cell) order."""
+    fails, skipped, best, witness = [], 0, Fraction(0), None
+    cap = None if mode == "canonical" else 3
+    for e in range(e_span[0], e_span[1] + 1):
+        dmax = d * e // 2 + 1
+        if mode == "canonical":
+            Ds = range(max(0, e - 2 * g + 2), dmax + 1)
+            fails += [{"kind": "dominant-term", "e": e, "D": D} for D in Ds
+                      if not bounds._dominant_term_split(d, g, e, D)]
+            cells = [{"D": D} for D in Ds]
+        else:
+            cells = [{"D_alpha": a, "D_beta": b} for a in range(dmax + 1)
+                     for b in range(dmax + 1) if max(a, b) >= e - 2 * g + 2]
+        for m in range(m_span[0], m_span[1] + 1):
+            checks = [(c, single_bound(d, g, e, m, *c.values()) if mode == "canonical"
+                       else pair_bound(d, g, e, m, *c.values())) for c in cells]
+            pre = [c for c, pc in checks if not pc.ok_preconditions]
+            ineq = [(c, pc.value) for c, pc in checks
+                    if pc.ok_preconditions and pc.value >= n_plus_1]
+            skipped += len(pre)
+            fails += [{"kind": "precondition", "e": e, "m": m, **c} for c in pre[:cap]]
+            fails += [{"kind": "inequality", "e": e, "m": m, **c, "bound": v}
+                      for c, v in ineq[:cap]]
+            for c, pc in checks:
+                if pc.ok_preconditions and pc.value > best:
+                    best, witness = pc.value, {"e": e, "m": m, **c}
+    return fails, skipped, best, witness
+
+
+@pytest.mark.parametrize("mode,d,g,e_span,m_span,n_plus_1", [
+    ("canonical", 2, 2, (46, 60), (0, 30), 5),
+    ("canonical", 2, 3, (69, 75), (0, 10), 4),
+    ("terminal", 2, 1, (25, 27), (0, 6), 11),
+    ("terminal", 2, 2, (75, 77), (0, 8), 8),
+])
+def test_certify_failures_match_scalar_walk(mode, d, g, e_span, m_span, n_plus_1):
+    """Failing sweeps with precondition failures: each jet order lists its
+    precondition failures before its inequality failures (pair sweeps the
+    first 3 of each), every bound is the exact ratio, and the witness is
+    the first cell attaining the maximum."""
+    cert = certify(mode, d, g, e_span, m_span, n_plus_1)
+    fails, skipped, best, witness = _scalar_walk(mode, d, g, e_span, m_span, n_plus_1)
+    got = [{**f, "bound": Fraction(f["bound"])} if "bound" in f else f
+           for f in cert.failures]
+    assert got == fails and any(f["kind"] == "precondition" for f in fails)
+    assert cert.skipped_points == skipped > 0 and not cert.passed
+    assert Fraction(cert.max_bound) == best and cert.witness == witness
+
+
 def test_certify_budget():
     start = time.time()
     with pytest.raises(BudgetExceeded):

@@ -180,6 +180,89 @@ def test_bounds_certify_golden_output(capsys):
     assert out == golden.read_text()
 
 
+@pytest.mark.parametrize("golden,args,exit_code", [
+    ("certify_canonical_d3_g1_default_m1-50.json",
+     ["--mode", "canonical", "--d", "3", "--g", "1"], 0),
+    ("certify_terminal_d2_g1_e25-40_m1-8_n10.json",
+     ["--mode", "terminal", "--d", "2", "--g", "1", "--e-span", "25:40",
+      "--m-span", "1:8", "--n-plus-1", "10"], 1),
+    ("certify_canonical_d2_g1_e17-30_m1-5_n6.json",
+     ["--mode", "canonical", "--d", "2", "--g", "1", "--e-span", "17:30",
+      "--m-span", "1:5", "--n-plus-1", "6"], 1),
+])
+def test_bounds_certify_golden_sweeps(golden, args, exit_code, capsys):
+    """A default-span sweep and two failing ones are byte-stable: the
+    witness, the counts and the order of the failures, each jet order
+    listing its precondition failures before its inequality failures."""
+    golden = Path(__file__).parent / "data" / golden
+    code, out, _ = run_cli(
+        ["bounds", "--action", "certify", *args, "--no-timestamp"], capsys
+    )
+    assert code == exit_code
+    assert out == golden.read_text()
+
+
+@pytest.mark.parametrize("args", [
+    ["--mode", "terminal", "--d", "40", "--g", "0", "--e-span", "200:201",
+     "--m-span", "1:4"],
+    ["--mode", "canonical", "--d", "48", "--g", "0", "--e-span", "3:5",
+     "--m-span", "1:4"],
+    ["--mode", "terminal", "--d", "40", "--g", "0", "--e-span", "34:34",
+     "--m-span", "1:1"],
+], ids=["terminal-wraps", "canonical-n-plus-1-past-int64", "terminal-just-past"])
+def test_bounds_certify_int64_overflow_exits_2(args, capsys):
+    # the first once reported false inequality failures (n+1 times a
+    # denominator wrapped negative) and the second ended in an OverflowError
+    # traceback, both with exit 1
+    start = time.time()
+    code, out, err = run_cli(
+        ["bounds", "--action", "certify", *args, "--no-timestamp"], capsys
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "int64 limit 2^63" in err
+    assert time.time() - start < 1
+
+
+def test_bounds_certify_just_inside_int64(capsys):
+    from fractions import Fraction
+
+    from jetsums.bounds import pair_bound
+
+    # n+1 = 66926448149004288 times the bound 136 on |2 * denominator| stays
+    # below 2^63; one more degree (the test above) is refused
+    code, out, _ = run_cli(
+        ["bounds", "--action", "certify", "--mode", "terminal", "--d", "40",
+         "--g", "0", "--e-span", "33:33", "--m-span", "1:1", "--no-timestamp"],
+        capsys,
+    )
+    assert code == 0
+    cert = json.loads(out)
+    assert cert["verdict"] == "pass" and cert["n_plus_1"] * 136 < 2**63
+    w = cert["witness"]
+    exact = pair_bound(40, 0, w["e"], w["m"], w["D_alpha"], w["D_beta"]).value
+    assert Fraction(cert["max_bound"]) == exact < cert["n_plus_1"]
+
+
+def test_lw_trend_passes_workers_to_the_shards(monkeypatch, capsys):
+    from jetsums import parallel
+
+    calls = []
+    real = parallel.map_reduce
+
+    def spy(fn, shards, reduce_fn, initial, workers=None):
+        calls.append((len(shards), workers))
+        return real(fn, shards, reduce_fn, initial, workers=1)
+
+    monkeypatch.setattr(parallel, "map_reduce", spy)
+    code, out, _ = run_cli(
+        ["count", "--form", "conic", "--target", "lw-trend", "--primes", "5",
+         "--e", "2", "--m", "0", "--workers", "2", "--no-timestamp"],
+        capsys,
+    )
+    assert code == 0 and out.splitlines()[1].startswith("5,480,")
+    assert calls == [(2, 2)]
+
+
 def test_circle_weyl_golden_output(capsys):
     """The Weyl sweep samples every functional of minimal degree <= 2 from
     the divisor table, so its report pins the table end to end."""
