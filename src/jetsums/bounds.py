@@ -1,14 +1,19 @@
 """Exact rational certification of the minor-arc bound analysis.
 
-Everything here is closed-form arithmetic over Fraction: the shrink
-parameter s, the single and pair bound ratios that the variable count n+1
-must exceed, the degree thresholds with their calibration identities, and
-finite sweep certificates over (e, m, D) grids.
+Everything here is exact: the shrink parameter s, the single and pair
+bound ratios that the variable count n+1 must exceed, the degree
+thresholds with their calibration identities, and finite sweep
+certificates over (e, m, D) grids.  The thresholds and the public bound
+functions return Fractions; the bound ratios are computed as integer
+numerators and denominators, doubled so that the half-integer genus slack
+(g+1)/2 becomes the integer g+1, and the sweeps compare those integers
+over int64 arrays.
 
 Two transcription pipelines are kept deliberately: compact closed forms,
 and a literal rendering of the displayed case expressions; certificates
-assert their exact agreement at the first jet order of every degree (every
-divisor degree for singles, an 8 x 8 sample of the minor pairs).
+assert their exact agreement, by cross-multiplying Python integers, at the
+first jet order of every degree (every divisor degree for singles, an
+8 x 8 sample of the minor pairs).
 """
 
 from __future__ import annotations
@@ -129,13 +134,12 @@ def minimal_variables(mode: str, d: int, g: int) -> int:
 def shrink_exponent(d: int, g: int, e: int, D: int) -> int:
     """The degree drop s attached to a divisor degree D.
 
-    Case-split maximum plus one; floors are exact on rationals.
+    Case-split maximum plus one, with both floors taken by integer floor
+    division: floor(e - D/(d-1)) = e + floor(-D/(d-1)).
     """
     if D < 0:
         raise ValueError("divisor degree must be >= 0")
-    t1 = math.floor(Fraction(D - e + 2 * g - 2, d - 1))
-    t2 = math.floor(e - Fraction(D, d - 1))
-    base = max(t1, t2)
+    base = max((D - e + 2 * g - 2) // (d - 1), e + (-D) // (d - 1))
     if g >= 1:
         base = max(base, 2 * g - 2, 1)
     return base + 1
@@ -152,56 +156,69 @@ class PointCheck:
     notes: tuple[str, ...] = ()
 
 
+# The integer cores below take f2 = 2 * genus_slack(g), an integer, and
+# return doubled numerators, denominators and gains: half of each is the
+# quantity of the public function that wraps it.
+
+
+def _single(d: int, g: int, e: int, m: int, D: int, f2: int) -> tuple[int, int, bool]:
+    """(2 num, 2 den, e - s >= 2g - 1) of single_bound."""
+    s = shrink_exponent(d, g, e, D)
+    mp = _mprime(m)
+    den2 = 2 * (e - s - g + 1) * ((m - mp) // (d - 1) + 1) - (m - mp + 1) * f2
+    return 2 ** (d - 1) * (2 * D + m * (d * e + 1 - g)), den2, e - s >= 2 * g - 1
+
+
+def _single_display(d: int, g: int, e: int, m: int, D: int,
+                    f2: int) -> tuple[int, int, bool]:
+    """(2 num, 2 den, e - s >= 2g - 1) of single_bound_display."""
+    s = shrink_exponent(d, g, e, D)
+    mp = _mprime(m)
+    h0 = e - s - g + 1  # degree e-s sections, nonspecial range
+    drop2 = (m - mp + 1) * (2 * (d - 1) * (s - (e - g + 1)) + f2) + 2 * h0 * (
+        (m - mp + 1) * (d - 1) - ((m - mp) // (d - 1) + 1)
+    )
+    return 2 ** (d - 1) * (2 * D + m * (d * e + 1 - g)), -drop2, e - s >= 2 * g - 1
+
+
 def single_bound(d: int, g: int, e: int, m: int, D: int) -> PointCheck:
     """Ratio the variable count must exceed for one minor divisor degree.
 
     Requires e - s >= 2g - 1 and a positive denominator; failures are
     reported, not raised.
     """
-    f = genus_slack(g)
-    s = shrink_exponent(d, g, e, D)
-    mp = _mprime(m)
+    num2, den2, nonspecial = _single(d, g, e, m, D, int(2 * genus_slack(g)))
     notes = []
-    if e - s < 2 * g - 1:
+    if not nonspecial:
         notes.append("e - s < 2g - 1")
-    den = (e - s - g + 1) * ((m - mp) // (d - 1) + 1) - (m - mp + 1) * f
-    if den <= 0:
+    if den2 <= 0:
         notes.append("nonpositive denominator")
     if notes:
         return PointCheck(None, False, tuple(notes))
-    num = 2 ** (d - 2) * (2 * D + m * (d * e + 1 - g))
-    return PointCheck(Fraction(num) / den, True)
+    return PointCheck(Fraction(num2, den2), True)
 
 
 def single_bound_display(d: int, g: int, e: int, m: int, D: int) -> PointCheck:
     """Second pipeline: the same ratio assembled from the estimate display
     with the explicit section-count term."""
-    f = genus_slack(g)
-    s = shrink_exponent(d, g, e, D)
-    mp = _mprime(m)
-    if e - s < 2 * g - 1:
+    num2, den2, nonspecial = _single_display(d, g, e, m, D, int(2 * genus_slack(g)))
+    if not nonspecial:
         return PointCheck(None, False, ("e - s < 2g - 1",))
-    h0 = e - s - g + 1  # degree e-s sections, nonspecial range
-    drop = (m - mp + 1) * ((d - 1) * (s - (e - g + 1)) + f) + h0 * (
-        (m - mp + 1) * (d - 1) - ((m - mp) // (d - 1) + 1)
-    )
-    if drop >= 0:
+    if den2 <= 0:
         return PointCheck(None, False, ("nonpositive denominator",))
-    num = 2 ** (d - 2) * (2 * D + m * (d * e + 1 - g))
-    return PointCheck(Fraction(num) / (-drop), True)
+    return PointCheck(Fraction(num2, den2), True)
 
 
-def pair_gain(d: int, g: int, e: int, m: int, Da: int, Db: int):
-    """(gain M, case tag) for a pair of divisor degrees; the case records
-    which of the two one-sided estimates is available."""
-    f = genus_slack(g)
+def _pair_gain(d: int, g: int, e: int, m: int, Da: int, Db: int,
+               f2: int) -> tuple[int | None, str]:
+    """(2M, case) of pair_gain; 2M is None in case "neither"."""
     sa = shrink_exponent(d, g, e, Da)
     sb = shrink_exponent(d, g, e, Db)
     mp = _mprime(m)
     ca = e - sa >= 2 * g - 1
     cb = e - sb >= 2 * g - 1
-    qa = mp * f + (e - sa - g + 1) * math.ceil(Fraction(m - mp + 1, d - 1))
-    qb = (e - sb - g + 1) * math.ceil(Fraction(m + 1, d - 1))
+    qa = mp * f2 + 2 * (e - sa - g + 1) * -(-(m - mp + 1) // (d - 1))
+    qb = 2 * (e - sb - g + 1) * -(-(m + 1) // (d - 1))
     if ca and not cb:
         return qa, "alpha-only"
     if cb and not ca:
@@ -211,30 +228,36 @@ def pair_gain(d: int, g: int, e: int, m: int, Da: int, Db: int):
     return None, "neither"
 
 
+def pair_gain(d: int, g: int, e: int, m: int, Da: int, Db: int):
+    """(gain M, case tag) for a pair of divisor degrees; the case records
+    which of the two one-sided estimates is available."""
+    M2, case = _pair_gain(d, g, e, m, Da, Db, int(2 * genus_slack(g)))
+    return (None if M2 is None else Fraction(M2, 2)), case
+
+
 def pair_bound(d: int, g: int, e: int, m: int, Da: int, Db: int) -> PointCheck:
     """Ratio the variable count must exceed for a minor pair of degrees."""
-    f = genus_slack(g)
-    M, case = pair_gain(d, g, e, m, Da, Db)
-    if M is None:
+    f2 = int(2 * genus_slack(g))
+    M2, case = _pair_gain(d, g, e, m, Da, Db, f2)
+    if M2 is None:
         return PointCheck(None, False, ("neither side nonspecial",))
-    den = M - (m + 1) * f
-    if den <= 0:
+    den2 = M2 - (m + 1) * f2
+    if den2 <= 0:
         return PointCheck(None, False, (f"nonpositive denominator ({case})",))
-    num = 2 ** (d - 1) * (Da + Db + m * (d * e - g + 1))
-    return PointCheck(Fraction(num) / den, True, (case,))
+    num2 = 2 ** d * (Da + Db + m * (d * e - g + 1))
+    return PointCheck(Fraction(num2, den2), True, (case,))
 
 
-def pair_gain_display(d: int, g: int, e: int, m: int, Da: int, Db: int):
-    """Second pipeline for the gain: min of the two one-sided exponent drops
-    recovered through the ceil/floor identity."""
-    f = genus_slack(g)
+def _pair_gain_display(d: int, g: int, e: int, m: int, Da: int, Db: int,
+                       f2: int) -> int | None:
+    """2M of pair_gain_display, or None."""
     sa = shrink_exponent(d, g, e, Da)
     sb = shrink_exponent(d, g, e, Db)
     mp = _mprime(m)
     ca = e - sa >= 2 * g - 1
     cb = e - sb >= 2 * g - 1
-    qa = (m - mp + 1) * f - (e - sa - g + 1) * ((m - mp) // (d - 1) + 1)
-    qb = (m + 1) * f - (e - sb - g + 1) * (m // (d - 1) + 1)
+    qa = (m - mp + 1) * f2 - 2 * (e - sa - g + 1) * ((m - mp) // (d - 1) + 1)
+    qb = (m + 1) * f2 - 2 * (e - sb - g + 1) * (m // (d - 1) + 1)
     opts = []
     if ca:
         opts.append(qa)
@@ -242,7 +265,14 @@ def pair_gain_display(d: int, g: int, e: int, m: int, Da: int, Db: int):
         opts.append(qb)
     if not opts:
         return None
-    return (m + 1) * f - min(opts)
+    return (m + 1) * f2 - min(opts)
+
+
+def pair_gain_display(d: int, g: int, e: int, m: int, Da: int, Db: int):
+    """Second pipeline for the gain: min of the two one-sided exponent drops
+    recovered through the ceil/floor identity."""
+    M2 = _pair_gain_display(d, g, e, m, Da, Db, int(2 * genus_slack(g)))
+    return None if M2 is None else Fraction(M2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -330,16 +360,19 @@ def _dominant_term_splits(d: int, g: int, e: int, Ds: np.ndarray) -> np.ndarray:
 
 
 def _grid_cells(mode: str, d: int, g: int, e_span, m_span) -> int:
-    """Cells the sweep allocates: |Ds| (singles) or |Ds|^2 (pairs) per
-    degree, once per jet order."""
+    """Cells the sweep evaluates: per degree, |Ds| divisor degrees
+    (singles) or the minor pairs (pairs) at each jet order, and for pairs
+    the |Ds|^2 grid of the minor mask and the case tags once."""
+    orders = m_span[1] - m_span[0] + 1
     cells = 0
     for e in range(e_span[0], e_span[1] + 1):
         dmax = d * e // 2 + 1
         if mode == "canonical":
-            cells += max(0, dmax - max(0, e - 2 * g + 2) + 1)
+            cells += orders * max(0, dmax - max(0, e - 2 * g + 2) + 1)
         else:
-            cells += (dmax + 1) ** 2
-    return cells * (m_span[1] - m_span[0] + 1)
+            full = (dmax + 1) ** 2  # the non-minor pairs: both below e - 2g + 2
+            cells += full + orders * (full - min(max(0, e - 2 * g + 2), dmax + 1) ** 2)
+    return cells
 
 
 SWEEP_BLOCK = 1 << 13  # cells per block of jet orders; a larger order runs alone
@@ -350,10 +383,10 @@ def _check_int64(mode: str, d: int, g: int, e_hi: int, m_span, n_plus_1: int) ->
 
     For D <= de/2 + 1 the shrink parameter lies in [0, e + 2g + 1], so
     |e - s - g + 1| <= max(e + 1, 3g), and every jet-order factor of the
-    doubled numerators and denominators is at most |m| + 1.  The sweep
-    multiplies a denominator by n+1 or by a numerator, never more.
+    doubled numerators and denominators is at most m + 1 (m >= 1).  The
+    sweep multiplies a denominator by n+1 or by a numerator, never more.
     """
-    mm = max(map(abs, m_span)) + 1
+    mm = m_span[1] + 1
     den = mm * (2 * max(e_hi + 1, 3 * g) + int(4 * genus_slack(g)))
     num = 2 ** (d - 1 if mode == "canonical" else d) * (
         2 * (d * e_hi // 2 + 1) + mm * (d * e_hi + 1 + g))
@@ -381,7 +414,8 @@ def certify(
     the divisor degrees D (canonical) or only the minor pairs
     (D_alpha, D_beta) in row-major order (terminal).  The total cell count
     is checked against the budget, and the largest product against int64,
-    before any grid is built.
+    before any grid is built.  Jet orders start at m = 1: the theorem
+    covers no other.
 
     Also asserts: the two transcription pipelines agree, the shrink
     parameter's max-term domination switches where predicted, and the
@@ -398,12 +432,26 @@ def certify(
     m_lo, m_hi = m_span
     if e_lo > e_hi or m_lo > m_hi:
         raise ValueError("empty span")
+    if m_lo < 1:
+        raise ValueError(f"jet orders must be >= 1, got m = {m_lo}")
     e0 = degree_floor(mode, d, g)
     if Fraction(e_lo) <= e0:
         raise ValueError(f"degree span must start above the threshold {e0}")
     check_budget(_grid_cells(mode, d, g, e_span, m_span), budget,
                  "certificate grid")
     _check_int64(mode, d, g, e_hi, m_span, n_plus_1)
+    return _sweep(mode, d, g, (e_lo, e_hi), (m_lo, m_hi), n_plus_1)
+
+
+def _sweep(mode: str, d: int, g: int, e_span: tuple[int, int],
+           m_span: tuple[int, int], n_plus_1: int) -> Certificate:
+    """The sweep of certify, on spans it has checked.
+
+    It takes any jet orders, so that tests can reach the precondition
+    failures: sweeps of m >= 1 above the threshold have shown none.
+    """
+    e_lo, e_hi = e_span
+    m_lo, m_hi = m_span
     f2 = int(2 * genus_slack(g))
     cap = None if mode == "canonical" else 3  # failures kept per kind and order
     failures: list = []
@@ -490,7 +538,7 @@ def certify(
     return Certificate(
         mode=mode, d=d, g=g, n_plus_1=n_plus_1,
         e_span=(e_lo, e_hi), m_span=(m_lo, m_hi),
-        degree_floor=str(e0),
+        degree_floor=str(degree_floor(mode, d, g)),
         grid_points=total_points, skipped_points=skipped,
         verdict=verdict,
         max_bound=f"{frac.numerator}/{frac.denominator}" if frac else None,
@@ -518,34 +566,39 @@ def _argmax_ratio(num: np.ndarray, den: np.ndarray, ok: np.ndarray) -> int:
 
 
 def _check_single_pipeline(d, g, e, m, Ds, num2, den2) -> bool:
-    for idx, D in enumerate(Ds):
-        direct = single_bound(d, g, e, m, int(D))
-        display = single_bound_display(d, g, e, m, int(D))
-        if direct.ok_preconditions != display.ok_preconditions:
+    """_single against _single_display, cross-multiplied, and against the
+    grid's doubled (num2, den2) at every degree of Ds."""
+    f2 = int(2 * genus_slack(g))
+    for D, grid_num, grid_den in zip(Ds.tolist(), num2.tolist(), den2.tolist()):
+        num, den, nonspecial = _single(d, g, e, m, D, f2)
+        dnum, dden, dnonspecial = _single_display(d, g, e, m, D, f2)
+        ok = nonspecial and den > 0
+        if ok != (dnonspecial and dden > 0):
             return False
-        if direct.ok_preconditions:
-            if direct.value != display.value:
-                return False
-            if direct.value != Fraction(int(num2[idx]), int(den2[idx])):
-                return False
+        if ok and not (num * dden == dnum * den and grid_den > 0
+                       and num * grid_den == grid_num * den):
+            return False
     return True
 
 
 def _check_pair_pipeline(d, g, e, m, Ds, minor, qa, qb) -> bool:
-    """pair_gain against pair_gain_display and the doubled one-sided gains
-    of the sweep, whose max at (i, j) is 2M, on an 8 x 8 sample of cells."""
-    step = max(1, Ds.size // 8)
-    for i in range(0, Ds.size, step):
-        for j in range(0, Ds.size, step):
+    """_pair_gain against _pair_gain_display and the doubled one-sided
+    gains of the sweep, whose max at (i, j) is 2M, on an 8 x 8 sample of
+    cells."""
+    f2 = int(2 * genus_slack(g))
+    degrees, qa, qb = Ds.tolist(), qa.tolist(), qb.tolist()
+    step = max(1, len(degrees) // 8)
+    for i in range(0, len(degrees), step):
+        for j in range(0, len(degrees), step):
             if not minor[i, j]:
                 continue
-            M, case = pair_gain(d, g, e, m, int(Ds[i]), int(Ds[j]))
-            disp = pair_gain_display(d, g, e, m, int(Ds[i]), int(Ds[j]))
-            if M is None:
+            M2 = _pair_gain(d, g, e, m, degrees[i], degrees[j], f2)[0]
+            disp = _pair_gain_display(d, g, e, m, degrees[i], degrees[j], f2)
+            if M2 is None:
                 if disp is not None:
                     return False
                 continue
-            if disp != M or 2 * M != max(qa[i], qb[j]):
+            if disp != M2 or M2 != max(qa[i], qb[j]):
                 return False
     return True
 

@@ -94,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--D", type=int)
     pb.add_argument("--D-beta", type=int)
     pb.add_argument("--e-span", help="lo:hi (default threshold+1 .. +100)")
-    pb.add_argument("--m-span", default="1:50")
+    pb.add_argument("--m-span", default="1:50", help="lo:hi jet orders, with lo >= 1")
     pb.add_argument("--n-plus-1", type=int)
     budget_options(pb)
     pb.add_argument("--g-max", type=int, default=50)

@@ -1,4 +1,7 @@
+import functools
+import itertools
 import json
+import math
 import time
 from fractions import Fraction
 
@@ -21,6 +24,7 @@ from jetsums.bounds import (
     minimal_variables,
     pair_bound,
     pair_gain,
+    pair_gain_display,
     shrink_exponent,
     single_bound,
     single_bound_display,
@@ -105,6 +109,136 @@ def test_positive_numerator_positive_bound():
     assert pc.ok_preconditions and pc.value > 0
 
 
+# Fraction transcriptions of the shrink parameter and the bound ratios,
+# kept as oracles for the integer cores behind the public functions.
+
+
+@functools.lru_cache(maxsize=1 << 12)  # a degree's D at every jet order
+def _frac_shrink_exponent(d, g, e, D):
+    t1 = math.floor(Fraction(D - e + 2 * g - 2, d - 1))
+    t2 = math.floor(e - Fraction(D, d - 1))
+    base = max(t1, t2)
+    if g >= 1:
+        base = max(base, 2 * g - 2, 1)
+    return base + 1
+
+
+def _frac_single_bound(d, g, e, m, D):
+    f = genus_slack(g)
+    s = _frac_shrink_exponent(d, g, e, D)
+    mp = (m + 2) // 2
+    notes = []
+    if e - s < 2 * g - 1:
+        notes.append("e - s < 2g - 1")
+    den = (e - s - g + 1) * ((m - mp) // (d - 1) + 1) - (m - mp + 1) * f
+    if den <= 0:
+        notes.append("nonpositive denominator")
+    if notes:
+        return bounds.PointCheck(None, False, tuple(notes))
+    num = 2 ** (d - 2) * (2 * D + m * (d * e + 1 - g))
+    return bounds.PointCheck(Fraction(num) / den, True)
+
+
+def _frac_single_bound_display(d, g, e, m, D):
+    f = genus_slack(g)
+    s = _frac_shrink_exponent(d, g, e, D)
+    mp = (m + 2) // 2
+    if e - s < 2 * g - 1:
+        return bounds.PointCheck(None, False, ("e - s < 2g - 1",))
+    h0 = e - s - g + 1
+    drop = (m - mp + 1) * ((d - 1) * (s - (e - g + 1)) + f) + h0 * (
+        (m - mp + 1) * (d - 1) - ((m - mp) // (d - 1) + 1)
+    )
+    if drop >= 0:
+        return bounds.PointCheck(None, False, ("nonpositive denominator",))
+    num = 2 ** (d - 2) * (2 * D + m * (d * e + 1 - g))
+    return bounds.PointCheck(Fraction(num) / (-drop), True)
+
+
+def _frac_pair_gain(d, g, e, m, Da, Db):
+    f = genus_slack(g)
+    sa = _frac_shrink_exponent(d, g, e, Da)
+    sb = _frac_shrink_exponent(d, g, e, Db)
+    mp = (m + 2) // 2
+    ca = e - sa >= 2 * g - 1
+    cb = e - sb >= 2 * g - 1
+    qa = mp * f + (e - sa - g + 1) * math.ceil(Fraction(m - mp + 1, d - 1))
+    qb = (e - sb - g + 1) * math.ceil(Fraction(m + 1, d - 1))
+    if ca and not cb:
+        return qa, "alpha-only"
+    if cb and not ca:
+        return qb, "beta-only"
+    if ca and cb:
+        return max(qa, qb), "both"
+    return None, "neither"
+
+
+def _frac_pair_bound(d, g, e, m, Da, Db):
+    f = genus_slack(g)
+    M, case = _frac_pair_gain(d, g, e, m, Da, Db)
+    if M is None:
+        return bounds.PointCheck(None, False, ("neither side nonspecial",))
+    den = M - (m + 1) * f
+    if den <= 0:
+        return bounds.PointCheck(None, False, (f"nonpositive denominator ({case})",))
+    num = 2 ** (d - 1) * (Da + Db + m * (d * e - g + 1))
+    return bounds.PointCheck(Fraction(num) / den, True, (case,))
+
+
+def _frac_pair_gain_display(d, g, e, m, Da, Db):
+    f = genus_slack(g)
+    sa = _frac_shrink_exponent(d, g, e, Da)
+    sb = _frac_shrink_exponent(d, g, e, Db)
+    mp = (m + 2) // 2
+    ca = e - sa >= 2 * g - 1
+    cb = e - sb >= 2 * g - 1
+    qa = (m - mp + 1) * f - (e - sa - g + 1) * ((m - mp) // (d - 1) + 1)
+    qb = (m + 1) * f - (e - sb - g + 1) * (m // (d - 1) + 1)
+    opts = [q for q, ok in ((qa, ca), (qb, cb)) if ok]
+    return (m + 1) * f - min(opts) if opts else None
+
+
+def _halves(value, doubled) -> bool:
+    """value (a Fraction, an int or None) is doubled[0] / doubled[1]."""
+    if value is None:
+        return doubled is None
+    return value.numerator * doubled[1] == doubled[0] * value.denominator
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_integer_cores_match_fraction_oracles(d):
+    """Every g <= 3, e < 40, 1 <= m <= 6 and D in [0, de/2 + 1] (D up to
+    3e + 4 for the shrink parameter); the pairs (D, de/2 + 1 - D) put every
+    degree on both sides.  The public functions, notes included, are
+    compared on e < 12."""
+    for g in range(4):
+        f2 = int(2 * genus_slack(g))
+        for e in range(1, 40):
+            for D in range(3 * e + 5):
+                assert shrink_exponent(d, g, e, D) == _frac_shrink_exponent(d, g, e, D)
+            dmax = d * e // 2 + 1
+            for m, D in itertools.product(range(1, 7), range(dmax + 1)):
+                args, pair = (d, g, e, m, D), (d, g, e, m, D, dmax - D)
+                for core, oracle in ((bounds._single, _frac_single_bound),
+                                     (bounds._single_display, _frac_single_bound_display)):
+                    num2, den2, nonspecial = core(*args, f2)
+                    pc = oracle(*args)
+                    assert pc.ok_preconditions == (nonspecial and den2 > 0)
+                    assert _halves(pc.value, (num2, den2) if pc.ok_preconditions else None)
+                M2, case = bounds._pair_gain(*pair, f2)
+                M, oracle_case = _frac_pair_gain(*pair)
+                assert case == oracle_case and _halves(M, None if M2 is None else (M2, 2))
+                M2 = bounds._pair_gain_display(*pair, f2)
+                assert _halves(_frac_pair_gain_display(*pair),
+                               None if M2 is None else (M2, 2))
+                if e < 12:
+                    assert single_bound(*args) == _frac_single_bound(*args)
+                    assert single_bound_display(*args) == _frac_single_bound_display(*args)
+                    assert pair_gain(*pair) == (M, case)
+                    assert pair_bound(*pair) == _frac_pair_bound(*pair)
+                    assert pair_gain_display(*pair) == _frac_pair_gain_display(*pair)
+
+
 def test_certify_canonical_small():
     cert = certify("canonical", 2, 1, (17, 40), (1, 10))
     assert cert.passed and cert.n_plus_1 == 7
@@ -126,6 +260,8 @@ def test_certify_rejects_bad_spans():
         certify("canonical", 2, 1, (40, 20))
     with pytest.raises(ValueError):
         certify("smooth", 2, 1)
+    with pytest.raises(ValueError, match="jet orders must be >= 1"):
+        certify("terminal", 2, 1, (25, 26), m_span=(0, 3))
 
 
 def test_certify_fails_below_threshold():
@@ -188,19 +324,22 @@ def _scalar_sweep(monkeypatch):
     parameter instead of the integer-array versions."""
     monkeypatch.setattr(bounds, "_count_pair_cases", bounds._count_pair_cases_slow)
     monkeypatch.setattr(bounds, "_shrink_exponents", lambda d, g, e, Ds: np.array(
-        [shrink_exponent(d, g, e, int(D)) for D in Ds], dtype=np.int64))
+        [_frac_shrink_exponent(d, g, e, int(D)) for D in Ds], dtype=np.int64))
     monkeypatch.setattr(bounds, "_dominant_term_splits", lambda d, g, e, Ds: np.array(
         [bounds._dominant_term_split(d, g, e, int(D)) for D in Ds], dtype=bool))
 
 
-@pytest.mark.parametrize("mode,d,g,e_span", [
+SWEEP_GRID = [
     ("terminal", 2, 1, (25, 30)), ("terminal", 2, 2, (75, 77)),
     ("terminal", 3, 0, (1, 12)), ("terminal", 3, 1, (220, 221)),
     ("terminal", 4, 0, (1, 10)), ("canonical", 2, 1, (17, 30)),
     ("canonical", 2, 2, (46, 52)), ("canonical", 3, 0, (1, 20)),
     ("canonical", 3, 1, (115, 120)), ("canonical", 4, 0, (1, 12)),
     ("canonical", 4, 1, (940, 942)),
-])
+]
+
+
+@pytest.mark.parametrize("mode,d,g,e_span", SWEEP_GRID)
 def test_certify_matches_scalar_sweep(monkeypatch, mode, d, g, e_span):
     # json strings, not dicts: the key order of case_counts is output too
     fast = json.dumps(certify(mode, d, g, e_span, (1, 4)).to_json())
@@ -212,29 +351,40 @@ def test_certify_matches_scalar_sweep(monkeypatch, mode, d, g, e_span):
 
 def test_single_pipeline_disagreement_fails(monkeypatch):
     def off_by_one(*args):
-        pc = single_bound(*args)
-        return bounds.PointCheck(pc.value + 1, True) if pc.ok_preconditions else pc
+        num2, den2, nonspecial = bounds._single(*args)
+        return num2 + den2, den2, nonspecial  # the ratio plus one
 
-    monkeypatch.setattr(bounds, "single_bound_display", off_by_one)
+    monkeypatch.setattr(bounds, "_single_display", off_by_one)
     cert = certify("canonical", 2, 1, (17, 30), (1, 5))
     assert not cert.pipeline_agreement and cert.verdict == "fail"
 
 
+def test_single_pipeline_needs_positive_grid_denominators():
+    # negating both doubled terms keeps every ratio but not the sign of its
+    # denominator, which the sweep's comparisons rely on
+    d, g, e, m = 2, 1, 30, 1
+    Ds = np.arange(e, d * e // 2 + 2, dtype=np.int64)
+    num2, den2 = np.array([bounds._single(d, g, e, m, D, 0)[:2] for D in Ds.tolist()]).T
+    assert bounds._check_single_pipeline(d, g, e, m, Ds, num2, den2)
+    assert not bounds._check_single_pipeline(d, g, e, m, Ds, -num2, -den2)
+
+
 def test_pair_pipeline_disagreement_fails(monkeypatch):
-    real = bounds.pair_gain_display
+    real = bounds._pair_gain_display
 
     def off_by_one(*args):
-        M = real(*args)
-        return None if M is None else M + 1
+        M2 = real(*args)
+        return None if M2 is None else M2 + 2  # the gain plus one
 
-    monkeypatch.setattr(bounds, "pair_gain_display", off_by_one)
+    monkeypatch.setattr(bounds, "_pair_gain_display", off_by_one)
     cert = certify("terminal", 2, 1, (25, 30), (1, 4))
     assert not cert.pipeline_agreement and cert.verdict == "fail"
 
 
 def _scalar_walk(mode, d, g, e_span, m_span, n_plus_1):
     """The failures, skipped count, maximum and witness of a sweep, from
-    single_bound or pair_bound over Fractions in (e, m, cell) order."""
+    the Fraction transcriptions of single_bound or pair_bound in
+    (e, m, cell) order."""
     fails, skipped, best, witness = [], 0, Fraction(0), None
     cap = None if mode == "canonical" else 3
     for e in range(e_span[0], e_span[1] + 1):
@@ -248,8 +398,8 @@ def _scalar_walk(mode, d, g, e_span, m_span, n_plus_1):
             cells = [{"D_alpha": a, "D_beta": b} for a in range(dmax + 1)
                      for b in range(dmax + 1) if max(a, b) >= e - 2 * g + 2]
         for m in range(m_span[0], m_span[1] + 1):
-            checks = [(c, single_bound(d, g, e, m, *c.values()) if mode == "canonical"
-                       else pair_bound(d, g, e, m, *c.values())) for c in cells]
+            bound = _frac_single_bound if mode == "canonical" else _frac_pair_bound
+            checks = [(c, bound(d, g, e, m, *c.values())) for c in cells]
             pre = [c for c, pc in checks if not pc.ok_preconditions]
             ineq = [(c, pc.value) for c, pc in checks
                     if pc.ok_preconditions and pc.value >= n_plus_1]
@@ -273,8 +423,10 @@ def test_certify_failures_match_scalar_walk(mode, d, g, e_span, m_span, n_plus_1
     """Failing sweeps with precondition failures: each jet order lists its
     precondition failures before its inequality failures (pair sweeps the
     first 3 of each), every bound is the exact ratio, and the witness is
-    the first cell attaining the maximum."""
-    cert = certify(mode, d, g, e_span, m_span, n_plus_1)
+    the first cell attaining the maximum.  Only the jet order m = 0, which
+    certify refuses, has precondition failures here, so these run the
+    sweep behind it."""
+    cert = bounds._sweep(mode, d, g, e_span, m_span, n_plus_1)
     fails, skipped, best, witness = _scalar_walk(mode, d, g, e_span, m_span, n_plus_1)
     got = [{**f, "bound": Fraction(f["bound"])} if "bound" in f else f
            for f in cert.failures]
@@ -288,8 +440,23 @@ def test_certify_budget():
     with pytest.raises(BudgetExceeded):
         certify("terminal", 5, 1)  # 26,824^2-cell pair grids at every degree
     assert time.time() - start < 1
-    # terminal (2,1) at e = 25..26: (27^2 + 28^2) cells at each of 3 orders
+    # terminal (2,1) at e = 25..26: the 27^2 + 28^2 cells of the minor masks
+    # and case tags once, and the (27^2 - 25^2) + (28^2 - 26^2) minor cells
+    # at each of 3 orders: 2149
     with pytest.raises(BudgetExceeded):
-        certify("terminal", 2, 1, (25, 26), (1, 3), budget=3 * (27**2 + 28**2) - 1)
-    assert certify("terminal", 2, 1, (25, 26), (1, 3),
-                   budget=3 * (27**2 + 28**2)).passed
+        certify("terminal", 2, 1, (25, 26), (1, 3), budget=2148)
+    assert certify("terminal", 2, 1, (25, 26), (1, 3), budget=2149).passed
+
+
+@pytest.mark.parametrize("mode,d,g,e_span", SWEEP_GRID)
+def test_certify_work_within_charged_cells(mode, d, g, e_span):
+    """The budget figure bounds the cells a sweep evaluates at its jet
+    orders.  Singles are charged exactly.  Pairs are also charged the
+    |Ds|^2 grid of the minor mask and case tags once per degree.  At 4
+    orders the figure stays within 4 times the minor cells on this grid
+    (3.5 at terminal (2, 2), whose minor cells are a tenth of the pair
+    grid); charging the whole pair grid at every order reads 10 there."""
+    cert = certify(mode, d, g, e_span, (1, 4))
+    charged = bounds._grid_cells(mode, d, g, e_span, (1, 4))
+    assert cert.grid_points <= charged
+    assert charged <= (1 if mode == "canonical" else 4) * cert.grid_points

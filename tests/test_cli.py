@@ -223,6 +223,16 @@ def test_bounds_certify_int64_overflow_exits_2(args, capsys):
     assert time.time() - start < 1
 
 
+def test_bounds_certify_refuses_jet_order_below_one(capsys):
+    # this once exited 1 with verdict "fail" and 644 of 1,060 points skipped
+    code, out, err = run_cli(
+        ["bounds", "--action", "certify", "--mode", "terminal", "--d", "2",
+         "--g", "1", "--e-span", "25:26", "--m-span=-3:1"], capsys
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "jet orders must be >= 1" in err
+
+
 def test_bounds_certify_just_inside_int64(capsys):
     from fractions import Fraction
 
