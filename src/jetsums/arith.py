@@ -231,10 +231,6 @@ def psi_m(u: Jet) -> Cyclo:
     return Cyclo.root(u.p, sum(u.coeffs) % u.p)
 
 
-def cyclo_accumulate(acc: Cyclo, term: Cyclo, multiplicity: int) -> Cyclo:
-    return acc + term * multiplicity
-
-
 def _norm_sq_iv(v: Cyclo):
     """mpmath interval enclosing |v|^2 at the current iv precision."""
     prof = v.norm_squared_profile()

@@ -9,16 +9,17 @@ numerators and denominators, doubled so that the half-integer genus slack
 (g+1)/2 becomes the integer g+1, and the sweeps compare those integers
 over int64 arrays.
 
-Two transcription pipelines are kept deliberately: compact closed forms,
-and a literal rendering of the displayed case expressions; certificates
-assert their exact agreement, by cross-multiplying Python integers, at the
-first jet order of every degree (every divisor degree for singles, an
-8 x 8 sample of the minor pairs).
+Two transcription pipelines are kept deliberately, each as private
+integer cores: compact closed forms (``_single``, ``_pair_gain``), which
+``single_bound``, ``pair_bound`` and the sweeps use, and a literal
+rendering of the displayed case expressions (``_single_display``,
+``_pair_gain_display``); certificates assert their exact agreement, by
+cross-multiplying Python integers, at the first jet order of every degree
+(every divisor degree for singles, an 8 x 8 sample of the minor pairs).
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -158,7 +159,7 @@ class PointCheck:
 
 # The integer cores below take f2 = 2 * genus_slack(g), an integer, and
 # return doubled numerators, denominators and gains: half of each is the
-# quantity of the public function that wraps it.
+# ratio or gain the core names.
 
 
 def _single(d: int, g: int, e: int, m: int, D: int, f2: int) -> tuple[int, int, bool]:
@@ -171,7 +172,9 @@ def _single(d: int, g: int, e: int, m: int, D: int, f2: int) -> tuple[int, int, 
 
 def _single_display(d: int, g: int, e: int, m: int, D: int,
                     f2: int) -> tuple[int, int, bool]:
-    """(2 num, 2 den, e - s >= 2g - 1) of single_bound_display."""
+    """(2 num, 2 den, e - s >= 2g - 1) of the second pipeline's single
+    ratio: the ratio of _single, assembled from the estimate display with
+    the explicit section-count term."""
     s = shrink_exponent(d, g, e, D)
     mp = _mprime(m)
     h0 = e - s - g + 1  # degree e-s sections, nonspecial range
@@ -198,20 +201,11 @@ def single_bound(d: int, g: int, e: int, m: int, D: int) -> PointCheck:
     return PointCheck(Fraction(num2, den2), True)
 
 
-def single_bound_display(d: int, g: int, e: int, m: int, D: int) -> PointCheck:
-    """Second pipeline: the same ratio assembled from the estimate display
-    with the explicit section-count term."""
-    num2, den2, nonspecial = _single_display(d, g, e, m, D, int(2 * genus_slack(g)))
-    if not nonspecial:
-        return PointCheck(None, False, ("e - s < 2g - 1",))
-    if den2 <= 0:
-        return PointCheck(None, False, ("nonpositive denominator",))
-    return PointCheck(Fraction(num2, den2), True)
-
-
 def _pair_gain(d: int, g: int, e: int, m: int, Da: int, Db: int,
                f2: int) -> tuple[int | None, str]:
-    """(2M, case) of pair_gain; 2M is None in case "neither"."""
+    """(2M, case): the gain M for a pair of divisor degrees, and which of
+    the two one-sided estimates is available; 2M is None in case
+    "neither"."""
     sa = shrink_exponent(d, g, e, Da)
     sb = shrink_exponent(d, g, e, Db)
     mp = _mprime(m)
@@ -226,13 +220,6 @@ def _pair_gain(d: int, g: int, e: int, m: int, Da: int, Db: int,
     if ca and cb:
         return max(qa, qb), "both"
     return None, "neither"
-
-
-def pair_gain(d: int, g: int, e: int, m: int, Da: int, Db: int):
-    """(gain M, case tag) for a pair of divisor degrees; the case records
-    which of the two one-sided estimates is available."""
-    M2, case = _pair_gain(d, g, e, m, Da, Db, int(2 * genus_slack(g)))
-    return (None if M2 is None else Fraction(M2, 2)), case
 
 
 def pair_bound(d: int, g: int, e: int, m: int, Da: int, Db: int) -> PointCheck:
@@ -250,7 +237,8 @@ def pair_bound(d: int, g: int, e: int, m: int, Da: int, Db: int) -> PointCheck:
 
 def _pair_gain_display(d: int, g: int, e: int, m: int, Da: int, Db: int,
                        f2: int) -> int | None:
-    """2M of pair_gain_display, or None."""
+    """2M of the second pipeline's gain, or None: the min of the two
+    one-sided exponent drops recovered through the ceil/floor identity."""
     sa = shrink_exponent(d, g, e, Da)
     sb = shrink_exponent(d, g, e, Db)
     mp = _mprime(m)
@@ -266,13 +254,6 @@ def _pair_gain_display(d: int, g: int, e: int, m: int, Da: int, Db: int,
     if not opts:
         return None
     return (m + 1) * f2 - min(opts)
-
-
-def pair_gain_display(d: int, g: int, e: int, m: int, Da: int, Db: int):
-    """Second pipeline for the gain: min of the two one-sided exponent drops
-    recovered through the ceil/floor identity."""
-    M2 = _pair_gain_display(d, g, e, m, Da, Db, int(2 * genus_slack(g)))
-    return None if M2 is None else Fraction(M2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -331,15 +312,6 @@ def default_e_span(mode: str, d: int, g: int, width: int = 100) -> tuple[int, in
     e0 = degree_floor(mode, d, g)
     lo = math.floor(e0) + 1
     return lo, lo + width - 1
-
-
-def _dominant_term_split(d: int, g: int, e: int, D: int) -> bool:
-    """Exact statement of which max term wins in the shrink parameter."""
-    first = Fraction(D - e + 2 * g - 2, d - 1)
-    second = e - Fraction(D, d - 1)
-    if D > Fraction(d * e, 2) - g + 1:
-        return first >= second
-    return second >= first
 
 
 def _shrink_exponents(d: int, g: int, e: int, Ds: np.ndarray) -> np.ndarray:
@@ -614,7 +586,7 @@ def _count_pair_cases(case_counts, flags, d, g, e, Ds, minor):
     The half-integer thresholds are doubled: Db <= de/2 - g + 1 is
     2 Db <= de - 2g + 2 and Db >= Da/2 is 2 Db >= Da.  A tag new to
     case_counts is inserted in the order of its first minor cell in
-    row-major order, as _count_pair_cases_slow walks the grid.
+    row-major order, the order in which a walk of the grid meets them.
     """
     Da, Db = Ds[:, None], Ds[None, :]
     if d == 2:
@@ -645,44 +617,6 @@ def _count_pair_cases(case_counts, flags, d, g, e, Ds, minor):
         flags["derived_pair_bound_disagreements"] += int(
             np.count_nonzero(tail & (codes == len(conds)))
         )
-
-
-def _count_pair_cases_slow(case_counts, flags, d, g, e, Ds, minor):
-    """Scalar oracle for _count_pair_cases: a walk over Fractions."""
-    de = d * e
-    half = Fraction(de, 2)
-    for i, Da in enumerate(Ds):
-        for j, Db in enumerate(Ds):
-            if not minor[i, j]:
-                continue
-            if d == 2:
-                if e + 2 - 2 * g <= Db <= e + 1:
-                    tag = "d2-I"
-                elif 2 * g <= Db <= e + 1 - 2 * g:
-                    tag = "d2-II"
-                else:
-                    tag = "d2-III"
-            elif e - 2 * g + 2 <= Db <= half - g + 1:
-                if Db >= Fraction(int(Da), 2):
-                    tag = "I.1"
-                elif Da <= half - g + 1:
-                    tag = "I.2.1"
-                else:
-                    tag = "I.2.2"
-            elif half - g + 1 < Db <= half + 1:
-                tag = "II"
-            else:
-                if Da > half - g + 1:
-                    tag = "III.1"
-                elif Fraction(int(Da), 2) > Db:
-                    tag = "III.2.1"
-                else:
-                    tag = "III.2.2"
-                    # the derived lower bound D_beta >= e/2 - g + 1 must
-                    # follow from D_beta >= D_alpha / 2 here
-                    if Db < Fraction(e, 2) - g + 1:
-                        flags["derived_pair_bound_disagreements"] += 1
-            case_counts[tag] = case_counts.get(tag, 0) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -840,17 +774,27 @@ def check_display_monotonicity(mode: str, d: int, g: int,
 
 def calibration_report(g_max: int = 50, d_max: int = 10) -> list[dict]:
     """Exact verification of the closed-form identities and the
-    evaluated-at-threshold inequalities behind the sweeps."""
+    evaluated-at-threshold inequalities behind the sweeps.
+
+    Each check evaluates the registered display form at the threshold
+    ``degree_floor`` gives, against ``variable_threshold``.  Every check
+    needs a genus g >= 1 and a degree d >= 4 in range; a smaller range
+    would pass having checked nothing, so it raises ValueError.
+    """
+    if g_max < 1 or d_max < 4:
+        raise ValueError(f"need g_max >= 1 and d_max >= 4, got g_max={g_max}, d_max={d_max}")
     items: list[dict] = []
 
     def record(name, ok, detail=""):
         items.append({"name": name, "ok": bool(ok), "detail": detail})
 
+    def display(mode, d, g, name):
+        return next(fn for key, fn, _ in _display_registry(mode, d, g) if key == name)
+
     # (1) degree-2 exactness: the top-degree bound collapses to exactly 7
     ok = all(
-        2 * Fraction(56 * g + 21 * genus_slack(g) - 7)
-        / (16 * g + 6 * genus_slack(g) - 2)
-        == 7
+        display("canonical", 2, g, "top-degree-bound")(degree_floor("canonical", 2, g))
+        == variable_threshold("canonical", 2, g) + 1
         for g in range(1, g_max + 1)
     )
     record("degree2-canonical-exact-seven", ok, f"g in [1,{g_max}]")
@@ -860,15 +804,9 @@ def calibration_report(g_max: int = 50, d_max: int = 10) -> list[dict]:
     bad = []
     for d in range(3, d_max + 1):
         for g in range(1, g_max + 1):
-            f = genus_slack(g)
             e0 = degree_floor("canonical", d, g)
-            rain = (
-                2 ** (d - 1) * (d - 1)
-                * (e0 - 2 * g + 2 + (d - 1) * (d * e0 + 1 - g))
-                / (e0 - 2 * g + 2 - g * (d - 1) - (d - 1) ** 2 * f)
-            )
-            target = 2 ** (d - 1) * (d - 1) * (d * d - d + 1) + 1
-            if rain != target:
+            rain = display("canonical", d, g, "case-I-bound")(e0)
+            if rain != variable_threshold("canonical", d, g) + 1:
                 bad.append((d, g))
     record("canonical-threshold-calibration", not bad, f"first failures: {bad[:3]}")
 
@@ -876,20 +814,14 @@ def calibration_report(g_max: int = 50, d_max: int = 10) -> list[dict]:
     bad = []
     for d in range(3, d_max + 1):
         for g in range(1, g_max + 1):
-            f = genus_slack(g)
             e0 = degree_floor("canonical", d, g)
-            h = (
-                2 ** (d - 2) * (d - 1)
-                * (d * e0 + 2 + 2 * (d - 1) * (d * e0 + 1 - g))
-                / (d * e0 / 2 - 2 * g + 1 - g * (d - 1) - f * (d - 1) ** 2)
-            )
-            if not h <= 2 ** (d - 1) * (d - 1) * (d * d - d + 1):
+            h = display("canonical", d, g, "case-II-bound")(e0)
+            if not h <= variable_threshold("canonical", d, g):
                 bad.append((d, g))
     record("canonical-caseII-at-threshold", not bad, f"first failures: {bad[:3]}")
 
     # (4) terminal pair-case bounds evaluated at the terminal threshold
     target_small = lambda d: 2 ** (d - 1) * (d - 1) * (d * d - 2 * d + 3) + 1  # noqa: E731
-    target_big = lambda d: 2 ** (d - 2) * (d - 1) * (4 * d * d - 4 * d + 3) + 1  # noqa: E731
     for name, strictness in [
         ("pair-S-bound", "lt-small"), ("pair-S-eq-bound", "lt"),
         ("pair-S-lt-bound", "lt"), ("pair-C-bound", "lt"),
@@ -900,9 +832,9 @@ def calibration_report(g_max: int = 50, d_max: int = 10) -> list[dict]:
         for d in range(3, d_max + 1):
             for g in range(1, g_max + 1):
                 e0 = degree_floor("terminal", d, g)
-                fn = _terminal_display_forms(d, g)[name]
-                val = fn(e0)
-                tgt = target_small(d) if strictness == "lt-small" else target_big(d)
+                val = display("terminal", d, g, name)(e0)
+                tgt = (target_small(d) if strictness == "lt-small"
+                       else variable_threshold("terminal", d, g) + 1)
                 ok = val <= tgt if strictness == "le" else val < tgt
                 if not ok:
                     bad.append((d, g, str(val), str(tgt)))
@@ -923,18 +855,15 @@ def calibration_report(g_max: int = 50, d_max: int = 10) -> list[dict]:
     for g_probe in ("I", "II-exact", "II-above", "III"):
         bad = []
         for g in range(1, g_max + 1):
-            f = genus_slack(g)
-            e0 = 29 * g + 14 * f - 5
-            den = e0 - 3 * g + 1 - f
-            if g_probe == "I":
-                ok = Fraction(4 * e0 + 3 - g) / den < 12
-            elif g_probe == "II-exact":
-                ok = Fraction(11 * e0 + 2 * f - 7 * g + 7) / den == 12
+            e0 = degree_floor("terminal", 2, g)
+            target = variable_threshold("terminal", 2, g) + 1
+            bound = display("terminal", 2, g, f"pair-{g_probe.split('-')[0]}-bound")
+            if g_probe == "II-exact":
+                ok = bound(e0) == target
             elif g_probe == "II-above":
-                e1 = e0 + 1
-                ok = Fraction(11 * e1 + 2 * f - 7 * g + 7) / (e1 - 3 * g + 1 - f) < 12
+                ok = bound(e0 + 1) < target
             else:
-                ok = 2 * Fraction(5 * e0 + 2) / den < 12
+                ok = bound(e0) < target
             if not ok:
                 bad.append(g)
         record(f"degree2-terminal-{g_probe}", not bad, f"failures: {bad[:5]}")
@@ -944,10 +873,3 @@ def calibration_report(g_max: int = 50, d_max: int = 10) -> list[dict]:
 
 def calibration_passed(items: list[dict]) -> bool:
     return all(item["ok"] for item in items)
-
-
-def certificate_to_json_str(cert: Certificate, timestamp: str | None = None) -> str:
-    payload = cert.to_json()
-    if timestamp is not None:
-        payload["timestamp"] = timestamp
-    return json.dumps(payload, indent=2, sort_keys=False)

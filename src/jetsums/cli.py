@@ -134,8 +134,9 @@ def _budget(args) -> int:
 
 def _check_ranges(args) -> None:
     """Refuse a negative degree bound, jet order, n/shrink jet order or
-    sample count, and a budget below 1."""
-    for name, low in (("e", 0), ("m", 0), ("k", 0), ("samples", 0), ("budget", 1)):
+    sample count, and a budget or worker count below 1."""
+    for name, low in (("e", 0), ("m", 0), ("k", 0), ("samples", 0), ("budget", 1),
+                      ("workers", 1)):
         val = getattr(args, name, None)
         if val is not None and val < low:
             raise ConfigError(f"--{name} must be >= {low}, got {val}")

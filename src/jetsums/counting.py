@@ -6,8 +6,7 @@ The main counts:
   mod t, with F(x) = 0 in P_{de,m} (any jet order m).
 * ``count_tangent_pairs`` -- pairs (x0, x1) with x0 as above and
   x1 . grad F(x0) = 0; x1 is counted through the kernel of an F_p-linear
-  map, never enumerated (``_tangent_fiber_slow`` enumerates one fiber as
-  the oracle).
+  map, never enumerated (the tests enumerate single fibers as its oracle).
 * ``count_multilinear_zeros`` -- (d-1)-tuples killed by linear conditions
   on the multilinear forms Psi_j attached to F, by ranks; it gives
   ``count_psi_zero_sections``, ``count_jet_multilinear`` and N(alpha).
@@ -48,14 +47,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .forms import SymmetricForm, _gradient_monomials, gradient
-from .sections import (
-    MEMO,
-    JetPoly,
-    check_budget,
-    globally_generates,
-    section_space_size,
-)
+from .forms import SymmetricForm, _gradient_monomials
+from .sections import MEMO, check_budget
 
 CHUNK = 1 << 17
 # Base points per batched fiber step.  Each step holds a few temporaries of
@@ -102,36 +95,15 @@ def batch_eval_form(F: SymmetricForm, coords: np.ndarray) -> np.ndarray:
     return _eval_batch_last(F, _batch_last(coords[:, :, None]))[0].T
 
 
-def monic_irreducible_quadratics(p: int) -> list[tuple[int, int]]:
-    """(c0, c1) with x^2 + c1 x + c0 irreducible over F_p.
-
-    A quadratic is irreducible exactly when it has no root in F_p; unlike a
-    discriminant test this also holds in characteristic 2.
-    """
-    return [
-        (c0, c1)
-        for c1 in range(p)
-        for c0 in range(p)
-        if all((a * a + c1 * a + c0) % p for a in range(p))
-    ]
-
-
-def _irreducible_quad_table(p: int) -> np.ndarray:
-    def build():
-        table = np.zeros((p, p), dtype=bool)
-        table[tuple(zip(*monic_irreducible_quadratics(p)))] = True
-        return table
-
-    return MEMO.get(("irreducible_quad_table", p), build)
-
-
 def batch_generating_mask(coords: np.ndarray, p: int) -> np.ndarray:
     """Global generation of the mod-t coefficient tuples, vectorized.
 
     A tuple fails iff all sections vanish at some point of the line: a
     rational point (including infinity, i.e. all top coefficients zero) or a
     conjugate pair of quadratic points; the latter is only possible when
-    every section is a scalar multiple of one monic irreducible quadratic.
+    every section is a scalar multiple of one monic irreducible quadratic h.
+    With h reducible such a tuple already fails at a root of h, so every
+    tuple of that shape is refused without testing h.
     Exact for degree bounds up to 2; for e >= 3 (where a common factor can
     also have higher degree) it raises NotImplementedError, which the CLI
     reports as an unsupported configuration (exit 2).
@@ -162,7 +134,7 @@ def batch_generating_mask(coords: np.ndarray, p: int) -> np.ndarray:
             (coords[:, :, 0] == lam * h0[:, None] % p)
             & (coords[:, :, 1] == lam * h1[:, None] % p)
         ).all(axis=1)
-        ok &= ~(match & _irreducible_quad_table(p)[h0, h1])
+        ok &= ~match
     return ok
 
 
@@ -335,11 +307,14 @@ def batch_gradient(F: SymmetricForm, X: np.ndarray) -> np.ndarray:
 
 
 def unfolded_mult_matrix_batch(F: SymmetricForm, X: np.ndarray) -> np.ndarray:
-    """``unfolded_mult_matrix`` of every tuple of a (N, n+1, m+1, e+1) stack:
-    (N, (m+1)(de+1), (m+1)(n+1)(e+1)), in the same row and column order.
+    """F_p matrices of z -> z . grad F(x) with z and value unfolded over
+    jet layers, for every tuple x of a (N, n+1, m+1, e+1) stack:
+    (N, (m+1)(de+1), (m+1)(n+1)(e+1)), block lower triangular since the
+    map is R_m-linear.
 
-    Entry (row (kz + kg, a + i), column (kz, j, i)) is the t^kg x^a
-    coefficient of the j-th partial derivative.
+    Rows are (layer k, x-degree a) of the value, columns (layer k',
+    variable j, x-degree i) of z: entry (row (kz + kg, a + i), column
+    (kz, j, i)) is the t^kg x^a coefficient of the j-th partial derivative.
     """
     g = batch_gradient(F, X)
     N, nv, mc, gc = g.shape
@@ -353,33 +328,13 @@ def unfolded_mult_matrix_batch(F: SymmetricForm, X: np.ndarray) -> np.ndarray:
     return mat.reshape(N, mc * width, mc * nv * ec)
 
 
-def mult_matrix(F: SymmetricForm, x0_coords: np.ndarray) -> np.ndarray:
-    """Matrix of z -> z . grad F(x0) on degree-zero layers.
-
-    x0_coords is (n+1, e+1); the matrix maps the (n+1)(e+1) coordinates of z
-    (variable-major, then x-degree) to the de+1 coefficients of the product.
-    """
-    p, n = F.p, F.n
-    e = x0_coords.shape[1] - 1
-    de = F.d * e
-    secs = tuple(JetPoly.from_ints(p, e, 0, x0_coords[j]) for j in range(n + 1))
-    grads = gradient(F, secs)
-    mat = np.zeros((de + 1, (n + 1) * (e + 1)), dtype=np.int64)
-    for j in range(n + 1):
-        g = grads[j].layer(0)
-        for i in range(e + 1):
-            col = j * (e + 1) + i
-            for a, ga in enumerate(g):
-                if ga and a + i <= de:
-                    mat[a + i, col] = ga
-    return mat
-
-
 def mult_matrix_batch(F: SymmetricForm, coords: np.ndarray) -> np.ndarray:
-    """``mult_matrix`` of every base point of a stack, without jet objects.
+    """Matrices of z -> z . grad F(x0) on degree-zero layers, for every
+    base point x0 of a stack.
 
-    coords has shape (N, n+1, e+1); the result (N, de+1, (n+1)(e+1)) holds
-    each matrix in the same row and column order (the jet order 0 case of
+    coords has shape (N, n+1, e+1); each of the (N, de+1, (n+1)(e+1))
+    matrices maps the coordinates of z (variable-major, then x-degree) to
+    the de+1 coefficients of the product (the jet order 0 case of
     ``unfolded_mult_matrix_batch``).
     """
     return unfolded_mult_matrix_batch(F, np.asarray(coords)[:, :, None, :])
@@ -468,7 +423,6 @@ def count_solutions(
     e: int,
     m: int,
     budget: int | None = None,
-    method: str = "auto",
     workers: int | None = None,
 ) -> CountRecord:
     """#{x in P_{e,m}^(n+1) : x gg mod t, F(x) = 0}, normalized by
@@ -479,14 +433,10 @@ def count_solutions(
     worker; shards are independent and reduce by integer addition, so
     worker count cannot change the result.
     """
-    if method not in ("auto", "slow"):
-        raise ValueError(f"unknown method {method!r}")
     _check_count_inputs(F, e, m)
     mu = moduli_dimension(F.n, F.d, e)
     exponent = (m + 1) * (mu + 1)
-    if method == "slow":
-        raw = _count_solutions_slow(F, e, m, budget)
-    elif m == 0:
+    if m == 0:
         from .parallel import default_workers, map_reduce
 
         p, n = F.p, F.n
@@ -540,17 +490,6 @@ def _check_lift_budget(F: SymmetricForm, e: int, budget: int | None) -> None:
     cone = sum(len(block) for block in _lift(F, 0, 0, p ** (n + 1)))
     stages = cone * p ** ((n + 1) * max(e - 1, 0)) * (cone if e else 1)
     check_budget((p ** (n + 1) + stages) * per_row, budget, what)
-
-
-def _base_solutions_slow(F: SymmetricForm, e: int, budget: int | None) -> np.ndarray:
-    """The same rows from the full degree-zero scan (the lift's oracle),
-    generation decided by the scalar ``globally_generates`` on the F = 0
-    rows rather than by the vectorized mask."""
-    zeros = np.concatenate([
-        coords[~values.any(axis=1)]
-        for _, coords, values, _ in iter_base_chunks(F, e, budget)
-    ])
-    return zeros[np.array([_generates(F.p, x0) for x0 in zeros], dtype=bool)]
 
 
 def _lift(F: SymmetricForm, e: int, lo: int, hi: int):
@@ -725,36 +664,6 @@ def _solution_fibers(F: SymmetricForm, e: int, m: int, budget: int | None):
         yield x0, walks * p**kerdim
 
 
-def _count_solutions_slow(F: SymmetricForm, e: int, m: int, budget: int | None) -> int:
-    """Reference enumeration of every tuple of P_{e,m}^(n+1), no linear
-    algebra: F by the array kernel on blocks of tuples, generation by the
-    scalar ``globally_generates`` on the base layer of each zero."""
-    p, n = F.p, F.n
-    width = (n + 1) * (e + 1)
-    total = p ** (width * (m + 1))
-    check_budget(total * (F.d + 1), budget, "slow jet enumeration")
-    if m == 0:
-        return len(_base_solutions_slow(F, e, budget))
-    count = 0
-    generates: dict[bytes, bool] = {}
-    for start in range(0, total, WALK_CHUNK):
-        codes = np.arange(start, min(start + WALK_CHUNK, total), dtype=np.int64)
-        X = batch_digits(codes, p, width * (m + 1)).reshape(-1, m + 1, n + 1, e + 1)
-        X = X.transpose(0, 2, 1, 3)
-        for x0 in X[~batch_eval_jets(F, X).any(axis=(1, 2)), :, 0]:
-            key = x0.tobytes()
-            if key not in generates:
-                generates[key] = _generates(p, x0)
-            count += generates[key]
-    return count
-
-
-def _generates(p: int, x0: np.ndarray) -> bool:
-    """The scalar generation test on one (n+1, e+1) coefficient tuple."""
-    e = x0.shape[1] - 1
-    return globally_generates(tuple(JetPoly.from_ints(p, e, 0, row) for row in x0))
-
-
 def _solution_stacks(F: SymmetricForm, e: int, m: int, budget: int | None):
     """Every gg tuple with F(x) = 0, as (N, n+1, m+1, e+1) stacks in base
     order, then in the order of the nested kernel enumeration."""
@@ -764,13 +673,6 @@ def _solution_stacks(F: SymmetricForm, e: int, m: int, budget: int | None):
                 F.p ** (system.kerdim * m) * (m + 1), budget, "solution tuple enumeration"
             )
         yield from walk_layers(F, x0[None, :, None, :], m, system)
-
-
-def solution_tuples(F: SymmetricForm, e: int, m: int, budget: int | None = None):
-    """All gg tuples with F(x) = 0, as JetPoly tuples."""
-    for X in _solution_stacks(F, e, m, budget):
-        for x in X.tolist():
-            yield tuple(JetPoly.from_layers(F.p, e, m, layers) for layers in x)
 
 
 def _rechunk(stacks, size: int):
@@ -790,32 +692,6 @@ def _rechunk(stacks, size: int):
         yield np.concatenate(held)
 
 
-def unfolded_mult_matrix(F: SymmetricForm, x0: tuple[JetPoly, ...]) -> np.ndarray:
-    """F_p matrix of z -> z . grad F(x0) with z and value unfolded over jet
-    layers; block lower triangular since the map is R_m-linear.
-
-    Rows: (layer k, x-degree a) of the value.  Columns: (layer k', variable
-    j, x-degree i) of z.
-    """
-    p, n = F.p, F.n
-    e, m = x0[0].r, x0[0].m
-    de = F.d * e
-    grads = gradient(F, x0)
-    glayers = [[grads[j].layer(k) for k in range(m + 1)] for j in range(n + 1)]
-    nrows = (m + 1) * (de + 1)
-    ncols = (m + 1) * (n + 1) * (e + 1)
-    mat = np.zeros((nrows, ncols), dtype=np.int64)
-    for kz in range(m + 1):
-        for j in range(n + 1):
-            for i in range(e + 1):
-                col = (kz * (n + 1) + j) * (e + 1) + i
-                for kg in range(m + 1 - kz):
-                    for a, ga in enumerate(glayers[j][kg]):
-                        if ga and a + i <= de:
-                            mat[(kz + kg) * (de + 1) + a + i, col] = ga
-    return mat
-
-
 def count_tangent_pairs(
     F: SymmetricForm,
     e: int,
@@ -825,8 +701,7 @@ def count_tangent_pairs(
     """#{(x0, x1) : x0 gg solution, x1 . grad F(x0) = 0 in P_{de,m}}.
 
     Normalization exponent is 2(m+1)(mu+1); x1 ranges over P_{e,m}^(n+1)
-    and is counted through kernel dimensions (``_tangent_fiber_slow``
-    enumerates one fiber, as the oracle).
+    and is counted through kernel dimensions.
     """
     _check_count_inputs(F, e, m)
     mu = moduli_dimension(F.n, F.d, e)
@@ -839,30 +714,6 @@ def count_tangent_pairs(
         for rank, count in zip(*np.unique(ranks, return_counts=True)):
             total += int(count) * F.p ** (ncols - int(rank))
     return _record(F, e, m, total, exponent, "tangent_pairs")
-
-
-def _tangent_fiber_slow(F: SymmetricForm, x0, budget) -> int:
-    """Enumerate x1 directly (oracle for the kernel count)."""
-    from .sections import mul_sections
-
-    p, n = F.p, F.n
-    e, m = x0[0].r, x0[0].m
-    size = section_space_size(p, e, m, n + 1)
-    check_budget(size * (n + 1), budget, "tangent fiber enumeration")
-    grads = gradient(F, x0)
-    count = 0
-    width = (e + 1) * (m + 1)
-    for code in range(size):
-        digits = batch_digits(np.array([code]), p, width * (n + 1))[0]
-        val = None
-        for j in range(n + 1):
-            flat = digits[j * width : (j + 1) * width]
-            layers = [flat[k * (e + 1) : (k + 1) * (e + 1)] for k in range(m + 1)]
-            term = mul_sections(JetPoly.from_layers(p, e, m, layers), grads[j])
-            val = term if val is None else val + term
-        if val.is_zero():
-            count += 1
-    return count
 
 
 def lw_trend(form_family, e: int, m: int, primes: list[int],
@@ -917,23 +768,6 @@ def count_multilinear_zeros(
         for rank, count in zip(*np.unique(ranks, return_counts=True)):
             total += int(count) * p ** (slot - int(rank))
     return total
-
-
-def _count_multilinear_zeros_slow(
-    F: SymmetricForm, rdeg: int, k: int, cond: np.ndarray, budget: int | None = None
-) -> int:
-    """The same count by enumerating every (d-1)-tuple, no linear algebra
-    (the rank engine's oracle)."""
-    p, n, d = F.p, F.n, F.d
-    nvars = (n + 1) * (k + 1) * (rdeg + 1) * (d - 1)
-    total = p**nvars
-    check_budget(total * (n + 1) * (d - 1), budget, "multilinear tuple enumeration")
-    count = 0
-    for start in range(0, total, 1 << 15):
-        codes = np.arange(start, min(start + (1 << 15), total), dtype=np.int64)
-        vals = _psi_batch(F, batch_digits(codes, p, nvars), k, rdeg) @ cond.T % p
-        count += int((~vals.reshape(codes.size, -1).any(axis=1)).sum())
-    return count
 
 
 def count_jet_multilinear(F: SymmetricForm, k: int, budget: int | None = None) -> int:

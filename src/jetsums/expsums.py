@@ -54,7 +54,6 @@ from .counting import (
     unfolded_mult_matrix_batch,
     walk_layers,
     _check_scan,
-    _count_multilinear_zeros_slow,
     count_multilinear_zeros,
 )
 from .forms import SymmetricForm
@@ -388,28 +387,6 @@ def exp_sum(F: SymmetricForm, e: int, m: int, alpha: DualFunctional,
     return Cyclo(F.p, sums[dual_code(alpha)])
 
 
-def exp_sum_slow(F: SymmetricForm, e: int, m: int, alpha: DualFunctional,
-                 budget: int | None = None) -> Cyclo:
-    """Direct enumeration oracle for S(alpha) (small spaces only)."""
-    import itertools
-
-    from .arith import psi_m
-    from .forms import eval_form
-    from .sections import enumerate_sections
-
-    p, n = F.p, F.n
-    size = section_space_size(p, e, m, n + 1)
-    check_budget(size * (n + 1), budget, "direct exponential sum")
-    acc = Cyclo.zero(p)
-    for combo in itertools.product(
-        list(enumerate_sections(p, e, m, budget)), repeat=n + 1
-    ):
-        if not globally_generates(combo):
-            continue
-        acc = acc + psi_m(alpha(eval_form(F, combo)))
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # divisor machinery shared by classification and identities
 
@@ -466,13 +443,6 @@ def classify_arc(alpha: DualFunctional, e: int, g: int = 0,
     return ArcLabel("minor", z, deg, mult)
 
 
-def classify_arc_pair(alpha: DualFunctional, beta: DualFunctional, e: int,
-                      g: int = 0) -> str:
-    la = classify_arc(alpha, e, g)
-    lb = classify_arc(beta, e, g)
-    return "major" if la.kind == lb.kind == "major" else "minor"
-
-
 def layer_sum_table(p: int, width: int) -> np.ndarray:
     """sum over a full dual layer of zeta^(a.w) for every w, computed by a
     small exact transform of the all-ones histogram."""
@@ -501,16 +471,12 @@ def major_weighted_sums(F: SymmetricForm, e: int, g: int = 0,
 
 
 def t_inner_sum(F: SymmetricForm, e: int, alpha0: DualFunctional,
-                y: tuple[JetPoly, ...], method: str = "histogram",
-                budget: int | None = None) -> Cyclo:
+                y: tuple[JetPoly, ...], budget: int | None = None) -> Cyclo:
     """T = sum over z in P_e^(n+1) of psi(alpha0(z . grad F(y mod t))).
 
-    Requires y globally generating.  The histogram method tabulates the
-    linear form over all z (vectorized); the rank method evaluates the same
-    sum through the kernel of the composed functional.
+    Requires y globally generating.  The linear form is tabulated over all
+    z (vectorized) and its values binned by alpha0.
     """
-    if method not in ("histogram", "rank"):
-        raise ValueError(f"unknown method {method!r}")
     p, n = F.p, F.n
     if alpha0.m != 0 or alpha0.r != F.d * e:
         raise ValueError("alpha0 must be a t-degree-zero functional on P_de")
@@ -518,11 +484,6 @@ def t_inner_sum(F: SymmetricForm, e: int, alpha0: DualFunctional,
         raise ValueError("y must globally generate")
     x0 = np.array([[jet.coeffs[0] for jet in s.coeffs] for s in y], dtype=np.int64)
     L = mult_matrix_batch(F, x0[None])[0]
-    if method == "rank":
-        functional = np.array(alpha0.parts[0], dtype=np.int64) @ L % p
-        if functional.any():
-            return Cyclo.zero(p)
-        return Cyclo.integer(p, p ** L.shape[1])
     hist = t_value_histogram(F, L, budget)
     exps = np.zeros(p, dtype=np.int64)
     a0 = np.array(alpha0.parts[0], dtype=np.int64)
@@ -822,18 +783,15 @@ def slice_histogram(F: SymmetricForm, e: int, m: int, budget: int | None = None,
 
 
 def n_count(F: SymmetricForm, e: int, alpha: DualFunctional, k1: int, k2: int,
-            s: int = 0, budget: int | None = None, method: str = "auto") -> int:
+            s: int = 0, budget: int | None = None) -> int:
     """Count (d-1)-tuples over P_{e-s,k1}^(n+1) whose multilinear values are
     killed by alpha against every y in P_{e+(d-1)s, k2-1}, mod t^k2.
 
     The generation condition is dropped here on purpose.  The conditions
     are linear in the last tuple entry, so the count is a sum of
     p^(dim ker) over the first d-2 entries, by the rank engine
-    ``counting.count_multilinear_zeros`` (one kernel at d = 2);
-    method="enumerate" enumerates every tuple instead, as the oracle.
+    ``counting.count_multilinear_zeros`` (one kernel at d = 2).
     """
-    if method not in ("auto", "enumerate"):
-        raise ValueError(f"unknown method {method!r}")
     if alpha.r != F.d * e:
         raise ValueError("functional lives on the wrong space")
     if k1 < 0:
@@ -845,8 +803,6 @@ def n_count(F: SymmetricForm, e: int, alpha: DualFunctional, k1: int, k2: int,
     if alpha.m + 1 < k2:
         raise ValueError("functional has too few layers")
     cond = _n_condition_matrix(F, e, alpha, k1, k2, s)
-    if method == "enumerate":
-        return _count_multilinear_zeros_slow(F, e - s, k1, cond, budget)
     return count_multilinear_zeros(F, e - s, k1, cond, budget)
 
 

@@ -3,8 +3,9 @@
 Forms are ingested as sparse monomial lists (exponent vector, coefficient)
 and symmetrized by dividing by multinomial coefficients; this needs p > d,
 which is also what makes the d! factor in the multilinear forms invertible.
-Evaluation, gradients and the multilinear forms all run over any ring with
-+ and *, so the same code serves F_p vectors and jet sections.  The
+Evaluation and gradients run on ``JetPoly`` sections, the scalar
+counterparts of the array jet kernel in ``counting``, which also evaluates
+the multilinear forms Psi_j (``counting._psi_batch``).  The
 smoothness search over F_{p^k} = F_p[theta]/(g) is the array jet kernel's
 ``counting.batch_gradient`` on polynomials in theta plus one reduction mod g.
 """
@@ -129,32 +130,6 @@ def parse_form_file(text: str, p: int, name: str = "form") -> SymmetricForm:
     return make_form(p, nvars - 1, d, mons, name=name)
 
 
-def transform_form(F: SymmetricForm, A) -> SymmetricForm:
-    """The form F(A x) for an invertible change of coordinates A."""
-    A = np.asarray(A, dtype=np.int64) % F.p
-    if linalg.rank(A, F.p) != F.n + 1:
-        raise ValueError("coordinate change must be invertible")
-    nv = F.n + 1
-    out: dict[tuple[int, ...], int] = {}
-    for exps, c in F.monomials.items():
-        poly = {(0,) * nv: c}
-        for j, ej in enumerate(exps):
-            for _ in range(ej):
-                nxt: dict[tuple[int, ...], int] = {}
-                for ex, cc in poly.items():
-                    for k in range(nv):
-                        if A[j, k]:
-                            ex2 = list(ex)
-                            ex2[k] += 1
-                            ex2 = tuple(ex2)
-                            nxt[ex2] = (nxt.get(ex2, 0) + cc * A[j, k]) % F.p
-                poly = nxt
-        for ex, cc in poly.items():
-            out[ex] = (out.get(ex, 0) + cc) % F.p
-    mons = [(ex, cc) for ex, cc in out.items() if cc]
-    return make_form(F.p, F.n, F.d, mons, name=f"{F.name}-moved")
-
-
 def named_form(name: str, p: int, n: int | None = None, d: int | None = None) -> SymmetricForm:
     if name == "conic":
         return conic_form(p)
@@ -211,78 +186,6 @@ def gradient(F: SymmetricForm, x: tuple[JetPoly, ...]) -> tuple[JetPoly, ...]:
                 term = JetPoly(p, r_out, m, term.coeffs + pad)
             grads[j] = grads[j] + _scale_int(term, c * ej)
     return tuple(grads)
-
-
-def multilinear_form(F: SymmetricForm, j: int, ys, mul, add, zero):
-    """Psi_j on d-1 argument tuples over any commutative ring.
-
-    Value is d! * sum over (d-1)-index tuples of the tensor entry times the
-    product of the selected argument coordinates; ``mul``/``add``/``zero``
-    supply the ring operations.
-    """
-    if len(ys) != F.d - 1:
-        raise ValueError(f"need {F.d - 1} argument tuples")
-    acc = zero
-    dfact = math.factorial(F.d) % F.p
-    for idx in itertools.product(range(F.n + 1), repeat=F.d - 1):
-        a = F.tensor_entry(idx + (j,))
-        if a == 0:
-            continue
-        term = None
-        for slot, ji in enumerate(idx):
-            term = ys[slot][ji] if term is None else mul(term, ys[slot][ji])
-        if term is None:
-            acc = add(acc, a * dfact)
-        else:
-            acc = add(acc, _ring_scale(term, a * dfact % F.p))
-    return acc
-
-
-def _ring_scale(v, c: int):
-    if isinstance(v, JetPoly):
-        return _scale_int(v, c)
-    return v * c
-
-
-def multilinear_psi_sections(F: SymmetricForm, ys: tuple[tuple[JetPoly, ...], ...]) -> list[JetPoly]:
-    """All Psi_j evaluated on tuples of sections (cup-product multiplication)."""
-    p, r, m = ys[0][0].p, ys[0][0].r, ys[0][0].m
-    zero = JetPoly.zero(p, (F.d - 1) * r, m)
-    return [
-        multilinear_form(F, j, ys, mul_sections, lambda a, b: a + b, zero)
-        for j in range(F.n + 1)
-    ]
-
-
-def multilinear_psi_scalars(F: SymmetricForm, ys: tuple[tuple[int, ...], ...]) -> list[int]:
-    """All Psi_j on plain F_p vectors."""
-    return [
-        multilinear_form(
-            F, j, ys,
-            lambda a, b: a * b % F.p,
-            lambda a, b: (a + b) % F.p,
-            0,
-        )
-        for j in range(F.n + 1)
-    ]
-
-
-def difference_apply(G, ys: list, x):
-    """Iterated differencing: D_y(G)(x) = G(x+y) - G(x), folded left to right.
-
-    ``G`` maps a tuple of sections to a section; arguments add slotwise.
-    """
-
-    def shift(tup, off):
-        return tuple(a + b for a, b in zip(tup, off))
-
-    def diff(fn, y):
-        return lambda t: fn(shift(t, y)) - fn(t)
-
-    fn = G
-    for y in ys:
-        fn = diff(fn, y)
-    return fn(x)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,9 @@ the gradient maps of every base point of a degree-zero scan, the stacked
 ``solve_stack`` solves L x = b for a stack of right-hand sides with one
 matrix product), the Hankel matrices of ``sections.minimal_divisor_table``
 and the last-slot maps of ``counting.count_multilinear_zeros``.  The scalar
-``rref`` (with ``rank``, ``nullspace``, ``row_space`` and ``solve`` built on
-it) serves callers that hold a single matrix -- the annihilator of each
-distinct image class, the rank of a coordinate change -- and is the oracle
-the batched kernel is tested against.
+``rref`` (with ``nullspace`` and ``row_space`` built on it) serves callers
+that hold a single matrix -- the annihilator of each distinct image class --
+and is the oracle the batched kernel is tested against.
 """
 
 from __future__ import annotations
@@ -99,12 +98,6 @@ def rref_batch(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return a, rank
 
 
-def rank(mat: np.ndarray, p: int) -> int:
-    if mat.size == 0:
-        return 0
-    return len(rref(mat, p)[1])
-
-
 def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
     """Basis of the right kernel, one vector per row."""
     r, pivots = rref(mat, p)
@@ -128,27 +121,15 @@ def row_space(mat: np.ndarray, p: int) -> np.ndarray:
     return r[: len(pivots)]
 
 
-def solve(mat: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray | None:
-    """One solution of mat @ x = rhs, or None if inconsistent."""
-    nrows, ncols = mat.shape
-    aug = np.concatenate([mat % p, (rhs % p).reshape(-1, 1)], axis=1)
-    r, pivots = rref(aug, p)
-    if ncols in pivots:
-        return None
-    x = np.zeros(ncols, dtype=np.int64)
-    for i, pc in enumerate(pivots):
-        x[pc] = r[i, ncols]
-    return x
-
-
 def solve_stack(E: np.ndarray, pivots: list[int], ncols: int, rhs: np.ndarray,
                 p: int) -> tuple[np.ndarray, np.ndarray]:
-    """``solve`` for every row b of rhs at once, from the I part E of the
-    rref of [mat | I] (so E @ mat is the rref of mat) and mat's pivots.
+    """One solution of mat @ x = b for every row b of rhs at once, from the
+    I part E of the rref of [mat | I] (so E @ mat is the rref of mat) and
+    mat's pivots.
 
     Returns (consistent, x): row b is consistent when (E b)[rank:] vanishes,
-    and then x[b] is the solution ``solve`` gives, (E b)[:rank] at the pivot
-    columns and zero at the free ones.
+    and then x[b] is the solution with zero free coordinates, (E b)[:rank]
+    at the pivot columns.
     """
     rank = len(pivots)
     y = rhs % p @ E.T % p

@@ -289,10 +289,6 @@ def vanishing_basis(p: int, r: int, z: DivisorP1) -> list[tuple[int, ...]]:
     return basis
 
 
-def vanishing_dimension(r: int, z: DivisorP1) -> int:
-    return max(0, r - z.degree + 1)
-
-
 def factors_through(alpha: DualFunctional, z: DivisorP1) -> bool:
     """True iff the t^0 part of alpha kills every section vanishing on Z."""
     a0 = alpha.parts[0]
@@ -310,10 +306,6 @@ def enumerate_divisors(p: int, degree: int):
         dh = degree - k_inf
         for tail in itertools.product(range(p), repeat=dh):
             yield DivisorP1(p, tuple(tail) + (1,), k_inf)
-
-
-def count_divisors(p: int, degree: int) -> int:
-    return sum(p**j for j in range(degree + 1))
 
 
 def minimal_divisor(alpha: DualFunctional) -> tuple[DivisorP1, int, bool]:
@@ -385,25 +377,6 @@ def globally_generates(sections: tuple[JetPoly, ...]) -> bool:
         if len(g) == 1:
             return True
     return False
-
-
-def enumerate_duals(p: int, r: int, m: int, budget: int | None = None):
-    """All functionals on P_{r,m}, lexicographic in flat coordinates."""
-    check_prime(p)
-    total = p ** ((r + 1) * (m + 1))
-    check_budget(total, budget, f"dual enumeration over P_({r},{m})^dual")
-    for flat in itertools.product(range(p), repeat=(r + 1) * (m + 1)):
-        yield DualFunctional.from_flat(p, r, m, flat)
-
-
-def enumerate_sections(p: int, r: int, m: int, budget: int | None = None):
-    """All sections of P_{r,m}, lexicographic in flat (layer-major) order."""
-    check_prime(p)
-    total = p ** ((r + 1) * (m + 1))
-    check_budget(total, budget, f"section enumeration over P_({r},{m})")
-    for flat in itertools.product(range(p), repeat=(r + 1) * (m + 1)):
-        layers = [flat[k * (r + 1):(k + 1) * (r + 1)] for k in range(m + 1)]
-        yield JetPoly.from_layers(p, r, m, layers)
 
 
 def section_space_size(p: int, r: int, m: int, copies: int = 1) -> int:

@@ -1,0 +1,460 @@
+"""Independent oracles the tests check the package against.
+
+Each function here is a slow or scalar route to a result the package
+computes another way: scalar linear algebra against ``rref_batch``,
+enumerations of sections, functionals and tuples against the rank counts,
+the lift and the character transforms, ``JetPoly`` matrices against the
+array jet kernel, and Fraction transcriptions against the integer cores of
+``bounds``.  None of them runs in the package itself; the budget checks
+they make keep a test from starting an enumeration far beyond its size.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from fractions import Fraction
+
+import numpy as np
+
+from jetsums import expsums
+from jetsums.arith import Cyclo, check_prime, psi_m
+from jetsums.bounds import (
+    PointCheck,
+    _pair_gain,
+    _pair_gain_display,
+    _single_display,
+    genus_slack,
+)
+from jetsums.counting import (
+    WALK_CHUNK,
+    _psi_batch,
+    _solution_stacks,
+    batch_digits,
+    batch_eval_jets,
+    iter_base_chunks,
+)
+from jetsums.forms import SymmetricForm, _scale_int, eval_form, gradient, make_form
+from jetsums.linalg import rref
+from jetsums.sections import (
+    DivisorP1,
+    DualFunctional,
+    JetPoly,
+    check_budget,
+    globally_generates,
+    mul_sections,
+    section_space_size,
+)
+
+
+# ---------------------------------------------------------------------------
+# linalg
+
+
+def rank(mat: np.ndarray, p: int) -> int:
+    if mat.size == 0:
+        return 0
+    return len(rref(mat, p)[1])
+
+
+def solve(mat: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray | None:
+    """One solution of mat @ x = rhs, or None if inconsistent."""
+    nrows, ncols = mat.shape
+    aug = np.concatenate([mat % p, (rhs % p).reshape(-1, 1)], axis=1)
+    r, pivots = rref(aug, p)
+    if ncols in pivots:
+        return None
+    x = np.zeros(ncols, dtype=np.int64)
+    for i, pc in enumerate(pivots):
+        x[pc] = r[i, ncols]
+    return x
+
+
+# ---------------------------------------------------------------------------
+# sections
+
+
+def vanishing_dimension(r: int, z: DivisorP1) -> int:
+    return max(0, r - z.degree + 1)
+
+
+def count_divisors(p: int, degree: int) -> int:
+    return sum(p**j for j in range(degree + 1))
+
+
+def enumerate_duals(p: int, r: int, m: int, budget: int | None = None):
+    """All functionals on P_{r,m}, lexicographic in flat coordinates."""
+    check_prime(p)
+    total = p ** ((r + 1) * (m + 1))
+    check_budget(total, budget, f"dual enumeration over P_({r},{m})^dual")
+    for flat in itertools.product(range(p), repeat=(r + 1) * (m + 1)):
+        yield DualFunctional.from_flat(p, r, m, flat)
+
+
+def enumerate_sections(p: int, r: int, m: int, budget: int | None = None):
+    """All sections of P_{r,m}, lexicographic in flat (layer-major) order."""
+    check_prime(p)
+    total = p ** ((r + 1) * (m + 1))
+    check_budget(total, budget, f"section enumeration over P_({r},{m})")
+    for flat in itertools.product(range(p), repeat=(r + 1) * (m + 1)):
+        layers = [flat[k * (r + 1):(k + 1) * (r + 1)] for k in range(m + 1)]
+        yield JetPoly.from_layers(p, r, m, layers)
+
+
+# ---------------------------------------------------------------------------
+# forms
+
+
+def transform_form(F: SymmetricForm, A) -> SymmetricForm:
+    """The form F(A x) for an invertible change of coordinates A."""
+    A = np.asarray(A, dtype=np.int64) % F.p
+    if rank(A, F.p) != F.n + 1:
+        raise ValueError("coordinate change must be invertible")
+    nv = F.n + 1
+    out: dict[tuple[int, ...], int] = {}
+    for exps, c in F.monomials.items():
+        poly = {(0,) * nv: c}
+        for j, ej in enumerate(exps):
+            for _ in range(ej):
+                nxt: dict[tuple[int, ...], int] = {}
+                for ex, cc in poly.items():
+                    for k in range(nv):
+                        if A[j, k]:
+                            ex2 = list(ex)
+                            ex2[k] += 1
+                            ex2 = tuple(ex2)
+                            nxt[ex2] = (nxt.get(ex2, 0) + cc * A[j, k]) % F.p
+                poly = nxt
+        for ex, cc in poly.items():
+            out[ex] = (out.get(ex, 0) + cc) % F.p
+    mons = [(ex, cc) for ex, cc in out.items() if cc]
+    return make_form(F.p, F.n, F.d, mons, name=f"{F.name}-moved")
+
+
+def multilinear_form(F: SymmetricForm, j: int, ys, mul, add, zero):
+    """Psi_j on d-1 argument tuples over any commutative ring.
+
+    Value is d! * sum over (d-1)-index tuples of the tensor entry times the
+    product of the selected argument coordinates; ``mul``/``add``/``zero``
+    supply the ring operations.
+    """
+    if len(ys) != F.d - 1:
+        raise ValueError(f"need {F.d - 1} argument tuples")
+    acc = zero
+    dfact = math.factorial(F.d) % F.p
+    for idx in itertools.product(range(F.n + 1), repeat=F.d - 1):
+        a = F.tensor_entry(idx + (j,))
+        if a == 0:
+            continue
+        term = None
+        for slot, ji in enumerate(idx):
+            term = ys[slot][ji] if term is None else mul(term, ys[slot][ji])
+        if term is None:
+            acc = add(acc, a * dfact)
+        else:
+            acc = add(acc, _ring_scale(term, a * dfact % F.p))
+    return acc
+
+
+def _ring_scale(v, c: int):
+    if isinstance(v, JetPoly):
+        return _scale_int(v, c)
+    return v * c
+
+
+def multilinear_psi_sections(F: SymmetricForm, ys: tuple[tuple[JetPoly, ...], ...]) -> list[JetPoly]:
+    """All Psi_j evaluated on tuples of sections (cup-product multiplication)."""
+    p, r, m = ys[0][0].p, ys[0][0].r, ys[0][0].m
+    zero = JetPoly.zero(p, (F.d - 1) * r, m)
+    return [
+        multilinear_form(F, j, ys, mul_sections, lambda a, b: a + b, zero)
+        for j in range(F.n + 1)
+    ]
+
+
+def multilinear_psi_scalars(F: SymmetricForm, ys: tuple[tuple[int, ...], ...]) -> list[int]:
+    """All Psi_j on plain F_p vectors."""
+    return [
+        multilinear_form(
+            F, j, ys,
+            lambda a, b: a * b % F.p,
+            lambda a, b: (a + b) % F.p,
+            0,
+        )
+        for j in range(F.n + 1)
+    ]
+
+
+def difference_apply(G, ys: list, x):
+    """Iterated differencing: D_y(G)(x) = G(x+y) - G(x), folded left to right.
+
+    ``G`` maps a tuple of sections to a section; arguments add slotwise.
+    """
+
+    def shift(tup, off):
+        return tuple(a + b for a, b in zip(tup, off))
+
+    def diff(fn, y):
+        return lambda t: fn(shift(t, y)) - fn(t)
+
+    fn = G
+    for y in ys:
+        fn = diff(fn, y)
+    return fn(x)
+
+
+# ---------------------------------------------------------------------------
+# counting
+
+
+def mult_matrix(F: SymmetricForm, x0_coords: np.ndarray) -> np.ndarray:
+    """Matrix of z -> z . grad F(x0) on degree-zero layers.
+
+    x0_coords is (n+1, e+1); the matrix maps the (n+1)(e+1) coordinates of z
+    (variable-major, then x-degree) to the de+1 coefficients of the product.
+    """
+    p, n = F.p, F.n
+    e = x0_coords.shape[1] - 1
+    de = F.d * e
+    secs = tuple(JetPoly.from_ints(p, e, 0, x0_coords[j]) for j in range(n + 1))
+    grads = gradient(F, secs)
+    mat = np.zeros((de + 1, (n + 1) * (e + 1)), dtype=np.int64)
+    for j in range(n + 1):
+        g = grads[j].layer(0)
+        for i in range(e + 1):
+            col = j * (e + 1) + i
+            for a, ga in enumerate(g):
+                if ga and a + i <= de:
+                    mat[a + i, col] = ga
+    return mat
+
+
+def unfolded_mult_matrix(F: SymmetricForm, x0: tuple[JetPoly, ...]) -> np.ndarray:
+    """F_p matrix of z -> z . grad F(x0) with z and value unfolded over jet
+    layers; block lower triangular since the map is R_m-linear.
+
+    Rows: (layer k, x-degree a) of the value.  Columns: (layer k', variable
+    j, x-degree i) of z.
+    """
+    p, n = F.p, F.n
+    e, m = x0[0].r, x0[0].m
+    de = F.d * e
+    grads = gradient(F, x0)
+    glayers = [[grads[j].layer(k) for k in range(m + 1)] for j in range(n + 1)]
+    nrows = (m + 1) * (de + 1)
+    ncols = (m + 1) * (n + 1) * (e + 1)
+    mat = np.zeros((nrows, ncols), dtype=np.int64)
+    for kz in range(m + 1):
+        for j in range(n + 1):
+            for i in range(e + 1):
+                col = (kz * (n + 1) + j) * (e + 1) + i
+                for kg in range(m + 1 - kz):
+                    for a, ga in enumerate(glayers[j][kg]):
+                        if ga and a + i <= de:
+                            mat[(kz + kg) * (de + 1) + a + i, col] = ga
+    return mat
+
+
+def solution_tuples(F: SymmetricForm, e: int, m: int, budget: int | None = None):
+    """All gg tuples with F(x) = 0, as JetPoly tuples."""
+    for X in _solution_stacks(F, e, m, budget):
+        for x in X.tolist():
+            yield tuple(JetPoly.from_layers(F.p, e, m, layers) for layers in x)
+
+
+def tangent_fiber_slow(F: SymmetricForm, x0, budget) -> int:
+    """Enumerate x1 directly (oracle for the kernel count)."""
+    p, n = F.p, F.n
+    e, m = x0[0].r, x0[0].m
+    size = section_space_size(p, e, m, n + 1)
+    check_budget(size * (n + 1), budget, "tangent fiber enumeration")
+    grads = gradient(F, x0)
+    count = 0
+    width = (e + 1) * (m + 1)
+    for code in range(size):
+        digits = batch_digits(np.array([code]), p, width * (n + 1))[0]
+        val = None
+        for j in range(n + 1):
+            flat = digits[j * width : (j + 1) * width]
+            layers = [flat[k * (e + 1) : (k + 1) * (e + 1)] for k in range(m + 1)]
+            term = mul_sections(JetPoly.from_layers(p, e, m, layers), grads[j])
+            val = term if val is None else val + term
+        if val.is_zero():
+            count += 1
+    return count
+
+
+def count_solutions_slow(F: SymmetricForm, e: int, m: int, budget: int | None) -> int:
+    """Reference enumeration of every tuple of P_{e,m}^(n+1), no linear
+    algebra: F by the array kernel on blocks of tuples, generation by the
+    scalar ``globally_generates`` on the base layer of each zero."""
+    p, n = F.p, F.n
+    width = (n + 1) * (e + 1)
+    total = p ** (width * (m + 1))
+    check_budget(total * (F.d + 1), budget, "slow jet enumeration")
+    if m == 0:
+        return len(base_solutions_slow(F, e, budget))
+    count = 0
+    generates: dict[bytes, bool] = {}
+    for start in range(0, total, WALK_CHUNK):
+        codes = np.arange(start, min(start + WALK_CHUNK, total), dtype=np.int64)
+        X = batch_digits(codes, p, width * (m + 1)).reshape(-1, m + 1, n + 1, e + 1)
+        X = X.transpose(0, 2, 1, 3)
+        for x0 in X[~batch_eval_jets(F, X).any(axis=(1, 2)), :, 0]:
+            key = x0.tobytes()
+            if key not in generates:
+                generates[key] = _generates(p, x0)
+            count += generates[key]
+    return count
+
+
+def base_solutions_slow(F: SymmetricForm, e: int, budget: int | None) -> np.ndarray:
+    """The same rows from the full degree-zero scan (the lift's oracle),
+    generation decided by the scalar ``globally_generates`` on the F = 0
+    rows rather than by the vectorized mask."""
+    zeros = np.concatenate([
+        coords[~values.any(axis=1)]
+        for _, coords, values, _ in iter_base_chunks(F, e, budget)
+    ])
+    return zeros[np.array([_generates(F.p, x0) for x0 in zeros], dtype=bool)]
+
+
+def _generates(p: int, x0: np.ndarray) -> bool:
+    """The scalar generation test on one (n+1, e+1) coefficient tuple."""
+    e = x0.shape[1] - 1
+    return globally_generates(tuple(JetPoly.from_ints(p, e, 0, row) for row in x0))
+
+
+def count_multilinear_zeros_slow(
+    F: SymmetricForm, rdeg: int, k: int, cond: np.ndarray, budget: int | None = None
+) -> int:
+    """The same count by enumerating every (d-1)-tuple, no linear algebra
+    (the rank engine's oracle)."""
+    p, n, d = F.p, F.n, F.d
+    nvars = (n + 1) * (k + 1) * (rdeg + 1) * (d - 1)
+    total = p**nvars
+    check_budget(total * (n + 1) * (d - 1), budget, "multilinear tuple enumeration")
+    count = 0
+    for start in range(0, total, 1 << 15):
+        codes = np.arange(start, min(start + (1 << 15), total), dtype=np.int64)
+        vals = _psi_batch(F, batch_digits(codes, p, nvars), k, rdeg) @ cond.T % p
+        count += int((~vals.reshape(codes.size, -1).any(axis=1)).sum())
+    return count
+
+
+# ---------------------------------------------------------------------------
+# expsums
+
+
+def exp_sum_slow(F: SymmetricForm, e: int, m: int, alpha: DualFunctional,
+                 budget: int | None = None) -> Cyclo:
+    """Direct enumeration oracle for S(alpha) (small spaces only)."""
+    p, n = F.p, F.n
+    size = section_space_size(p, e, m, n + 1)
+    check_budget(size * (n + 1), budget, "direct exponential sum")
+    acc = Cyclo.zero(p)
+    for combo in itertools.product(
+        list(enumerate_sections(p, e, m, budget)), repeat=n + 1
+    ):
+        if not globally_generates(combo):
+            continue
+        acc = acc + psi_m(alpha(eval_form(F, combo)))
+    return acc
+
+
+def n_count_slow(F: SymmetricForm, e: int, alpha: DualFunctional, k1: int, k2: int,
+                 s: int = 0, budget: int | None = None) -> int:
+    """``expsums.n_count`` by enumerating every tuple against the same
+    linear conditions, no ranks (for arguments ``n_count`` accepts)."""
+    cond = expsums._n_condition_matrix(F, e, alpha, k1, k2, s)
+    return count_multilinear_zeros_slow(F, e - s, k1, cond, budget)
+
+
+def t_inner_sum_closed_form(F: SymmetricForm, e: int, alpha0: DualFunctional,
+                            y: tuple[JetPoly, ...]) -> Cyclo:
+    """``expsums.t_inner_sum`` without a histogram: the sum of psi over the
+    linear form z -> alpha0(z . grad F(y mod t)) is p^((n+1)(e+1)) where the
+    form vanishes and 0 otherwise."""
+    p = F.p
+    x0 = np.array([[jet.coeffs[0] for jet in s.coeffs] for s in y], dtype=np.int64)
+    L = mult_matrix(F, x0)
+    functional = np.array(alpha0.parts[0], dtype=np.int64) @ L % p
+    if functional.any():
+        return Cyclo.zero(p)
+    return Cyclo.integer(p, p ** L.shape[1])
+
+
+# ---------------------------------------------------------------------------
+# bounds
+
+
+def single_bound_display(d: int, g: int, e: int, m: int, D: int) -> PointCheck:
+    """Second pipeline: the same ratio assembled from the estimate display
+    with the explicit section-count term."""
+    num2, den2, nonspecial = _single_display(d, g, e, m, D, int(2 * genus_slack(g)))
+    if not nonspecial:
+        return PointCheck(None, False, ("e - s < 2g - 1",))
+    if den2 <= 0:
+        return PointCheck(None, False, ("nonpositive denominator",))
+    return PointCheck(Fraction(num2, den2), True)
+
+
+def pair_gain(d: int, g: int, e: int, m: int, Da: int, Db: int):
+    """(gain M, case tag) for a pair of divisor degrees; the case records
+    which of the two one-sided estimates is available."""
+    M2, case = _pair_gain(d, g, e, m, Da, Db, int(2 * genus_slack(g)))
+    return (None if M2 is None else Fraction(M2, 2)), case
+
+
+def pair_gain_display(d: int, g: int, e: int, m: int, Da: int, Db: int):
+    """Second pipeline for the gain: min of the two one-sided exponent drops
+    recovered through the ceil/floor identity."""
+    M2 = _pair_gain_display(d, g, e, m, Da, Db, int(2 * genus_slack(g)))
+    return None if M2 is None else Fraction(M2, 2)
+
+
+def dominant_term_split(d: int, g: int, e: int, D: int) -> bool:
+    """Exact statement of which max term wins in the shrink parameter."""
+    first = Fraction(D - e + 2 * g - 2, d - 1)
+    second = e - Fraction(D, d - 1)
+    if D > Fraction(d * e, 2) - g + 1:
+        return first >= second
+    return second >= first
+
+
+def count_pair_cases_slow(case_counts, flags, d, g, e, Ds, minor):
+    """Scalar oracle for _count_pair_cases: a walk over Fractions."""
+    de = d * e
+    half = Fraction(de, 2)
+    for i, Da in enumerate(Ds):
+        for j, Db in enumerate(Ds):
+            if not minor[i, j]:
+                continue
+            if d == 2:
+                if e + 2 - 2 * g <= Db <= e + 1:
+                    tag = "d2-I"
+                elif 2 * g <= Db <= e + 1 - 2 * g:
+                    tag = "d2-II"
+                else:
+                    tag = "d2-III"
+            elif e - 2 * g + 2 <= Db <= half - g + 1:
+                if Db >= Fraction(int(Da), 2):
+                    tag = "I.1"
+                elif Da <= half - g + 1:
+                    tag = "I.2.1"
+                else:
+                    tag = "I.2.2"
+            elif half - g + 1 < Db <= half + 1:
+                tag = "II"
+            else:
+                if Da > half - g + 1:
+                    tag = "III.1"
+                elif Fraction(int(Da), 2) > Db:
+                    tag = "III.2.1"
+                else:
+                    tag = "III.2.2"
+                    # the derived lower bound D_beta >= e/2 - g + 1 must
+                    # follow from D_beta >= D_alpha / 2 here
+                    if Db < Fraction(e, 2) - g + 1:
+                        flags["derived_pair_bound_disagreements"] += 1
+            case_counts[tag] = case_counts.get(tag, 0) + 1

@@ -41,8 +41,6 @@ from jetsums.forms import (
     fermat_form,
     gradient,
     make_form,
-    multilinear_psi_sections,
-    difference_apply,
 )
 from jetsums.sections import (
     DualFunctional,
@@ -50,6 +48,7 @@ from jetsums.sections import (
     minimal_divisor,
     mul_sections,
 )
+from oracles import difference_apply, multilinear_psi_sections
 
 
 def _announce(name: str, started: float, limit: float, detail: str = ""):

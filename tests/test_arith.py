@@ -9,7 +9,6 @@ from jetsums.arith import (
     Jet,
     check_prime,
     compare_abs_power,
-    cyclo_accumulate,
     magnitude,
     psi_m,
 )
@@ -68,9 +67,9 @@ def test_root_relation_and_canonical():
 
 
 def test_accumulate():
-    acc = cyclo_accumulate(Cyclo.zero(3), Cyclo.root(3, 1), 3)
+    acc = Cyclo.zero(3) + Cyclo.root(3, 1) * 3
     assert acc == Cyclo(3, (0, 3, 0))
-    acc = cyclo_accumulate(Cyclo.root(5, 2) * 2, Cyclo.root(5, 2), -2)
+    acc = Cyclo.root(5, 2) * 2 + Cyclo.root(5, 2) * -2
     assert acc.is_zero()
 
 

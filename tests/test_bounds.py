@@ -15,7 +15,6 @@ from jetsums.bounds import (
     UncoveredCase,
     calibration_passed,
     calibration_report,
-    certificate_to_json_str,
     certify,
     default_e_span,
     degree_floor,
@@ -23,15 +22,19 @@ from jetsums.bounds import (
     genus_slack,
     minimal_variables,
     pair_bound,
-    pair_gain,
-    pair_gain_display,
     shrink_exponent,
     single_bound,
-    single_bound_display,
     thresholds,
     variable_threshold,
 )
 from jetsums.sections import BudgetExceeded
+from oracles import (
+    count_pair_cases_slow,
+    dominant_term_split,
+    pair_gain,
+    pair_gain_display,
+    single_bound_display,
+)
 
 
 def test_genus_slack_values():
@@ -278,9 +281,7 @@ def test_default_span_fractional_floor():
 def test_certificates_reproducible():
     a = certify("canonical", 2, 1, (17, 25), (1, 5))
     b = certify("canonical", 2, 1, (17, 25), (1, 5))
-    assert certificate_to_json_str(a) == certificate_to_json_str(b)
-    with_time = certificate_to_json_str(a, timestamp="2026-01-01T00:00:00Z")
-    assert "timestamp" in with_time
+    assert json.dumps(a.to_json()) == json.dumps(b.to_json())
 
 
 def test_calibration_report_defaults():
@@ -292,6 +293,29 @@ def test_calibration_report_defaults():
     assert "terminal-pair-tail-bound-at-threshold" in names
 
 
+@pytest.mark.parametrize("g_max,d_max", [(0, 10), (50, 3), (0, 0)])
+def test_calibration_report_refuses_a_range_without_checks(g_max, d_max):
+    with pytest.raises(ValueError, match="g_max >= 1 and d_max >= 4"):
+        calibration_report(g_max, d_max)
+
+
+def test_calibration_evaluates_the_registered_forms(monkeypatch):
+    """The equality items read the display forms that
+    check_display_monotonicity reads: each form moved up by one fails its
+    item, and no other."""
+    real = bounds._display_registry
+    moved = {"top-degree-bound", "case-I-bound", "pair-II-bound"}
+
+    def shifted(mode, d, g):
+        return [(name, (lambda e, fn=fn: fn(e) + 1) if name in moved else fn, direction)
+                for name, fn, direction in real(mode, d, g)]
+
+    monkeypatch.setattr(bounds, "_display_registry", shifted)
+    failed = {item["name"] for item in calibration_report(g_max=3, d_max=5) if not item["ok"]}
+    assert failed == {"degree2-canonical-exact-seven", "canonical-threshold-calibration",
+                      "degree2-terminal-II-exact", "degree2-terminal-II-above"}
+
+
 @given(st.integers(2, 4), st.integers(0, 2), st.integers(1, 400))
 def test_shrink_arrays_match_scalar(d, g, e):
     Ds = np.arange(0, d * e + 3, dtype=np.int64)
@@ -299,7 +323,7 @@ def test_shrink_arrays_match_scalar(d, g, e):
     split = bounds._dominant_term_splits(d, g, e, Ds)
     for D in range(Ds.size):
         assert shrink[D] == shrink_exponent(d, g, e, D)
-        assert split[D] == bounds._dominant_term_split(d, g, e, D)
+        assert split[D] == dominant_term_split(d, g, e, D)
 
 
 @given(st.integers(2, 4), st.integers(0, 2), st.integers(1, 45),
@@ -314,7 +338,7 @@ def test_pair_cases_match_scalar_walker(d, g, e_lo, width):
         Ds = np.arange(0, d * e // 2 + 2, dtype=np.int64)
         minor = np.maximum(Ds[:, None], Ds[None, :]) >= e - 2 * g + 2
         bounds._count_pair_cases(fast, fast_flags, d, g, e, Ds, minor)
-        bounds._count_pair_cases_slow(slow, slow_flags, d, g, e, Ds, minor)
+        count_pair_cases_slow(slow, slow_flags, d, g, e, Ds, minor)
     assert list(fast.items()) == list(slow.items())
     assert fast_flags == slow_flags
 
@@ -322,11 +346,11 @@ def test_pair_cases_match_scalar_walker(d, g, e_lo, width):
 def _scalar_sweep(monkeypatch):
     """Route certify through the scalar case walker and the scalar shrink
     parameter instead of the integer-array versions."""
-    monkeypatch.setattr(bounds, "_count_pair_cases", bounds._count_pair_cases_slow)
+    monkeypatch.setattr(bounds, "_count_pair_cases", count_pair_cases_slow)
     monkeypatch.setattr(bounds, "_shrink_exponents", lambda d, g, e, Ds: np.array(
         [_frac_shrink_exponent(d, g, e, int(D)) for D in Ds], dtype=np.int64))
     monkeypatch.setattr(bounds, "_dominant_term_splits", lambda d, g, e, Ds: np.array(
-        [bounds._dominant_term_split(d, g, e, int(D)) for D in Ds], dtype=bool))
+        [dominant_term_split(d, g, e, int(D)) for D in Ds], dtype=bool))
 
 
 SWEEP_GRID = [
@@ -392,7 +416,7 @@ def _scalar_walk(mode, d, g, e_span, m_span, n_plus_1):
         if mode == "canonical":
             Ds = range(max(0, e - 2 * g + 2), dmax + 1)
             fails += [{"kind": "dominant-term", "e": e, "D": D} for D in Ds
-                      if not bounds._dominant_term_split(d, g, e, D)]
+                      if not dominant_term_split(d, g, e, D)]
             cells = [{"D": D} for D in Ds]
         else:
             cells = [{"D_alpha": a, "D_beta": b} for a in range(dmax + 1)

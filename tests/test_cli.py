@@ -107,6 +107,18 @@ def test_bounds_paper_identities(capsys):
     assert json.loads(out)["verdict"] == "pass"
 
 
+def test_bounds_paper_identities_over_no_case_exit_2(capsys):
+    # with no genus >= 1 and no degree >= 4 in range every check is empty,
+    # and the report once passed having checked nothing
+    code, out, err = run_cli(
+        ["bounds", "--action", "paper-identities", "--g-max", "0",
+         "--d-max", "0", "--no-timestamp"],
+        capsys,
+    )
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
 def test_circle_major_identity(capsys):
     code, out, _ = run_cli(
         ["circle", "--q", "3", "--form", "conic", "--e", "2", "--m", "1",
@@ -425,15 +437,16 @@ def test_count_degree_bound_3_unsupported():
      "--samples", "0"],
     ["circle", "--check", "weyl", "--q", "3", "--form", "conic", "--e", "1",
      "--m", "1", "--max-degree", "-1", "--samples", "0"],
+    ["count", "--q", "3", "--form", "conic", "--e", "2", "--m", "0", "--workers", "0"],
 ], ids=["m-negative", "e-negative", "orthogonality-m", "major-e", "budget-zero",
         "shrink-k-negative", "shrink-samples-negative", "lw-trend-no-e",
         "shrink-samples-zero", "n-counts-samples-zero", "t-vanishing-samples-zero",
-        "weyl-no-functionals"])
+        "weyl-no-functionals", "workers-zero"])
 def test_out_of_range_inputs_exit_2(argv, capsys):
     # each of these once answered (a count with m = -1, a sweep over -1 or
-    # 0 samples reported "holds"), ran at the default budget (--budget 0)
-    # or ended in a traceback (exit 1 for --k -1 and for lw-trend without
-    # --e)
+    # 0 samples reported "holds", a count with 0 workers ran on one),
+    # ran at the default budget (--budget 0) or ended in a traceback (exit 1
+    # for --k -1 and for lw-trend without --e)
     code, out, err = run_cli([*argv, "--no-timestamp"], capsys)
     assert code == 2
     assert out == "" and err.startswith("error: --")

@@ -10,8 +10,6 @@ from jetsums import counting
 from jetsums.cli import random_smooth_form
 from jetsums.counting import (
     _base_solutions,
-    _base_solutions_slow,
-    _count_multilinear_zeros_slow,
     base_scan,
     batch_digits,
     batch_eval_form,
@@ -23,17 +21,22 @@ from jetsums.counting import (
     iter_base_chunks,
     lw_trend,
     moduli_dimension,
-    mult_matrix,
     mult_matrix_batch,
 )
-from jetsums.forms import (
-    conic_form,
-    fermat_form,
-    make_form,
-    multilinear_psi_sections,
-    transform_form,
-)
+from jetsums.forms import conic_form, fermat_form, make_form
 from jetsums.sections import BudgetExceeded, JetPoly, globally_generates
+from oracles import (
+    base_solutions_slow,
+    count_multilinear_zeros_slow,
+    count_solutions_slow,
+    mult_matrix,
+    multilinear_psi_sections,
+    rank,
+    solution_tuples,
+    tangent_fiber_slow,
+    transform_form,
+    unfolded_mult_matrix,
+)
 
 
 def quadric(p):
@@ -64,7 +67,7 @@ def test_fibered_count_matches_slow_enumeration():
     F = quadric(3)
     for m in (1, 2):
         fast = count_solutions(F, 0, m).raw_count
-        slow = count_solutions(F, 0, m, method="slow").raw_count
+        slow = count_solutions_slow(F, 0, m, None)
         assert fast == slow
 
 
@@ -72,7 +75,7 @@ def test_fibered_count_matches_slow_enumeration():
 def test_fibered_count_matches_slow_enumeration_e1():
     F = quadric(3)
     fast = count_solutions(F, 1, 1).raw_count
-    slow = count_solutions(F, 1, 1, method="slow").raw_count
+    slow = count_solutions_slow(F, 1, 1, None)
     assert fast == slow
 
 
@@ -81,7 +84,7 @@ def test_fibered_count_matches_slow_enumeration_with_solutions():
     # has, and its base maps are not surjective: all 3^12 tuples enumerated
     F = make_form(3, 2, 2, [((1, 1, 0), 1)])
     fast = count_solutions(F, 1, 1).raw_count
-    assert fast == count_solutions(F, 1, 1, method="slow").raw_count == 7776
+    assert fast == count_solutions_slow(F, 1, 1, None) == 7776
 
 
 def test_generation_in_characteristic_two():
@@ -89,9 +92,8 @@ def test_generation_in_characteristic_two():
     # (irreducible over F_2, so without a rational root) share the common
     # factor h when x2 is a multiple of it; the count is 24, not 27
     F = make_form(2, 2, 1, [((1, 0, 0), 1), ((0, 1, 0), 1)])
-    assert counting.monic_irreducible_quadratics(2) == [(1, 1)]
     assert count_solutions(F, 2, 0).raw_count == 24
-    assert count_solutions(F, 2, 0, method="slow").raw_count == 24
+    assert count_solutions_slow(F, 2, 0, None) == 24
 
 
 def _all_tuples(p, nv, e):
@@ -120,8 +122,8 @@ def test_slow_count_does_not_share_the_mask(monkeypatch):
         return np.ones(coords.shape[0], dtype=bool)
 
     monkeypatch.setattr(counting, "batch_generating_mask", accept_all)
-    assert count_solutions(conic_form(3), 2, 0, method="slow").raw_count == 48
-    assert count_solutions(conic_form(3), 1, 1, method="slow").raw_count == 0
+    assert count_solutions_slow(conic_form(3), 2, 0, None) == 48
+    assert count_solutions_slow(conic_form(3), 1, 1, None) == 0
 
 
 def test_lift_budget_is_sized_by_its_stages():
@@ -145,20 +147,13 @@ def test_tangent_pairs_conic():
 
 
 def test_tangent_pairs_kernel_vs_enumeration():
-    from jetsums import linalg
-    from jetsums.counting import (
-        _tangent_fiber_slow,
-        solution_tuples,
-        unfolded_mult_matrix,
-    )
-
     F = conic_form(3)
     gen = solution_tuples(F, 2, 0)
     for _ in range(2):
         x0 = next(gen)
         M = unfolded_mult_matrix(F, x0)
-        kernel_count = 3 ** (M.shape[1] - linalg.rank(M, 3))
-        assert kernel_count == _tangent_fiber_slow(F, x0, None) == 3**4
+        kernel_count = 3 ** (M.shape[1] - rank(M, 3))
+        assert kernel_count == tangent_fiber_slow(F, x0, None) == 3**4
 
 
 def test_tangent_kernel_sizes_are_p_powers():
@@ -252,7 +247,7 @@ def test_psi_zero_section_counts():
 def test_psi_zero_sections_match_enumeration(F, e, s, k, expected):
     identity = np.eye((k + 1) * ((F.d - 1) * (e - s) + 1), dtype=np.int64)
     assert count_psi_zero_sections(F, e, s, k) == expected
-    assert _count_multilinear_zeros_slow(F, e - s, k, identity) == expected
+    assert count_multilinear_zeros_slow(F, e - s, k, identity) == expected
 
 
 def test_budget_guard():
@@ -361,7 +356,7 @@ def test_base_scan_dtype_holds_large_primes():
 
 def _assert_lift_matches_scan(F, e):
     """Count and ordered rows of the lift against the full tuple scan."""
-    slow = _base_solutions_slow(F, e, None)
+    slow = base_solutions_slow(F, e, None)
     fast = _base_solutions(F, e, None)
     assert fast.shape == slow.shape and (fast == slow).all()
     assert count_solutions(F, e, 0).raw_count == len(slow)
@@ -405,7 +400,7 @@ def test_slow_count_does_not_use_the_lift(monkeypatch):
         raise AssertionError("the oracle ran the lift")
 
     monkeypatch.setattr(counting, "_lift_solutions", refuse)
-    assert count_solutions(conic_form(3), 2, 0, method="slow").raw_count == 48
+    assert count_solutions_slow(conic_form(3), 2, 0, None) == 48
 
 
 @st.composite

@@ -15,8 +15,6 @@ from jetsums.counting import (
     count_solutions,
     encode_digits,
     generating_fibers,
-    mult_matrix,
-    unfolded_mult_matrix,
 )
 from jetsums.expsums import (
     IdentityViolation,
@@ -28,13 +26,11 @@ from jetsums.expsums import (
     check_shrink,
     check_weyl,
     classify_arc,
-    classify_arc_pair,
     divisor_table,
     dual_from_code,
     dual_code,
     exp_sum,
     exp_sum_pair,
-    exp_sum_slow,
     layer_sum_table,
     major_weighted_sums,
     n_count,
@@ -52,9 +48,16 @@ from jetsums.sections import (
     BudgetExceeded,
     DualFunctional,
     JetPoly,
-    enumerate_sections,
     globally_generates,
     section_space_size,
+)
+from oracles import (
+    enumerate_sections,
+    exp_sum_slow,
+    mult_matrix,
+    n_count_slow,
+    t_inner_sum_closed_form,
+    unfolded_mult_matrix,
 )
 
 
@@ -165,8 +168,8 @@ def test_t_inner_sum_rank_vs_histogram():
     )
     for code in range(0, 3**5, 17):
         a0 = dual_from_code(3, 4, 0, code)
-        hist_val = t_inner_sum(F, 2, a0, scan_y, method="histogram")
-        rank_val = t_inner_sum(F, 2, a0, scan_y, method="rank")
+        hist_val = t_inner_sum(F, 2, a0, scan_y)
+        rank_val = t_inner_sum_closed_form(F, 2, a0, scan_y)
         assert hist_val == rank_val
 
 
@@ -189,22 +192,6 @@ def test_t_inner_sum_requires_generation():
     bad = tuple(JetPoly.from_ints(3, 2, 0, (0, 1, 0)) for _ in range(3))
     with pytest.raises(ValueError):
         t_inner_sum(F, 2, DualFunctional.zero(3, 4, 0), bad)
-
-
-def test_unknown_method_names_are_refused():
-    """Each ``method`` parameter takes only its own names, and refuses any
-    other before any work (budget 1 would refuse the work itself): an
-    oracle's name given to another route must not run the fast route."""
-    F = conic_form(3)
-    y = tuple(JetPoly.from_ints(3, 2, 0, row) for row in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    calls = {
-        "enumerate": lambda m: count_solutions(F, 2, 0, budget=1, method=m),
-        "slow": lambda m: n_count(F, 2, DualFunctional.zero(3, 4, 1), 0, 1, budget=1, method=m),
-        "auto": lambda m: t_inner_sum(F, 2, DualFunctional.zero(3, 4, 0), y, m, budget=1),
-    }
-    for name, call in calls.items():
-        with pytest.raises(ValueError, match="unknown method"):
-            call(name)
 
 
 def test_t_vanishing_sample():
@@ -340,10 +327,9 @@ def test_classify_arc():
             assert lab.degree > 3
             break
     assert found_minor
-    pair = classify_arc_pair(
-        DualFunctional.zero(3, 4, 1), boundary, 2
-    )
-    assert pair == "major"
+    # the pair (zero, boundary) is major: both of its functionals are
+    assert classify_arc(DualFunctional.zero(3, 4, 1), 2).kind == "major"
+    assert classify_arc(boundary, 2).kind == "major"
 
 
 def test_n_count_rank_matches_enumeration():
@@ -351,9 +337,7 @@ def test_n_count_rank_matches_enumeration():
     rng = random.Random(5)
     for _ in range(5):
         a = dual_from_code(3, 4, 1, rng.randrange(3**10))
-        assert n_count(F, 2, a, 0, 1, 0) == n_count(
-            F, 2, a, 0, 1, 0, method="enumerate"
-        )
+        assert n_count(F, 2, a, 0, 1, 0) == n_count_slow(F, 2, a, 0, 1, 0)
     zero = DualFunctional.zero(3, 4, 1)
     assert n_count_plain(F, 2, zero, 0) == 3**9
 
@@ -367,9 +351,7 @@ def test_n_count_rank_matches_enumeration_d3(p, n, k1, k2, s):
     rng = random.Random(11 * p + k1 + s)
     for _ in range(3):
         a = dual_from_code(p, 3, 1, rng.randrange(p**8))
-        assert n_count(F, 1, a, k1, k2, s) == n_count(
-            F, 1, a, k1, k2, s, method="enumerate"
-        )
+        assert n_count(F, 1, a, k1, k2, s) == n_count_slow(F, 1, a, k1, k2, s)
 
 
 def test_n_count_rejects_functional_off_the_value_space():
@@ -377,18 +359,16 @@ def test_n_count_rejects_functional_off_the_value_space():
     # counted as the zero functional and one on P_2 raised IndexError
     F = conic_form(3)
     for a in (dual_from_code(3, 6, 1, 3**6), dual_from_code(3, 2, 1, 5)):
-        for method in ("auto", "enumerate"):
-            with pytest.raises(ValueError, match="wrong space"):
-                n_count(F, 2, a, 0, 1, 0, method=method)
+        with pytest.raises(ValueError, match="wrong space"):
+            n_count(F, 2, a, 0, 1, 0)
 
 
 def test_n_count_rejects_negative_jet_order():
     # k1 = -1 once reached the rank engine with a slot of 0 and divided by it
     F = conic_form(3)
     a = dual_from_code(3, 4, 0, 5)
-    for method in ("auto", "enumerate"):
-        with pytest.raises(ValueError, match="k1 >= 0"):
-            n_count(F, 2, a, -1, 0, 0, method=method)
+    with pytest.raises(ValueError, match="k1 >= 0"):
+        n_count(F, 2, a, -1, 0, 0)
 
 
 def test_n_count_factorization():

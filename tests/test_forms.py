@@ -12,19 +12,17 @@ from jetsums.forms import (
     _reduction_table,
     _search_singular,
     conic_form,
-    difference_apply,
     eval_form,
     fermat_form,
     gradient,
     irreducible_poly,
     make_form,
-    multilinear_psi_scalars,
-    multilinear_psi_sections,
     named_form,
     parse_form_file,
     smoothness_check,
 )
 from jetsums.sections import JetPoly, mul_sections
+from oracles import difference_apply, multilinear_psi_scalars, multilinear_psi_sections
 
 
 def sec(p, r, ints, m=0):

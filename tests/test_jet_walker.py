@@ -4,7 +4,7 @@ objects and the per-candidate recursions they replaced.
 The recursions below (``_extend_layer_counts``, ``_extend_tuples``,
 ``_slice_recurse`` and ``_slice_recurse_explicit``) are the former library
 routes, kept here as oracles: they lift one candidate at a time through
-``JetPoly`` tuples, ``forms.eval_form`` and a scalar ``linalg.solve``.
+``JetPoly`` tuples, ``forms.eval_form`` and a scalar ``oracles.solve``.
 """
 
 import itertools
@@ -32,15 +32,13 @@ from jetsums.counting import (
     count_solutions,
     count_tangent_pairs,
     encode_digits,
-    mult_matrix,
-    solution_tuples,
-    unfolded_mult_matrix,
     unfolded_mult_matrix_batch,
     walk_layers,
 )
 from jetsums.expsums import all_sums, pair_data, slice_histogram, w_code_from_values
 from jetsums.forms import conic_form, eval_form, fermat_form, gradient, make_form
 from jetsums.sections import BudgetExceeded, JetPoly
+from oracles import mult_matrix, rank, solution_tuples, solve, unfolded_mult_matrix
 
 
 def x0x1():
@@ -118,7 +116,7 @@ def _taylor_layer(F, e, m, layers, depth):
 def _extend_layer_counts(F, e, m, layers, L, ker, depth):
     p = F.p
     c = _taylor_layer(F, e, m, layers, depth)
-    part = linalg.solve(L, (-c) % p, p)
+    part = solve(L, (-c) % p, p)
     if part is None:
         return
     if depth == m:
@@ -132,7 +130,7 @@ def _extend_layer_counts(F, e, m, layers, L, ker, depth):
 def _extend_tuples(F, e, m, layers, L, ker, depth):
     p = F.p
     c = _taylor_layer(F, e, m, layers, depth)
-    part = linalg.solve(L, (-c) % p, p)
+    part = solve(L, (-c) % p, p)
     if part is None:
         return
     for kv in linalg.span_elements(ker, p):
@@ -155,7 +153,7 @@ def _slice_recurse(F, e, m, layers, L, ker, imspan, kerdim, kk, hist, annk, dept
                 key = (int(code), annk)
                 hist[key] = hist.get(key, 0) + p**kerdim
         return
-    part = linalg.solve(L, (-c) % p, p)
+    part = solve(L, (-c) % p, p)
     if part is None:
         return
     for kv in linalg.span_elements(ker, p):
@@ -178,7 +176,7 @@ def _slice_recurse_explicit(F, e, m, layers, L, ker, kk, hist, ann_key, depth):
             kk[ucode] += 1
             hist[(ucode, k)] = hist.get((ucode, k), 0) + 1
         return
-    part = linalg.solve(L, (-c) % p, p)
+    part = solve(L, (-c) % p, p)
     if part is None:
         return
     for kv in linalg.span_elements(ker, p):
@@ -377,7 +375,7 @@ def test_tangent_pairs_match_kernel_per_tuple():
         total = 0
         for x0 in solution_tuples(F, e, m):
             M = unfolded_mult_matrix(F, x0)
-            total += F.p ** (M.shape[1] - linalg.rank(M, F.p))
+            total += F.p ** (M.shape[1] - rank(M, F.p))
         assert count_tangent_pairs(F, e, m).raw_count == total
 
 
@@ -390,7 +388,7 @@ def test_fibers_cross_the_chunk_boundary():
     assert [x0.tolist() for x0, _ in fibers] == x0s.tolist()
     for x0, count in fibers:
         L = mult_matrix(F, x0)
-        assert count == F.p ** (L.shape[1] - linalg.rank(L, F.p))
+        assert count == F.p ** (L.shape[1] - rank(L, F.p))
     # the counts depend on ranks alone, which agree at every point of the
     # smooth conic; the tuples also need each point's own system
     X = np.concatenate(list(_solution_stacks(F, e, 1, None)))

@@ -13,19 +13,16 @@ from jetsums.sections import (
     DualFunctional,
     JetPoly,
     Memo,
-    count_divisors,
     count_minimizers,
     enumerate_divisors,
-    enumerate_duals,
-    enumerate_sections,
     factors_through,
     globally_generates,
     minimal_divisor,
     minimal_divisor_table,
     mul_sections,
     vanishing_basis,
-    vanishing_dimension,
 )
+from oracles import count_divisors, enumerate_duals, enumerate_sections, vanishing_dimension
 
 
 def sec(p, r, ints, m=0):
