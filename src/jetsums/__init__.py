@@ -40,7 +40,6 @@ from .expsums import (  # noqa: F401
     exp_sum,
     exp_sum_pair,
     n_count,
-    t_inner_sum,
     t_vanishing_report,
 )
 from .bounds import (  # noqa: F401

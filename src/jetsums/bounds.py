@@ -308,10 +308,10 @@ class Certificate:
         }
 
 
-def default_e_span(mode: str, d: int, g: int, width: int = 100) -> tuple[int, int]:
-    e0 = degree_floor(mode, d, g)
-    lo = math.floor(e0) + 1
-    return lo, lo + width - 1
+def default_e_span(mode: str, d: int, g: int) -> tuple[int, int]:
+    """The 100 degree bounds just above the mode's degree floor."""
+    lo = math.floor(degree_floor(mode, d, g)) + 1
+    return lo, lo + 99
 
 
 def _shrink_exponents(d: int, g: int, e: int, Ds: np.ndarray) -> np.ndarray:

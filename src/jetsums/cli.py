@@ -156,10 +156,9 @@ def _load_form(args, p: int) -> forms.SymmetricForm:
     return random_smooth_form(p, args.n, args.d, args.seed)
 
 
-def random_smooth_form(p: int, n: int, d: int, seed: int,
-                       retries: int = 32) -> forms.SymmetricForm:
-    """Dense random form, redrawn until the smoothness search at its cap
-    finds no witness."""
+def random_smooth_form(p: int, n: int, d: int, seed: int) -> forms.SymmetricForm:
+    """Dense random form, redrawn (at most 32 draws) until the smoothness
+    search at its cap finds no witness."""
     rng = random.Random(seed)
     import itertools
 
@@ -168,7 +167,7 @@ def random_smooth_form(p: int, n: int, d: int, seed: int,
         for c in itertools.product(range(d + 1), repeat=n + 1)
         if sum(c) == d
     ]
-    for _ in range(retries):
+    for _ in range(32):
         mons = [(ex, rng.randrange(p)) for ex in exps]
         if all(c == 0 for _, c in mons):
             continue
@@ -176,7 +175,7 @@ def random_smooth_form(p: int, n: int, d: int, seed: int,
         rep = forms.smoothness_check(F)
         if rep.smooth_so_far and rep.certified:
             return F
-    raise ConfigError(f"no smooth form found in {retries} draws")
+    raise ConfigError("no smooth form found in 32 draws")
 
 
 def _emit(payload: dict, args) -> None:
@@ -262,7 +261,7 @@ def _cmd_circle(args) -> int:
     elif args.check == "major-identity":
         rep = expsums.check_major_identity(F, e, args.m, args.pairs, budget)
     elif args.check == "t-vanishing":
-        rep = expsums.t_vanishing_report(F, e, 0, args.samples, args.seed, budget)
+        rep = expsums.t_vanishing_report(F, e, args.samples, args.seed, budget)
     elif args.check == "weyl":
         alphas = expsums.weyl_alpha_sample(
             F, e, args.m, args.max_degree, args.samples, args.seed, budget

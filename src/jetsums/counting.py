@@ -353,16 +353,18 @@ def image_keys(mats: np.ndarray, p: int, lead: np.ndarray | None = None):
     return image, rank, keys, first, inverse.ravel()
 
 
-def fiber_classes(F: SymmetricForm, coords: np.ndarray, values: np.ndarray):
+def fiber_classes(F: SymmetricForm, coords: np.ndarray, values: np.ndarray | None = None):
     """Group base points by (value layer, image of z -> z . grad F(x0)), on
-    which alone a point's top-layer coset depends.  Returns (the class of
-    each point, numbered in first-seen order; each class's image basis)."""
+    which alone a point's top-layer coset depends, or by image alone when
+    ``values`` is None.  Returns (the class of each point, numbered in
+    first-seen order; each class's image basis)."""
     index: dict[bytes, int] = {}
     images, ids = [], [np.zeros(0, dtype=np.int64)]
     for start in range(0, coords.shape[0], FIBER_CHUNK):
         rows = slice(start, start + FIBER_CHUNK)
         mats = mult_matrix_batch(F, coords[rows])
-        image, rank, keys, first, inverse = image_keys(mats, F.p, values[rows].astype(np.int64))
+        lead = None if values is None else values[rows].astype(np.int64)
+        image, rank, keys, first, inverse = image_keys(mats, F.p, lead)
         local = []
         for i in first:
             local.append(index.setdefault(keys[i].tobytes(), len(images)))
@@ -431,18 +433,20 @@ def count_solutions(
     At m = 0 the solutions come from the coefficient-layer lift, sharded
     into one contiguous slice of the cone (by the code of layer 0) per
     worker; shards are independent and reduce by integer addition, so
-    worker count cannot change the result.
+    worker count cannot change the result.  A worker count below 1, given or
+    from JETSUMS_WORKERS, is refused at every m.
     """
+    from .parallel import map_reduce, resolve_workers
+
     _check_count_inputs(F, e, m)
+    workers = resolve_workers(workers)
     mu = moduli_dimension(F.n, F.d, e)
     exponent = (m + 1) * (mu + 1)
     if m == 0:
-        from .parallel import default_workers, map_reduce
-
         p, n = F.p, F.n
         _check_lift_budget(F, e, budget)
         layers = p ** (n + 1)
-        nshards = min(layers, default_workers() if workers is None else max(1, workers))
+        nshards = min(layers, workers)
         edges = np.linspace(0, layers, nshards + 1, dtype=np.int64)
         shards = [
             (F, e, int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo

@@ -46,10 +46,10 @@ from .counting import (
     count_tangent_pairs,
     descend,
     encode_digits,
+    fiber_classes,
     generating_fibers,
     image_keys,
     iter_base_chunks,
-    mult_matrix_batch,
     next_layer,
     unfolded_mult_matrix_batch,
     walk_layers,
@@ -62,10 +62,8 @@ from .sections import (
     BudgetExceeded,
     DivisorP1,
     DualFunctional,
-    JetPoly,
     check_budget,
     check_divisor_table_budget,
-    globally_generates,
     minimal_divisor,
     minimal_divisor_table,
     section_space_size,
@@ -418,9 +416,9 @@ class ArcLabel:
     minimizers: int = 1
 
 
-def classify_arc(alpha: DualFunctional, e: int, g: int = 0,
-                 budget: int | None = None) -> ArcLabel:
-    """Major iff the minimal divisor degree is <= e - 2g + 1.
+def classify_arc(alpha: DualFunctional, e: int, budget: int | None = None) -> ArcLabel:
+    """Major iff the minimal divisor degree is <= e + 1 (the source is P^1,
+    genus 0).
 
     Rechecks minimizer uniqueness inside the range where it is forced
     (two distinct minimizers of degree z would need 2z > de + 1); a
@@ -433,7 +431,7 @@ def classify_arc(alpha: DualFunctional, e: int, g: int = 0,
     mult = 1 if unique else count_minimizers(
         DualFunctional(alpha.p, alpha.r, 0, (alpha.parts[0],)), deg
     )
-    if deg <= e - 2 * g + 1:
+    if deg <= e + 1:
         if mult != 1 and 2 * deg <= alpha.r + 1:
             raise IdentityViolation(Report(
                 "arc-classification", {"alpha": alpha.flat()},
@@ -450,10 +448,9 @@ def layer_sum_table(p: int, width: int) -> np.ndarray:
     return char_transform(ones, p, width)
 
 
-def major_weighted_sums(F: SymmetricForm, e: int, g: int = 0,
-                        budget: int | None = None) -> np.ndarray:
+def major_weighted_sums(F: SymmetricForm, e: int, budget: int | None = None) -> np.ndarray:
     """sum over pairs (Z, alpha0) with alpha0 minimally through Z and
-    deg Z <= e - 2g + 1 of zeta^(alpha0.u), for every u.
+    deg Z <= e + 1 of zeta^(alpha0.u), for every u.
 
     A functional with several minimizers at its minimal degree is counted
     once per minimizer, which is what the divisor-grouped double sum does.
@@ -462,7 +459,7 @@ def major_weighted_sums(F: SymmetricForm, e: int, g: int = 0,
     de = F.d * e
     tab = divisor_table(p, de, budget)
     width = de + 1
-    weights = np.where(tab.degree <= e - 2 * g + 1, tab.multiplicity, 0)
+    weights = np.where(tab.degree <= e + 1, tab.multiplicity, 0)
     return char_transform(weights.astype(np.int64), p, width)
 
 
@@ -470,78 +467,52 @@ def major_weighted_sums(F: SymmetricForm, e: int, g: int = 0,
 # the auxiliary linear sum at the heart of the major-arc collapse
 
 
-def t_inner_sum(F: SymmetricForm, e: int, alpha0: DualFunctional,
-                y: tuple[JetPoly, ...], budget: int | None = None) -> Cyclo:
-    """T = sum over z in P_e^(n+1) of psi(alpha0(z . grad F(y mod t))).
-
-    Requires y globally generating.  The linear form is tabulated over all
-    z (vectorized) and its values binned by alpha0.
-    """
-    p, n = F.p, F.n
-    if alpha0.m != 0 or alpha0.r != F.d * e:
-        raise ValueError("alpha0 must be a t-degree-zero functional on P_de")
-    if not globally_generates(y):
-        raise ValueError("y must globally generate")
-    x0 = np.array([[jet.coeffs[0] for jet in s.coeffs] for s in y], dtype=np.int64)
-    L = mult_matrix_batch(F, x0[None])[0]
-    hist = t_value_histogram(F, L, budget)
-    exps = np.zeros(p, dtype=np.int64)
-    a0 = np.array(alpha0.parts[0], dtype=np.int64)
-    width = F.d * e + 1
-    vdigits = batch_digits(np.arange(p**width, dtype=np.int64), p, width)
-    klass = vdigits @ a0 % p
-    for c in range(p):
-        exps[c] = hist[klass == c].sum()
-    return Cyclo(p, exps)
-
-
-def t_value_histogram(F: SymmetricForm, L: np.ndarray, budget: int | None = None) -> np.ndarray:
-    """Histogram of z . grad F(y) over all degree-zero z, from the matrix L."""
-    p = F.p
-    ncols = L.shape[1]
-    width = L.shape[0]
-    check_budget(p**ncols * width, budget, "auxiliary linear sum")
-    codes = np.arange(p**ncols, dtype=np.int64)
-    hist = np.zeros(p**width, dtype=np.int64)
-    for start in range(0, codes.size, 1 << 17):
-        part = codes[start : start + (1 << 17)]
-        z = batch_digits(part, p, ncols)
-        vals = z @ L.T % p
-        hist += np.bincount(encode_digits(vals, p), minlength=p**width)
+def _t_histogram(image: np.ndarray, ncols: int, p: int) -> np.ndarray:
+    """Histogram of z . grad F(y) over all z in F_p^ncols, given an rref basis
+    (rows) of the image of z -> z . grad F(y): each image value is taken
+    p^(dim ker) times."""
+    hist = np.zeros(p ** image.shape[1], dtype=np.int64)
+    hist[encode_digits(linalg.span_elements(image, p), p)] = p ** (ncols - image.shape[0])
     return hist
 
 
-def t_vanishing_report(F: SymmetricForm, e: int, g: int = 0, samples: int = 100,
-                       seed: int = 0, budget: int | None = None) -> Report:
+def t_vanishing_report(F: SymmetricForm, e: int, samples: int = 100, seed: int = 0,
+                       budget: int | None = None) -> Report:
     """Check the collapse input: T(alpha0; y) = p^((n+1)(e+1)) for the zero
-    functional and 0 for every functional of minimal degree in [1, e-2g+1],
-    over a deterministic sample of generating y."""
+    functional and 0 for every functional of minimal degree in [1, e+1],
+    over a deterministic sample of generating y.  T's value histogram comes
+    from the image of y's gradient map, so points with one image share one
+    transform."""
     p, n = F.p, F.n
     de = F.d * e
     width = de + 1
+    ncols = (n + 1) * (e + 1)
     scan = base_scan(F, e, budget)
     gidx = np.nonzero(scan.generating)[0]
     rng = random.Random(seed)
     chosen = sorted(rng.sample(range(gidx.size), min(samples, gidx.size)))
     tab = divisor_table(p, de, budget)
-    in_range = (tab.degree >= 1) & (tab.degree <= e - 2 * g + 1)
-    failures = []
-    full = p ** ((n + 1) * (e + 1))
-    for ci in chosen:
-        x0 = scan.coords[gidx[ci]].astype(np.int64)
-        L = mult_matrix_batch(F, x0[None])[0]
-        hist = t_value_histogram(F, L, budget)
-        sums = char_transform(hist, p, width)
-        zero_val = Cyclo(p, sums[0])
-        if zero_val != Cyclo.integer(p, full):
-            failures.append(("zero-functional", ci))
+    in_range = (tab.degree >= 1) & (tab.degree <= e + 1)
+    ids, images = fiber_classes(F, scan.coords[gidx[chosen]].astype(np.int64))
+    # one transform per image: width butterflies of p^2 rolls over p^(width+1) entries
+    check_budget(len(images) * width * p ** (width + 2), budget, "auxiliary linear sum")
+    full = p**ncols
+    checks = []  # per image: (T of the zero functional is full, nonvanishing codes)
+    for image in images:
+        sums = char_transform(_t_histogram(image, ncols, p), p, width)
         bad = [
             int(code)
             for code in np.nonzero(in_range)[0]
             if not Cyclo(p, sums[code]).is_zero()
         ]
+        checks.append((Cyclo(p, sums[0]) == Cyclo.integer(p, full), bad[:3]))
+    failures = []
+    for ci, k in zip(chosen, ids):
+        zero_ok, bad = checks[k]
+        if not zero_ok:
+            failures.append(("zero-functional", ci))
         if bad:
-            failures.append((f"nonvanishing at y index {ci}", bad[:3]))
+            failures.append((f"nonvanishing at y index {ci}", bad))
     verdict = "holds" if not failures else "fails"
     return Report(
         "t-vanishing",
@@ -665,10 +636,6 @@ def check_orthogonality(F: SymmetricForm, e: int, m: int, pairs: bool = False,
     return report
 
 
-def _major_mask(tab: DivisorTable, e: int, g: int = 0) -> np.ndarray:
-    return tab.degree <= e - 2 * g + 1
-
-
 def check_major_identity(F: SymmetricForm, e: int, m: int, pairs: bool = False,
                          budget: int | None = None) -> Report:
     """Exact two-sided evaluation of the major-arc collapse.
@@ -685,7 +652,7 @@ def check_major_identity(F: SymmetricForm, e: int, m: int, pairs: bool = False,
     params = {"p": p, "n": n, "d": F.d, "e": e, "m": m, "form": F.name,
               "pairs": pairs}
     tab = divisor_table(p, F.d * e, budget)
-    lhs = _major_lhs(F, e, m, tab, _major_mask(tab, e), pairs, budget)
+    lhs = _major_lhs(F, e, m, tab, tab.degree <= e + 1, pairs, budget)
     params["factor_exponent"] = (2 if pairs else 1) * (n + 1) * (e + 1)
     rhs = _dual_sum(F, e, m - 1, pairs, budget) * p ** params["factor_exponent"]
     ok = lhs == rhs
@@ -705,7 +672,7 @@ def _major_lhs(F, e, m, tab, major, pairs, budget) -> Cyclo:
     p, n = F.p, F.n
     width = F.d * e + 1
     origin = Cyclo(p, _checked_layer_table(p, width)[0])
-    gsum = major_weighted_sums(F, e, 0, budget)
+    gsum = major_weighted_sums(F, e, budget)
     kk, hist, ann_bases = slice_histogram(F, e, m, budget, with_ann=pairs)
     if pairs:
         weights = _beta_pair_weights(ann_bases, tab, major, p, width)
@@ -868,11 +835,12 @@ def check_shrink(F: SymmetricForm, e: int, alpha: DualFunctional, k: int,
 
 
 def check_weyl(F: SymmetricForm, e: int, m: int, alpha: DualFunctional,
-               beta: DualFunctional | None = None, precision_bits: int = 64,
-               precision_cap: int = 256, budget: int | None = None) -> Report:
+               beta: DualFunctional | None = None, precision_cap: int = 256,
+               budget: int | None = None) -> Report:
     """|S|^(2^(d-2)) against the squaring bound, with interval magnitudes.
 
-    Escalates precision until the comparison is decided or the cap is hit.
+    Escalates precision from 64 bits until the comparison is decided or the
+    cap is hit.
     """
     p, n, d = F.p, F.n, F.d
     if m < 1:
@@ -892,7 +860,7 @@ def check_weyl(F: SymmetricForm, e: int, m: int, alpha: DualFunctional,
         rhs = Fraction(size_pm ** (2 * expo), size_lower ** (d - 1)) * min(
             Fraction(nk), Fraction(nm, size_mid ** (d - 1))
         )
-    bits = precision_bits
+    bits = 64
     while True:
         verdict, ratio = compare_abs_power(value, expo, rhs, bits)
         if verdict != "undecided" or bits >= precision_cap:

@@ -13,10 +13,26 @@ import os
 
 
 def default_workers() -> int:
+    """JETSUMS_WORKERS, or 1 when it is unset.  A value that is not an
+    integer >= 1 is refused rather than run as one worker."""
+    raw = os.environ.get("JETSUMS_WORKERS", "1")
     try:
-        return max(1, int(os.environ.get("JETSUMS_WORKERS", "1")))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"JETSUMS_WORKERS must be an integer >= 1, got {raw!r}")
+    return workers
+
+
+def resolve_workers(workers: int | None) -> int:
+    """``workers``, or ``default_workers()`` when it is None; a count below 1
+    is refused rather than run as one worker."""
+    if workers is None:
+        return default_workers()
+    if workers < 1:
+        raise ValueError(f"need workers >= 1, got {workers}")
+    return workers
 
 
 def map_reduce(fn, shards: list, reduce_fn, initial, workers: int | None = None):
@@ -25,7 +41,7 @@ def map_reduce(fn, shards: list, reduce_fn, initial, workers: int | None = None)
     ``fn`` must be a module-level callable and shards picklable when
     workers > 1.
     """
-    workers = default_workers() if workers is None else max(1, workers)
+    workers = resolve_workers(workers)
     if workers == 1 or len(shards) <= 1:
         acc = initial
         for shard in shards:

@@ -359,26 +359,6 @@ def poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
-def globally_generates(sections: tuple[JetPoly, ...]) -> bool:
-    """No common zero on the line after reducing mod t.
-
-    Equivalent to: the gcd of the mod-t parts is a nonzero constant, and the
-    top (degree bound) coefficients are not all zero.
-    """
-    if not sections:
-        return False
-    p = sections[0].p
-    polys = [list(s.mod_t()) for s in sections]
-    if all(poly[-1] % p == 0 for poly in polys):
-        return False
-    g: list[int] = []
-    for poly in polys:
-        g = poly_gcd(g, poly, p)
-        if len(g) == 1:
-            return True
-    return False
-
-
 def section_space_size(p: int, r: int, m: int, copies: int = 1) -> int:
     return p ** ((r + 1) * (m + 1) * copies)
 

@@ -3,8 +3,10 @@
 Each function here is a slow or scalar route to a result the package
 computes another way: scalar linear algebra against ``rref_batch``,
 enumerations of sections, functionals and tuples against the rank counts,
-the lift and the character transforms, ``JetPoly`` matrices against the
-array jet kernel, and Fraction transcriptions against the integer cores of
+the lift and the character transforms, the scalar generation test against
+the batched mask, the z-enumeration of the auxiliary sum's histogram
+against its image rule, ``JetPoly`` matrices against the array jet
+kernel, and Fraction transcriptions against the integer cores of
 ``bounds``.  None of them runs in the package itself; the budget checks
 they make keep a test from starting an enumeration far beyond its size.
 """
@@ -32,6 +34,7 @@ from jetsums.counting import (
     _solution_stacks,
     batch_digits,
     batch_eval_jets,
+    encode_digits,
     iter_base_chunks,
 )
 from jetsums.forms import SymmetricForm, _scale_int, eval_form, gradient, make_form
@@ -41,8 +44,8 @@ from jetsums.sections import (
     DualFunctional,
     JetPoly,
     check_budget,
-    globally_generates,
     mul_sections,
+    poly_gcd,
     section_space_size,
 )
 
@@ -72,6 +75,26 @@ def solve(mat: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray | None:
 
 # ---------------------------------------------------------------------------
 # sections
+
+
+def globally_generates(sections: tuple[JetPoly, ...]) -> bool:
+    """No common zero on the line after reducing mod t.
+
+    Equivalent to: the gcd of the mod-t parts is a nonzero constant, and the
+    top (degree bound) coefficients are not all zero.
+    """
+    if not sections:
+        return False
+    p = sections[0].p
+    polys = [list(s.mod_t()) for s in sections]
+    if all(poly[-1] % p == 0 for poly in polys):
+        return False
+    g: list[int] = []
+    for poly in polys:
+        g = poly_gcd(g, poly, p)
+        if len(g) == 1:
+            return True
+    return False
 
 
 def vanishing_dimension(r: int, z: DivisorP1) -> int:
@@ -370,18 +393,22 @@ def n_count_slow(F: SymmetricForm, e: int, alpha: DualFunctional, k1: int, k2: i
     return count_multilinear_zeros_slow(F, e - s, k1, cond, budget)
 
 
-def t_inner_sum_closed_form(F: SymmetricForm, e: int, alpha0: DualFunctional,
-                            y: tuple[JetPoly, ...]) -> Cyclo:
-    """``expsums.t_inner_sum`` without a histogram: the sum of psi over the
-    linear form z -> alpha0(z . grad F(y mod t)) is p^((n+1)(e+1)) where the
-    form vanishes and 0 otherwise."""
+def t_value_histogram_slow(F: SymmetricForm, L: np.ndarray, budget: int | None = None) -> np.ndarray:
+    """Histogram of z . grad F(y) over all degree-zero z, from the matrix L,
+    by enumerating every z (the oracle of the image rule in
+    ``expsums.t_vanishing_report``)."""
     p = F.p
-    x0 = np.array([[jet.coeffs[0] for jet in s.coeffs] for s in y], dtype=np.int64)
-    L = mult_matrix(F, x0)
-    functional = np.array(alpha0.parts[0], dtype=np.int64) @ L % p
-    if functional.any():
-        return Cyclo.zero(p)
-    return Cyclo.integer(p, p ** L.shape[1])
+    ncols = L.shape[1]
+    width = L.shape[0]
+    check_budget(p**ncols * width, budget, "auxiliary linear sum")
+    codes = np.arange(p**ncols, dtype=np.int64)
+    hist = np.zeros(p**width, dtype=np.int64)
+    for start in range(0, codes.size, 1 << 17):
+        part = codes[start : start + (1 << 17)]
+        z = batch_digits(part, p, ncols)
+        vals = z @ L.T % p
+        hist += np.bincount(encode_digits(vals, p), minlength=p**width)
+    return hist
 
 
 # ---------------------------------------------------------------------------

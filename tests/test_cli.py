@@ -8,6 +8,8 @@ import pytest
 
 from jetsums.cli import main
 
+DATA = Path(__file__).parent / "data"
+
 
 def run_cli(args, capsys):
     code = main(args)
@@ -312,26 +314,34 @@ def test_circle_weyl_d3_golden_output(capsys):
     assert out == golden.read_text()
 
 
-@pytest.mark.parametrize("golden,args", [
+GOLDEN_CIRCLE = [
     ("major_conic_q3_e2_m1.json",
-     ["--e", "2", "--m", "1", "--check", "major-identity"]),
+     ["--form", "conic", "--e", "2", "--m", "1", "--check", "major-identity"], 0),
     ("major_pairs_conic_q3_e1_m1.json",
-     ["--e", "1", "--m", "1", "--check", "major-identity", "--pairs"]),
+     ["--form", "conic", "--e", "1", "--m", "1", "--check", "major-identity", "--pairs"], 0),
     ("major_conic_q3_e2_m2.json",
-     ["--e", "2", "--m", "2", "--check", "major-identity"]),
+     ["--form", "conic", "--e", "2", "--m", "2", "--check", "major-identity"], 0),
     ("orthogonality_pairs_conic_q3_e2_m0.json",
-     ["--e", "2", "--m", "0", "--check", "orthogonality", "--pairs"]),
-])
-def test_circle_identity_golden_output(golden, args, capsys):
-    """Both sides of the major-arc identity and of pair orthogonality are
-    pinned exactly, across the jet orders the slice engine and the full
-    dual sum evaluate."""
-    golden = Path(__file__).parent / "data" / golden
-    code, out, _ = run_cli(
-        ["circle", "--q", "3", "--form", "conic", *args, "--no-timestamp"], capsys
-    )
-    assert code == 0
-    assert out == golden.read_text()
+     ["--form", "conic", "--e", "2", "--m", "0", "--check", "orthogonality", "--pairs"], 0),
+    ("t_vanishing_conic_q3_e2.json",
+     ["--form", "conic", "--e", "2", "--m", "0", "--check", "t-vanishing"], 0),
+    # x0*x1's gradient maps are not all onto, so T fails to vanish: exit 1
+    ("t_vanishing_x0x1_q3_e1.json",
+     ["--form-file", str(DATA / "x0x1.form"), "--e", "1", "--m", "0",
+      "--check", "t-vanishing"], 1),
+]
+
+
+# ids name a case by its golden file and argument index alone
+@pytest.mark.parametrize("golden,args,exit_code", GOLDEN_CIRCLE,
+                         ids=[f"{g}-args{i}" for i, (g, _, _) in enumerate(GOLDEN_CIRCLE)])
+def test_circle_identity_golden_output(golden, args, exit_code, capsys):
+    """Both sides of the major-arc identity and of pair orthogonality, and
+    the auxiliary-sum vanishing report, are pinned exactly, across the jet
+    orders the slice engine and the full dual sum evaluate."""
+    code, out, _ = run_cli(["circle", "--q", "3", *args, "--no-timestamp"], capsys)
+    assert code == exit_code
+    assert out == (DATA / golden).read_text()
 
 
 def test_bounds_certify_budget_exceeded():
@@ -416,40 +426,49 @@ def test_count_degree_bound_3_unsupported():
     assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
-@pytest.mark.parametrize("argv", [
-    ["count", "--q", "3", "--form", "conic", "--e", "2", "--m", "-1"],
-    ["count", "--q", "3", "--form", "conic", "--e", "-1", "--m", "0"],
-    ["circle", "--check", "orthogonality", "--q", "3", "--form", "conic",
-     "--e", "1", "--m", "-1"],
-    ["circle", "--check", "major-identity", "--q", "3", "--form", "conic",
-     "--e", "-1", "--m", "1"],
-    ["count", "--q", "3", "--form", "conic", "--e", "2", "--m", "0", "--budget", "0"],
-    ["circle", "--check", "shrink", "--q", "3", "--form", "conic", "--e", "1",
-     "--k", "-1", "--samples", "2"],
-    ["circle", "--check", "shrink", "--q", "3", "--form", "conic", "--e", "1",
-     "--samples", "-1"],
-    ["count", "--form", "conic", "--target", "lw-trend", "--primes", "3,5"],
-    ["circle", "--check", "shrink", "--q", "3", "--form", "conic", "--e", "1",
-     "--samples", "0"],
-    ["circle", "--check", "n-counts", "--q", "3", "--form", "conic", "--e", "1",
-     "--samples", "0"],
-    ["circle", "--check", "t-vanishing", "--q", "3", "--form", "conic", "--e", "1",
-     "--samples", "0"],
-    ["circle", "--check", "weyl", "--q", "3", "--form", "conic", "--e", "1",
-     "--m", "1", "--max-degree", "-1", "--samples", "0"],
-    ["count", "--q", "3", "--form", "conic", "--e", "2", "--m", "0", "--workers", "0"],
+COUNT_M0 = ["count", "--q", "3", "--form", "conic", "--e", "2", "--m", "0"]
+
+
+@pytest.mark.parametrize("argv,env", [
+    (["count", "--q", "3", "--form", "conic", "--e", "2", "--m", "-1"], None),
+    (["count", "--q", "3", "--form", "conic", "--e", "-1", "--m", "0"], None),
+    (["circle", "--check", "orthogonality", "--q", "3", "--form", "conic",
+      "--e", "1", "--m", "-1"], None),
+    (["circle", "--check", "major-identity", "--q", "3", "--form", "conic",
+      "--e", "-1", "--m", "1"], None),
+    ([*COUNT_M0, "--budget", "0"], None),
+    (["circle", "--check", "shrink", "--q", "3", "--form", "conic", "--e", "1",
+      "--k", "-1", "--samples", "2"], None),
+    (["circle", "--check", "shrink", "--q", "3", "--form", "conic", "--e", "1",
+      "--samples", "-1"], None),
+    (["count", "--form", "conic", "--target", "lw-trend", "--primes", "3,5"], None),
+    (["circle", "--check", "shrink", "--q", "3", "--form", "conic", "--e", "1",
+      "--samples", "0"], None),
+    (["circle", "--check", "n-counts", "--q", "3", "--form", "conic", "--e", "1",
+      "--samples", "0"], None),
+    (["circle", "--check", "t-vanishing", "--q", "3", "--form", "conic", "--e", "1",
+      "--samples", "0"], None),
+    (["circle", "--check", "weyl", "--q", "3", "--form", "conic", "--e", "1",
+      "--m", "1", "--max-degree", "-1", "--samples", "0"], None),
+    ([*COUNT_M0, "--workers", "0"], None),
+    (COUNT_M0, "abc"),
+    (COUNT_M0, "0"),
+    (COUNT_M0, "-3"),
 ], ids=["m-negative", "e-negative", "orthogonality-m", "major-e", "budget-zero",
         "shrink-k-negative", "shrink-samples-negative", "lw-trend-no-e",
         "shrink-samples-zero", "n-counts-samples-zero", "t-vanishing-samples-zero",
-        "weyl-no-functionals", "workers-zero"])
-def test_out_of_range_inputs_exit_2(argv, capsys):
+        "weyl-no-functionals", "workers-zero", "workers-env-abc", "workers-env-zero",
+        "workers-env-negative"])
+def test_out_of_range_inputs_exit_2(argv, env, capsys, monkeypatch):
     # each of these once answered (a count with m = -1, a sweep over -1 or
-    # 0 samples reported "holds", a count with 0 workers ran on one),
-    # ran at the default budget (--budget 0) or ended in a traceback (exit 1
-    # for --k -1 and for lw-trend without --e)
+    # 0 samples reported "holds", a count with 0 workers, from --workers or
+    # JETSUMS_WORKERS, ran on one), ran at the default budget (--budget 0)
+    # or ended in a traceback (exit 1 for --k -1 and for lw-trend without --e)
+    if env is not None:
+        monkeypatch.setenv("JETSUMS_WORKERS", env)
     code, out, err = run_cli([*argv, "--no-timestamp"], capsys)
     assert code == 2
-    assert out == "" and err.startswith("error: --")
+    assert out == "" and err.startswith("error: --" if env is None else "error: JETSUMS_WORKERS")
 
 
 def test_weyl_without_samples_checks_the_exhaustive_functionals(capsys):

@@ -24,11 +24,12 @@ from jetsums.counting import (
     mult_matrix_batch,
 )
 from jetsums.forms import conic_form, fermat_form, make_form
-from jetsums.sections import BudgetExceeded, JetPoly, globally_generates
+from jetsums.sections import BudgetExceeded, JetPoly
 from oracles import (
     base_solutions_slow,
     count_multilinear_zeros_slow,
     count_solutions_slow,
+    globally_generates,
     mult_matrix,
     multilinear_psi_sections,
     rank,
@@ -60,6 +61,20 @@ def test_conic_jet_counts_affine_bundle():
     # the count picks up a factor p^4 per jet layer over the smooth base
     assert count_solutions(conic_form(3), 2, 1).raw_count == 48 * 3**4
     assert count_solutions(conic_form(3), 2, 2).raw_count == 48 * 3**8
+
+
+def test_count_solutions_refuses_worker_counts_below_one(monkeypatch):
+    # each of these once ran the count on one worker without a word
+    for workers in (0, -5):
+        with pytest.raises(ValueError, match="workers >= 1"):
+            count_solutions(conic_form(3), 2, 0, workers=workers)
+    for env in ("abc", "0", "-3"):
+        monkeypatch.setenv("JETSUMS_WORKERS", env)
+        with pytest.raises(ValueError, match="JETSUMS_WORKERS"):
+            count_solutions(conic_form(3), 2, 0)
+    monkeypatch.setenv("JETSUMS_WORKERS", "2")
+    assert count_solutions(conic_form(3), 2, 0).raw_count == 48
+    assert count_solutions(conic_form(3), 2, 0, workers=1).raw_count == 48
 
 
 def test_fibered_count_matches_slow_enumeration():

@@ -14,11 +14,13 @@ from jetsums.counting import (
     count_psi_zero_sections,
     count_solutions,
     encode_digits,
+    fiber_classes,
     generating_fibers,
 )
 from jetsums.expsums import (
     IdentityViolation,
     _major_lhs,
+    _t_histogram,
     all_sums,
     char_transform,
     check_major_identity,
@@ -37,7 +39,6 @@ from jetsums.expsums import (
     n_count_plain,
     pair_data,
     slice_histogram,
-    t_inner_sum,
     t_vanishing_report,
     value_histogram,
     weyl_alpha_sample,
@@ -48,15 +49,15 @@ from jetsums.sections import (
     BudgetExceeded,
     DualFunctional,
     JetPoly,
-    globally_generates,
     section_space_size,
 )
 from oracles import (
     enumerate_sections,
     exp_sum_slow,
+    globally_generates,
     mult_matrix,
     n_count_slow,
-    t_inner_sum_closed_form,
+    t_value_histogram_slow,
     unfolded_mult_matrix,
 )
 
@@ -159,39 +160,44 @@ def test_pair_sum_with_zero_beta_is_free_x1():
     ) * full
 
 
-def test_t_inner_sum_rank_vs_histogram():
+@pytest.mark.parametrize("F,e,onto", [
+    (conic_form(3), 1, True),
+    (conic_form(3), 2, True),
+    (_x0x1(2), 1, False),
+    (_x0x1(2), 2, False),
+    (_x0sq(2), 1, False),
+    (_x0sq(2), 2, False),
+    (conic_form(5), 1, True),
+    (fermat_form(5, 1, 3), 1, True),
+], ids=["conic3-e1", "conic3-e2", "x0x1-e1", "x0x1-e2", "x0sq-e1", "x0sq-e2",
+        "conic5-e1", "fermat513-e1"])
+def test_t_histogram_is_the_image_of_the_gradient_map(F, e, onto):
+    # T's value histogram from the image classes of z -> z . grad F(y),
+    # against the enumeration of every z, at a seeded sample of 200
+    # generating y (every one where there are fewer); x0*x1 and x0^2 have
+    # maps that are not onto, so there the image rule weighs proper images
+    scan = base_scan(F, e)
+    coords = scan.coords[scan.generating].astype(np.int64)
+    rows = sorted(random.Random(11).sample(range(len(coords)), min(200, len(coords))))
+    coords = coords[rows]
+    ids, images = fiber_classes(F, coords)
+    ncols, width = (F.n + 1) * (e + 1), F.d * e + 1
+    assert all(image.shape[0] == width for image in images) == onto
+    for x0, k in zip(coords, ids):
+        expected = t_value_histogram_slow(F, mult_matrix(F, x0))
+        assert np.array_equal(_t_histogram(images[k], ncols, F.p), expected)
+
+
+def test_t_values_at_the_standard_point():
+    # y = (1, s, s^2) on conic(3) at e = 2: T is 3^9 at the zero functional
+    # and 0 at alpha0 = (1, 0, 0, 0, 0) (code 1), a functional of minimal
+    # degree 1
     F = conic_form(3)
-    scan_y = (
-        JetPoly.from_ints(3, 2, 0, (1, 0, 0)),
-        JetPoly.from_ints(3, 2, 0, (0, 1, 0)),
-        JetPoly.from_ints(3, 2, 0, (0, 0, 1)),
-    )
-    for code in range(0, 3**5, 17):
-        a0 = dual_from_code(3, 4, 0, code)
-        hist_val = t_inner_sum(F, 2, a0, scan_y)
-        rank_val = t_inner_sum_closed_form(F, 2, a0, scan_y)
-        assert hist_val == rank_val
-
-
-def test_t_inner_sum_values():
-    F = conic_form(3)
-    y = (
-        JetPoly.from_ints(3, 2, 0, (1, 0, 0)),
-        JetPoly.from_ints(3, 2, 0, (0, 1, 0)),
-        JetPoly.from_ints(3, 2, 0, (0, 0, 1)),
-    )
-    assert t_inner_sum(F, 2, DualFunctional.zero(3, 4, 0), y) == Cyclo.integer(
-        3, 3**9
-    )
-    a0 = DualFunctional(3, 4, 0, ((1, 0, 0, 0, 0),))
-    assert t_inner_sum(F, 2, a0, y).is_zero()
-
-
-def test_t_inner_sum_requires_generation():
-    F = conic_form(3)
-    bad = tuple(JetPoly.from_ints(3, 2, 0, (0, 1, 0)) for _ in range(3))
-    with pytest.raises(ValueError):
-        t_inner_sum(F, 2, DualFunctional.zero(3, 4, 0), bad)
+    _, (image,) = fiber_classes(F, np.eye(3, dtype=np.int64)[None])
+    sums = char_transform(_t_histogram(image, 9, 3), 3, 5)
+    assert Cyclo(3, sums[0]) == Cyclo.integer(3, 3**9)
+    assert Cyclo(3, sums[1]).is_zero()
+    assert divisor_table(3, 4).degree[1] == 1
 
 
 def test_t_vanishing_sample():
@@ -571,6 +577,8 @@ def test_histogram_budget_is_checked_before_the_cache():
         (base_scan, (F, 2), 10, "materialized tuple scan"),
         (generating_fibers, (F, 2), 10, "materialized tuple scan"),
         (divisor_table, (3, 4), 10, "minimal divisor Hankel"),
+        # one image, one transform: 4 butterflies of 5^2 rolls over 5^5 entries
+        (t_vanishing_report, (fermat_form(5, 1, 3), 1), 60_000, "auxiliary linear sum"),
     ):
         fn(*args)
         with pytest.raises(BudgetExceeded, match=what):

@@ -8,6 +8,10 @@ function it names, as a bare name (its own module's, or one bound by a
 statements and class bodies, methods included, are roots as well.  Strings,
 docstrings among them, name nothing.  A function that only tests call
 belongs in ``tests/oracles.py``, not in ``src/``.
+
+Every module-level import of a submodule is used by that module, so a
+leftover import cannot keep a moved or deleted name in view; the package's
+re-exports in ``__init__.py`` are what it ships.
 """
 
 from __future__ import annotations
@@ -99,6 +103,25 @@ def unreachable_functions(package: Path = PACKAGE) -> list[str]:
     )
 
 
+def unused_imports(package: Path = PACKAGE) -> list[str]:
+    """module.name for each name a submodule's module-level imports bind and
+    the module never names again (``__future__`` imports excepted)."""
+    out = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        bound = []
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound += [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound += [a.asname or a.name for a in node.names]
+        used = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        out += [f"{path.stem}.{name}" for name in bound if name not in used]
+    return sorted(out)
+
+
 def test_every_module_function_is_reachable():
     assert unreachable_functions() == []
 
@@ -132,3 +155,24 @@ def test_scan_sees_through_the_reference_forms(tmp_path):
     ))
     (tmp_path / "cli.py").write_text("def main():\n    return 0\n")
     assert unreachable_functions(tmp_path) == ["a.docstring_only", "a.orphan_callee"]
+
+
+def test_every_module_level_import_is_used():
+    assert unused_imports() == []
+
+
+def test_unused_import_scan(tmp_path):
+    """The import scan itself: a name counts as used wherever the code names
+    it, annotations and attribute bases included, but not in a docstring."""
+    (tmp_path / "__init__.py").write_text("from .a import exported, unused_here\n")
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\n"
+        "import numpy as np\n"
+        "import os.path\n"
+        "from . import b as b_mod, c\n"
+        "from .b import bare, in_annotation, in_docstring\n"
+        "def exported(x: in_annotation) -> None:\n"
+        '    """uses in_docstring and c"""\n'
+        "    return np.zeros(1), os.path.join, b_mod.f, bare\n"
+    )
+    assert unused_imports(tmp_path) == ["a.c", "a.in_docstring"]

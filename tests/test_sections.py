@@ -16,13 +16,18 @@ from jetsums.sections import (
     count_minimizers,
     enumerate_divisors,
     factors_through,
-    globally_generates,
     minimal_divisor,
     minimal_divisor_table,
     mul_sections,
     vanishing_basis,
 )
-from oracles import count_divisors, enumerate_duals, enumerate_sections, vanishing_dimension
+from oracles import (
+    count_divisors,
+    enumerate_duals,
+    enumerate_sections,
+    globally_generates,
+    vanishing_dimension,
+)
 
 
 def sec(p, r, ints, m=0):
