@@ -10,9 +10,12 @@ objects:
 * the value histogram of F over generating tuples, stored in "partial sum"
   coordinates w_i = v_i + ... + v_(m-i), in which psi_m(alpha(v)) is the
   plain pairing zeta^(alpha . w); and
-* an exact character transform of such histograms: one integer-shift
-  butterfly per coordinate, which returns every S(alpha) at once as
-  cyclotomic coefficient vectors.
+* an exact character transform of such histograms, which returns every
+  S(alpha) at once as cyclotomic coefficient vectors.  It splits off the
+  most significant coordinate a0 of alpha: a0 = 0 is the transform of a
+  marginal, a0 = 1 reads that coordinate as zeta's exponent and runs an
+  integer-shift butterfly over the others, and the other a0 follow from
+  the scaling symmetry S(lam alpha)[lam t] = S(alpha)[t] by a gather.
 
 The value, pair and slice histograms share one fiber engine at every jet
 order: base points (fiber classes computed once per (F, e), or base
@@ -142,26 +145,67 @@ def w_code_from_values(values: np.ndarray, p: int, m: int) -> np.ndarray:
 def char_transform(hist: np.ndarray, p: int, k: int) -> np.ndarray:
     """All sums S(a) = sum_w hist[w] zeta^(a.w) for a in F_p^k, exactly.
 
-    Returns an array (p^k, p) of cyclotomic coefficient vectors.  One
-    butterfly per coordinate; the twiddles zeta^(a_i v_i) are coefficient
-    rolls, so everything stays in integer arithmetic.
+    Returns an array (p^k, p) of cyclotomic coefficient vectors; row a holds
+    the counts of w with a.w = t, t = 0..p-1.  Split a = (a0, a') on the
+    most significant coordinate (flat index a0 p^(k-1) + a'):
+
+    * a0 = 0: the transform, on k-1 coordinates, of the marginal
+      sum over w0 of hist(w0, .);
+    * a0 = 1: w0 is already the exponent of zeta, so hist itself, read as
+      coefficient vectors, goes through one butterfly per remaining
+      coordinate, whose twiddles are coefficient shifts;
+    * a0 = lam in 2..p-1: S(lam a)[lam t] = S(a)[t], so the row is a gather
+      of the a0 = 1 rows at lam^-1 a' and lam^-1 t.
+
+    Only integer additions, so the sums are exact.  A histogram without an
+    integer dtype is refused rather than truncated.
     """
     size = p**k
     if hist.shape != (size,):
         raise ValueError("histogram size mismatch")
-    arr = np.zeros((size, p), dtype=np.int64)
-    arr[:, 0] = hist
-    shape = (p,) * k + (p,)
-    arr = arr.reshape(shape)
-    for axis in range(k):
-        new = np.zeros_like(arr)
-        for aval in range(p):
-            dest = (slice(None),) * axis + (aval,)
+    if not np.issubdtype(hist.dtype, np.integer):
+        raise ValueError(f"histogram must have an integer dtype, got {hist.dtype}")
+    out = np.empty((size, p), dtype=np.int64)
+    _transform_into(hist.astype(np.int64, copy=False), p, k, out)
+    return out
+
+
+def _transform_into(hist: np.ndarray, p: int, k: int, out: np.ndarray) -> None:
+    """char_transform of an int64 histogram, written into the contiguous
+    (p^k, p) array out."""
+    if k == 0:
+        out[0] = 0
+        out[0, 0] = hist[0]
+        return
+    rows = out.reshape(p, p ** (k - 1), p)  # rows[a0, a', t]
+    _transform_into(hist.reshape(p, -1).sum(axis=0), p, k - 1, rows[0])
+    rows[1] = _shift_butterfly(hist.reshape((p,) * k), p).reshape(p, -1).T
+    unit = rows[1].reshape((p,) * k)
+    for lam in range(2, p):
+        perm = pow(lam, -1, p) * np.arange(p) % p
+        rows[lam] = unit[np.ix_(*[perm] * k)].reshape(p ** (k - 1), p)
+
+
+def _shift_butterfly(x: np.ndarray, p: int) -> np.ndarray:
+    """sum_v x[c - a.v, v] for every (c, a): axis 0 of x holds zeta's
+    exponent c and every other axis is transformed, the twiddle zeta^(a v)
+    being two slab additions along axis 0."""
+    src = x
+    buf = [np.empty_like(x), np.empty_like(x)]
+    for axis in range(1, x.ndim):
+        dst = buf[axis % 2]
+        dst.fill(0)
+        at = (slice(None),) * axis
+        for a in range(p):
+            acc = dst[at + (a,)]
             for v in range(p):
-                src = (slice(None),) * axis + (v,)
-                new[dest] += np.roll(arr[src], (aval * v) % p, axis=-1)
-        arr = new
-    return arr.reshape(size, p)
+                xv = src[at + (v,)]
+                s = a * v % p
+                acc[s:] += xv[: p - s]
+                if s:
+                    acc[:s] += xv[p - s:]
+        src = dst
+    return src
 
 
 def dual_code(alpha: DualFunctional) -> int:
@@ -494,7 +538,9 @@ def t_vanishing_report(F: SymmetricForm, e: int, samples: int = 100, seed: int =
     tab = divisor_table(p, de, budget)
     in_range = (tab.degree >= 1) & (tab.degree <= e + 1)
     ids, images = fiber_classes(F, scan.coords[gidx[chosen]].astype(np.int64))
-    # one transform per image: width butterflies of p^2 rolls over p^(width+1) entries
+    # one transform per image, charged at width butterfly passes of p^(width+2)
+    # additions each, above what the transform does (about p/(p-1) passes of
+    # p^(width+1)); the figure is kept so that budgets refuse where they did
     check_budget(len(images) * width * p ** (width + 2), budget, "auxiliary linear sum")
     full = p**ncols
     checks = []  # per image: (T of the zero functional is full, nonvanishing codes)

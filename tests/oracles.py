@@ -369,6 +369,27 @@ def count_multilinear_zeros_slow(
 # expsums
 
 
+def char_transform_roll(hist: np.ndarray, p: int, k: int) -> np.ndarray:
+    """``expsums.char_transform`` by one butterfly per coordinate over every
+    a, whose twiddles zeta^(a_i v_i) are coefficient rolls."""
+    size = p**k
+    if hist.shape != (size,):
+        raise ValueError("histogram size mismatch")
+    arr = np.zeros((size, p), dtype=np.int64)
+    arr[:, 0] = hist
+    shape = (p,) * k + (p,)
+    arr = arr.reshape(shape)
+    for axis in range(k):
+        new = np.zeros_like(arr)
+        for aval in range(p):
+            dest = (slice(None),) * axis + (aval,)
+            for v in range(p):
+                src = (slice(None),) * axis + (v,)
+                new[dest] += np.roll(arr[src], (aval * v) % p, axis=-1)
+        arr = new
+    return arr.reshape(size, p)
+
+
 def exp_sum_slow(F: SymmetricForm, e: int, m: int, alpha: DualFunctional,
                  budget: int | None = None) -> Cyclo:
     """Direct enumeration oracle for S(alpha) (small spaces only)."""

@@ -5,7 +5,6 @@ PASS lines and timings.
 """
 
 import itertools
-import math
 import time
 from fractions import Fraction
 
@@ -14,12 +13,9 @@ import pytest
 
 from jetsums.arith import Cyclo, Jet, psi_m
 from jetsums.bounds import (
-    calibration_passed,
-    calibration_report,
     certify,
     degree_floor,
     genus_slack,
-    variable_threshold,
 )
 from jetsums.counting import (
     count_jet_multilinear,
@@ -40,12 +36,9 @@ from jetsums.forms import (
     conic_form,
     fermat_form,
     gradient,
-    make_form,
 )
 from jetsums.sections import (
-    DualFunctional,
     JetPoly,
-    minimal_divisor,
     mul_sections,
 )
 from oracles import difference_apply, multilinear_psi_sections

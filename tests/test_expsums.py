@@ -12,13 +12,11 @@ from jetsums.counting import (
     batch_digits,
     batch_eval_jets,
     count_psi_zero_sections,
-    count_solutions,
     encode_digits,
     fiber_classes,
     generating_fibers,
 )
 from jetsums.expsums import (
-    IdentityViolation,
     _major_lhs,
     _t_histogram,
     all_sums,
@@ -30,7 +28,6 @@ from jetsums.expsums import (
     classify_arc,
     divisor_table,
     dual_from_code,
-    dual_code,
     exp_sum,
     exp_sum_pair,
     layer_sum_table,
@@ -52,6 +49,7 @@ from jetsums.sections import (
     section_space_size,
 )
 from oracles import (
+    char_transform_roll,
     enumerate_sections,
     exp_sum_slow,
     globally_generates,
@@ -71,18 +69,47 @@ def _x0sq(n):
 
 
 def test_char_transform_is_exact_dft():
-    # brute-force comparison on a tiny histogram
-    p, k = 3, 2
+    # brute-force comparison on tiny histograms, coefficient for coefficient
     rng = random.Random(0)
-    hist = np.array([rng.randrange(5) for _ in range(p**k)], dtype=np.int64)
-    out = char_transform(hist, p, k)
-    for code in range(p**k):
-        a = (code % p, code // p)
-        acc = [0] * p
-        for w in range(p**k):
-            wd = (w % p, w // p)
-            acc[(a[0] * wd[0] + a[1] * wd[1]) % p] += hist[w]
-        assert Cyclo(p, out[code]) == Cyclo(p, acc)
+    for p, k in ((2, 3), (3, 2), (5, 2), (7, 2)):
+        hist = np.array([rng.randrange(-5, 5) for _ in range(p**k)], dtype=np.int64)
+        out = char_transform(hist, p, k)
+        digits = [[(code // p**i) % p for i in range(k)] for code in range(p**k)]
+        for code in range(p**k):
+            acc = [0] * p
+            for w in range(p**k):
+                acc[sum(a * v for a, v in zip(digits[code], digits[w])) % p] += hist[w]
+            assert out[code].tolist() == acc
+
+
+# the largest k at which the roll oracle takes about 0.2 s
+_ROLL_ORACLE_KMAX = {2: 19, 3: 11, 5: 7, 7: 6}
+
+
+@pytest.mark.parametrize("p", sorted(_ROLL_ORACLE_KMAX))
+def test_char_transform_matches_roll_oracle(p):
+    rng = np.random.default_rng(p)
+    for k in range(_ROLL_ORACLE_KMAX[p] + 1):
+        for hist in (rng.integers(-9, 10, p**k), rng.integers(-2**40, 2**40, p**k)):
+            assert np.array_equal(char_transform(hist, p, k), char_transform_roll(hist, p, k))
+
+
+def test_char_transform_matches_roll_oracle_on_a_value_histogram():
+    # fermat(5,1,3) at e = 1, m = 1: the Weyl sweep's transform, k = 8
+    hist = value_histogram(fermat_form(5, 1, 3), 1, 1)
+    assert hist.shape == (5**8,)
+    out = char_transform(hist, 5, 8)
+    assert out.dtype == np.int64
+    assert np.array_equal(out, char_transform_roll(hist, 5, 8))
+
+
+def test_char_transform_refuses_a_histogram_without_integer_dtype():
+    for hist in (np.ones(9), np.full(9, 1.5), np.ones(9, dtype=bool)):
+        with pytest.raises(ValueError, match="integer dtype"):
+            char_transform(hist, 3, 2)
+    hist = np.arange(9)
+    for dtype in (np.int8, np.int32, np.uint16):
+        assert np.array_equal(char_transform(hist.astype(dtype), 3, 2), char_transform(hist, 3, 2))
 
 
 @pytest.mark.slow

@@ -6,7 +6,6 @@ import pytest
 
 from jetsums.arith import Jet
 from jetsums.forms import (
-    SmoothnessReport,
     _gradient_monomials,
     _is_irreducible,
     _reduction_table,

@@ -11,7 +11,8 @@ belongs in ``tests/oracles.py``, not in ``src/``.
 
 Every module-level import of a submodule is used by that module, so a
 leftover import cannot keep a moved or deleted name in view; the package's
-re-exports in ``__init__.py`` are what it ships.
+re-exports in ``__init__.py`` are what it ships.  The test modules, oracles
+included, are held to the same rule.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "jetsums"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "jetsums"
 
 
 class _Module:
@@ -103,11 +105,12 @@ def unreachable_functions(package: Path = PACKAGE) -> list[str]:
     )
 
 
-def unused_imports(package: Path = PACKAGE) -> list[str]:
-    """module.name for each name a submodule's module-level imports bind and
-    the module never names again (``__future__`` imports excepted)."""
+def unused_imports(directory: Path = PACKAGE) -> list[str]:
+    """module.name for each name a module's module-level imports bind and
+    the module never names again (``__init__.py`` and ``__future__``
+    imports excepted)."""
     out = []
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(directory.glob("*.py")):
         if path.stem == "__init__":
             continue
         tree = ast.parse(path.read_text())
@@ -159,6 +162,10 @@ def test_scan_sees_through_the_reference_forms(tmp_path):
 
 def test_every_module_level_import_is_used():
     assert unused_imports() == []
+
+
+def test_every_test_module_import_is_used():
+    assert unused_imports(TESTS) == []
 
 
 def test_unused_import_scan(tmp_path):
