@@ -6,8 +6,6 @@ irreducible of the expected dimension.  Everything below is an exact
 integer or rational; no sampling, no floating point.
 """
 
-from fractions import Fraction
-
 from jetsums.counting import count_solutions, count_tangent_pairs, lw_trend
 from jetsums.forms import conic_form
 

@@ -12,7 +12,6 @@ from collections import Counter
 
 from jetsums.arith import magnitude
 from jetsums.expsums import (
-    all_sums,
     check_orthogonality,
     classify_arc,
     divisor_table,
@@ -21,7 +20,6 @@ from jetsums.expsums import (
     t_vanishing_report,
 )
 from jetsums.forms import conic_form
-from jetsums.sections import DualFunctional
 
 F = conic_form(3)
 e = 2

@@ -4,19 +4,16 @@ certifier for the associated bound analysis."""
 
 __version__ = "0.1.0"
 
-from .arith import Cyclo, Interval, Jet, magnitude, psi_m  # noqa: F401
+from .arith import Cyclo, Interval, magnitude  # noqa: F401
 from .sections import (  # noqa: F401
     BudgetExceeded,
     DivisorP1,
     DualFunctional,
-    JetPoly,
 )
 from .forms import (  # noqa: F401
     SymmetricForm,
     conic_form,
-    eval_form,
     fermat_form,
-    gradient,
     make_form,
     named_form,
     smoothness_check,

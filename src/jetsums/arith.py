@@ -1,12 +1,15 @@
-"""Exact arithmetic substrate: prime fields, truncated jets, cyclotomic sums.
+"""Exact arithmetic substrate: prime fields and cyclotomic sums.
 
-Three layers:
+Two layers:
 
 * ``F_p``  -- plain Python ints reduced mod p (p a machine prime).
-* ``Jet``  -- elements of R_m = F_p[t]/t^(m+1), fixed length m+1.
 * ``Cyclo`` -- elements of Z[zeta_p] stored as integer coefficient vectors
   on 1, zeta, ..., zeta^(p-1); exact, with equality modulo the relation
   1 + zeta + ... + zeta^(p-1) = 0.
+
+Jets, elements of R_m = F_p[t]/t^(m+1), are coefficient arrays of the jet
+kernel in ``counting``; the scalar ``Jet`` and the character ``psi_m`` on it
+are the tests' oracles (``tests/oracles.py``).
 
 Character values of sums over F_p-spaces always land in Z[zeta_p]; no
 floating point enters except behind ``magnitude``, which returns a rigorous
@@ -38,74 +41,6 @@ def check_prime(p: int) -> int:
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
     return p
-
-
-class Jet:
-    """Element of F_p[t]/t^(m+1) with coefficients (a_0, ..., a_m)."""
-
-    __slots__ = ("p", "coeffs")
-
-    def __init__(self, p: int, coeffs):
-        self.p = p
-        self.coeffs = tuple(int(c) % p for c in coeffs)
-
-    @property
-    def m(self) -> int:
-        return len(self.coeffs) - 1
-
-    @classmethod
-    def zero(cls, p: int, m: int) -> "Jet":
-        return cls(p, (0,) * (m + 1))
-
-    @classmethod
-    def const(cls, p: int, m: int, a: int) -> "Jet":
-        return cls(p, (a,) + (0,) * m)
-
-    def _check(self, other: "Jet") -> None:
-        if self.p != other.p or self.m != other.m:
-            raise ValueError("mismatched jet rings")
-
-    def __add__(self, other: "Jet") -> "Jet":
-        self._check(other)
-        return Jet(self.p, (a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "Jet") -> "Jet":
-        self._check(other)
-        return Jet(self.p, (a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "Jet":
-        return Jet(self.p, (-a for a in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return Jet(self.p, (a * other for a in self.coeffs))
-        self._check(other)
-        m = self.m
-        out = [0] * (m + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(m + 1 - i):
-                out[i + j] += a * other.coeffs[j]
-        return Jet(self.p, out)
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Jet)
-            and self.p == other.p
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.coeffs))
-
-    def __repr__(self):
-        return f"Jet(p={self.p}, {list(self.coeffs)})"
 
 
 class Cyclo:
@@ -220,15 +155,6 @@ class Interval:
     @property
     def width(self) -> float:
         return self.hi - self.lo
-
-
-def psi_m(u: Jet) -> Cyclo:
-    """Additive character on R_m: product over layers of zeta^(a_i).
-
-    The chosen character on F_p is a -> zeta_p^a, so the value is the unit
-    zeta_p^(sum of coefficients).
-    """
-    return Cyclo.root(u.p, sum(u.coeffs) % u.p)
 
 
 def _norm_sq_iv(v: Cyclo):

@@ -406,6 +406,8 @@ def certify(
         raise ValueError("empty span")
     if m_lo < 1:
         raise ValueError(f"jet orders must be >= 1, got m = {m_lo}")
+    if n_plus_1 < 2:
+        raise ValueError(f"variable count must be >= 2, got n + 1 = {n_plus_1}")
     e0 = degree_floor(mode, d, g)
     if Fraction(e_lo) <= e0:
         raise ValueError(f"degree span must start above the threshold {e0}")

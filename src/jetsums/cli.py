@@ -134,12 +134,13 @@ def _budget(args) -> int:
 
 def _check_ranges(args) -> None:
     """Refuse a negative degree bound, jet order, n/shrink jet order or
-    sample count, and a budget or worker count below 1."""
+    sample count, a budget or worker count below 1, and a variable count
+    below 2."""
     for name, low in (("e", 0), ("m", 0), ("k", 0), ("samples", 0), ("budget", 1),
-                      ("workers", 1)):
+                      ("workers", 1), ("n_plus_1", 2)):
         val = getattr(args, name, None)
         if val is not None and val < low:
-            raise ConfigError(f"--{name} must be >= {low}, got {val}")
+            raise ConfigError(f"--{name.replace('_', '-')} must be >= {low}, got {val}")
 
 
 def _load_form(args, p: int) -> forms.SymmetricForm:

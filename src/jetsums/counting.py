@@ -146,7 +146,7 @@ def _check_scan(F: SymmetricForm, e: int, budget: int | None) -> int:
 
 
 def iter_base_chunks(F: SymmetricForm, e: int, budget: int | None = None):
-    """Stream (codes, coords, values, generating) over the degree-zero space."""
+    """Stream (coords, values, generating) over the degree-zero space."""
     p, n = F.p, F.n
     width = (n + 1) * (e + 1)
     total = _check_scan(F, e, budget)
@@ -155,7 +155,7 @@ def iter_base_chunks(F: SymmetricForm, e: int, budget: int | None = None):
         coords = batch_digits(codes, p, width).reshape(-1, n + 1, e + 1)
         values = batch_eval_form(F, coords)
         gg = batch_generating_mask(coords, p)
-        yield codes, coords, values, gg
+        yield coords, values, gg
 
 
 @dataclass
@@ -180,7 +180,7 @@ def base_scan(F: SymmetricForm, e: int, budget: int | None = None) -> BaseScan:
         # int8 would wrap for p > 128 and send every later code negative
         dtype = np.min_scalar_type(-F.p)
         cs, vs, gs = [], [], []
-        for _, coords, values, gg in iter_base_chunks(F, e, budget):
+        for coords, values, gg in iter_base_chunks(F, e, budget):
             cs.append(coords.astype(dtype))
             vs.append(values.astype(dtype))
             gs.append(gg)
@@ -289,13 +289,14 @@ def _eval_batch_last(F: SymmetricForm, X: np.ndarray) -> np.ndarray:
 
 def batch_eval_jets(F: SymmetricForm, X: np.ndarray) -> np.ndarray:
     """F on a stack of tuples of P_{e,m}: (N, n+1, m+1, e+1) -> (N, m+1, de+1),
-    the array form of ``forms.eval_form``."""
+    the array form of the scalar ``eval_form`` oracle in ``tests/oracles.py``."""
     return np.moveaxis(_eval_batch_last(F, _batch_last(X)), -1, 0)
 
 
 def batch_gradient(F: SymmetricForm, X: np.ndarray) -> np.ndarray:
     """The partial derivatives of F on a stack of tuples:
-    (N, n+1, m+1, e+1) -> (N, n+1, m+1, (d-1)e+1), as ``forms.gradient``."""
+    (N, n+1, m+1, e+1) -> (N, n+1, m+1, (d-1)e+1), as the scalar
+    ``gradient`` oracle in ``tests/oracles.py``."""
     X = _batch_last(X)
     nv, mc, ec, N = X.shape
     out = np.zeros((nv, mc, (F.d - 1) * (ec - 1) + 1, N), dtype=np.int64)

@@ -66,8 +66,9 @@ from .sections import (
     DivisorP1,
     DualFunctional,
     check_budget,
-    check_divisor_table_budget,
-    minimal_divisor,
+    check_hankel_budget,
+    first_monic,
+    hankel_splits,
     minimal_divisor_table,
     section_space_size,
 )
@@ -400,7 +401,7 @@ def _value_leaves(F: SymmetricForm, e: int, m: int, budget: int | None):
     _check_scan(F, e, budget)  # every generating tuple is a base point
     zero = np.zeros((1, F.d * e + 1), dtype=np.int64)
     return ((values[gg][:, None], zero, 1, None)
-            for _, _, values, gg in iter_base_chunks(F, e, budget))
+            for _, values, gg in iter_base_chunks(F, e, budget))
 
 
 def value_histogram(F: SymmetricForm, e: int, m: int, budget: int | None = None) -> np.ndarray:
@@ -447,7 +448,7 @@ class DivisorTable:
 
 
 def divisor_table(p: int, de: int, budget: int | None = None) -> DivisorTable:
-    check_divisor_table_budget(p, de, budget)
+    check_hankel_budget(de, p ** (de + 1), budget)
     return MEMO.get(("divisor_table", p, de),
                     lambda: DivisorTable(p, de, *minimal_divisor_table(p, de, budget)))
 
@@ -464,19 +465,28 @@ def classify_arc(alpha: DualFunctional, e: int, budget: int | None = None) -> Ar
     """Major iff the minimal divisor degree is <= e + 1 (the source is P^1,
     genus 0).
 
-    Rechecks minimizer uniqueness inside the range where it is forced
-    (two distinct minimizers of degree z would need 2z > de + 1); a
-    boundary functional with several minimizers keeps the first one and
-    reports the count in the label.
+    The minimal divisor comes from the Hankel systems of the divisor table
+    (``sections.hankel_splits``), for this one functional: degrees upward,
+    and at the least degree the split of largest finite degree with a
+    solution, free coordinates 0, is the first minimizer with k_inf
+    ascending and then h lexicographic.  Rechecks minimizer uniqueness
+    inside the range where it is forced (two distinct minimizers of degree
+    z would need 2z > de + 1); a boundary functional with several
+    minimizers keeps the first one and reports the count in the label.
     """
-    from .sections import count_minimizers
-
-    z, deg, unique = minimal_divisor(alpha)
-    mult = 1 if unique else count_minimizers(
-        DualFunctional(alpha.p, alpha.r, 0, (alpha.parts[0],)), deg
-    )
+    p, r = alpha.p, alpha.r
+    check_hankel_budget(r, 1, budget)
+    a0 = np.array([alpha.parts[0]], dtype=np.int64)
+    for deg in range(r + 2):
+        z, mult = None, 0
+        for dh, red, count in hankel_splits(a0, p, r, deg):
+            if count[0] and z is None:
+                z = DivisorP1(p, first_monic(red[0], dh, p), deg - dh)
+            mult += int(count[0])
+        if mult:
+            break
     if deg <= e + 1:
-        if mult != 1 and 2 * deg <= alpha.r + 1:
+        if mult != 1 and 2 * deg <= r + 1:
             raise IdentityViolation(Report(
                 "arc-classification", {"alpha": alpha.flat()},
                 mult, 1, "non-unique minimal divisor below the forcing bound",

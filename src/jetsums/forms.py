@@ -3,10 +3,11 @@
 Forms are ingested as sparse monomial lists (exponent vector, coefficient)
 and symmetrized by dividing by multinomial coefficients; this needs p > d,
 which is also what makes the d! factor in the multilinear forms invertible.
-Evaluation and gradients run on ``JetPoly`` sections, the scalar
-counterparts of the array jet kernel in ``counting``, which also evaluates
-the multilinear forms Psi_j (``counting._psi_batch``).  The
-smoothness search over F_{p^k} = F_p[theta]/(g) is the array jet kernel's
+Evaluation, gradients and the multilinear forms Psi_j run on the array jet
+kernel in ``counting`` (``batch_eval_jets``, ``batch_gradient``,
+``_psi_batch``); the scalar ``eval_form`` and ``gradient`` on ``JetPoly``
+sections are the tests' oracles (``tests/oracles.py``).  The smoothness
+search over F_{p^k} = F_p[theta]/(g) is the array jet kernel's
 ``counting.batch_gradient`` on polynomials in theta plus one reduction mod g.
 """
 
@@ -18,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import Jet, check_prime
-from .sections import DEFAULT_BUDGET, JetPoly, check_budget, mul_sections, poly_gcd
+from .arith import check_prime
+from .sections import DEFAULT_BUDGET, check_budget, poly_gcd
 from . import linalg
 
 
@@ -138,54 +139,6 @@ def named_form(name: str, p: int, n: int | None = None, d: int | None = None) ->
             raise ValueError("fermat needs explicit n and d")
         return fermat_form(p, n, d)
     raise ValueError(f"unknown built-in form {name!r}")
-
-
-# ---------------------------------------------------------------------------
-# evaluation on jet sections
-
-
-def eval_form(F: SymmetricForm, x: tuple[JetPoly, ...]) -> JetPoly:
-    """F applied to an (n+1)-tuple of sections of P_{e,m}; lands in P_{de,m}."""
-    if len(x) != F.n + 1:
-        raise ValueError(f"need a tuple of {F.n + 1} sections")
-    p, e, m = x[0].p, x[0].r, x[0].m
-    out = JetPoly.zero(p, F.d * e, m)
-    for exps, c in F.monomials.items():
-        term = None
-        for j, ej in enumerate(exps):
-            for _ in range(ej):
-                term = x[j] if term is None else mul_sections(term, x[j])
-        out = out + _scale_int(term, c)
-    return out
-
-
-def _scale_int(s: JetPoly, c: int) -> JetPoly:
-    return JetPoly(s.p, s.r, s.m, (a * c for a in s.coeffs))
-
-
-def gradient(F: SymmetricForm, x: tuple[JetPoly, ...]) -> tuple[JetPoly, ...]:
-    """Tuple of partial derivatives evaluated on sections; each in P_{(d-1)e,m}."""
-    if len(x) != F.n + 1:
-        raise ValueError(f"need a tuple of {F.n + 1} sections")
-    p, e, m = x[0].p, x[0].r, x[0].m
-    r_out = (F.d - 1) * e
-    grads = [JetPoly.zero(p, r_out, m) for _ in range(F.n + 1)]
-    for exps, c in F.monomials.items():
-        for j, ej in enumerate(exps):
-            if ej == 0:
-                continue
-            term = None
-            for k, ek in enumerate(exps):
-                rep = ek - 1 if k == j else ek
-                for _ in range(rep):
-                    term = x[k] if term is None else mul_sections(term, x[k])
-            if term is None:
-                term = JetPoly.from_ints(p, 0, m, [1])
-            if term.r < r_out:
-                pad = tuple(Jet.zero(p, m) for _ in range(r_out - term.r))
-                term = JetPoly(p, r_out, m, term.coeffs + pad)
-            grads[j] = grads[j] + _scale_int(term, c * ej)
-    return tuple(grads)
 
 
 # ---------------------------------------------------------------------------

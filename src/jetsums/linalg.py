@@ -9,11 +9,12 @@ stack of matrices at once, one column step across the batch axis at a time:
 the gradient maps of every base point of a degree-zero scan, the stacked
 [L | I] of each block of base solutions of the jet-layer lifts (after which
 ``solve_stack`` solves L x = b for a stack of right-hand sides with one
-matrix product), the Hankel matrices of ``sections.minimal_divisor_table``
-and the last-slot maps of ``counting.count_multilinear_zeros``.  The scalar
-``rref`` (with ``nullspace`` and ``row_space`` built on it) serves callers
-that hold a single matrix -- the annihilator of each distinct image class --
-and is the oracle the batched kernel is tested against.
+matrix product), the Hankel matrices of ``sections.hankel_splits`` (the
+divisor table and ``classify_arc``) and the last-slot maps of
+``counting.count_multilinear_zeros``.  The scalar ``rref`` (with
+``nullspace`` and ``row_space`` built on it) serves callers that hold a
+single matrix -- the annihilator of each distinct image class -- and is the
+oracle the batched kernel is tested against.
 """
 
 from __future__ import annotations

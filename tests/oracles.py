@@ -1,14 +1,18 @@
 """Independent oracles the tests check the package against.
 
 Each function here is a slow or scalar route to a result the package
-computes another way: scalar linear algebra against ``rref_batch``,
-enumerations of sections, functionals and tuples against the rank counts,
-the lift and the character transforms, the scalar generation test against
-the batched mask, the z-enumeration of the auxiliary sum's histogram
-against its image rule, ``JetPoly`` matrices against the array jet
-kernel, and Fraction transcriptions against the integer cores of
-``bounds``.  None of them runs in the package itself; the budget checks
-they make keep a test from starting an enumeration far beyond its size.
+computes another way: the scalar jet model (``Jet``, ``psi_m``,
+``JetPoly``, ``mul_sections``, functionals applied to sections,
+``eval_form`` and ``gradient``) against the array jet kernel, scalar linear
+algebra against ``rref_batch``, the divisor scan (``minimal_divisor``,
+``count_minimizers``) against the Hankel systems of the divisor table and
+of ``classify_arc``, enumerations of sections, functionals and tuples
+against the rank counts, the lift and the character transforms, the
+scalar generation test against the batched mask, the z-enumeration of the
+auxiliary sum's histogram against its image rule, and Fraction
+transcriptions against the integer cores of ``bounds``.  None of them runs
+in the package itself; the budget checks they make keep a test from
+starting an enumeration far beyond its size.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from jetsums import expsums
-from jetsums.arith import Cyclo, check_prime, psi_m
+from jetsums.arith import Cyclo, check_prime
 from jetsums.bounds import (
     PointCheck,
     _pair_gain,
@@ -37,17 +41,208 @@ from jetsums.counting import (
     encode_digits,
     iter_base_chunks,
 )
-from jetsums.forms import SymmetricForm, _scale_int, eval_form, gradient, make_form
+from jetsums.forms import SymmetricForm, make_form
 from jetsums.linalg import rref
 from jetsums.sections import (
     DivisorP1,
     DualFunctional,
-    JetPoly,
     check_budget,
-    mul_sections,
     poly_gcd,
     section_space_size,
 )
+
+
+# ---------------------------------------------------------------------------
+# the scalar jet model: jets, sections of P_{r,m} and functionals on them
+
+
+class Jet:
+    """Element of F_p[t]/t^(m+1) with coefficients (a_0, ..., a_m)."""
+
+    __slots__ = ("p", "coeffs")
+
+    def __init__(self, p: int, coeffs):
+        self.p = p
+        self.coeffs = tuple(int(c) % p for c in coeffs)
+
+    @property
+    def m(self) -> int:
+        return len(self.coeffs) - 1
+
+    @classmethod
+    def zero(cls, p: int, m: int) -> "Jet":
+        return cls(p, (0,) * (m + 1))
+
+    @classmethod
+    def const(cls, p: int, m: int, a: int) -> "Jet":
+        return cls(p, (a,) + (0,) * m)
+
+    def _check(self, other: "Jet") -> None:
+        if self.p != other.p or self.m != other.m:
+            raise ValueError("mismatched jet rings")
+
+    def __add__(self, other: "Jet") -> "Jet":
+        self._check(other)
+        return Jet(self.p, (a + b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __sub__(self, other: "Jet") -> "Jet":
+        self._check(other)
+        return Jet(self.p, (a - b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __neg__(self) -> "Jet":
+        return Jet(self.p, (-a for a in self.coeffs))
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return Jet(self.p, (a * other for a in self.coeffs))
+        self._check(other)
+        m = self.m
+        out = [0] * (m + 1)
+        for i, a in enumerate(self.coeffs):
+            if a == 0:
+                continue
+            for j in range(m + 1 - i):
+                out[i + j] += a * other.coeffs[j]
+        return Jet(self.p, out)
+
+    __rmul__ = __mul__
+
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, Jet)
+            and self.p == other.p
+            and self.coeffs == other.coeffs
+        )
+
+    def __hash__(self):
+        return hash((self.p, self.coeffs))
+
+    def __repr__(self):
+        return f"Jet(p={self.p}, {list(self.coeffs)})"
+
+
+def psi_m(u: Jet) -> Cyclo:
+    """Additive character on R_m: product over layers of zeta^(a_i).
+
+    The chosen character on F_p is a -> zeta_p^a, so the value is the unit
+    zeta_p^(sum of coefficients).
+    """
+    return Cyclo.root(u.p, sum(u.coeffs) % u.p)
+
+
+class JetPoly:
+    """Element of P_{r,m}: coeffs[i] is the Jet multiplying x^i."""
+
+    __slots__ = ("p", "r", "m", "coeffs")
+
+    def __init__(self, p: int, r: int, m: int, coeffs):
+        self.p = p
+        self.r = r
+        self.m = m
+        coeffs = tuple(coeffs)
+        if len(coeffs) != r + 1:
+            raise ValueError("need r+1 jet coefficients")
+        self.coeffs = coeffs
+
+    @classmethod
+    def zero(cls, p: int, r: int, m: int) -> "JetPoly":
+        return cls(p, r, m, tuple(Jet.zero(p, m) for _ in range(r + 1)))
+
+    @classmethod
+    def from_layers(cls, p: int, r: int, m: int, layers) -> "JetPoly":
+        """Build from layers[k][i] = coefficient of t^k x^i."""
+        return cls(
+            p, r, m,
+            (Jet(p, tuple(layers[k][i] for k in range(m + 1))) for i in range(r + 1)),
+        )
+
+    @classmethod
+    def from_ints(cls, p: int, r: int, m: int, ints) -> "JetPoly":
+        """Build from plain F_p coefficients (t-degree zero)."""
+        return cls(p, r, m, (Jet.const(p, m, int(c)) for c in ints))
+
+    def layer(self, k: int) -> tuple[int, ...]:
+        """F_p coefficient vector of t^k."""
+        return tuple(c.coeffs[k] for c in self.coeffs)
+
+    def layers(self) -> list[tuple[int, ...]]:
+        return [self.layer(k) for k in range(self.m + 1)]
+
+    def mod_t(self) -> tuple[int, ...]:
+        return self.layer(0)
+
+    def __add__(self, other: "JetPoly") -> "JetPoly":
+        self._check(other)
+        return JetPoly(
+            self.p, self.r, self.m,
+            (a + b for a, b in zip(self.coeffs, other.coeffs)),
+        )
+
+    def __sub__(self, other: "JetPoly") -> "JetPoly":
+        self._check(other)
+        return JetPoly(
+            self.p, self.r, self.m,
+            (a - b for a, b in zip(self.coeffs, other.coeffs)),
+        )
+
+    def __neg__(self) -> "JetPoly":
+        return JetPoly(self.p, self.r, self.m, (-a for a in self.coeffs))
+
+    def scale(self, u: Jet) -> "JetPoly":
+        return JetPoly(self.p, self.r, self.m, (u * a for a in self.coeffs))
+
+    def _check(self, other: "JetPoly") -> None:
+        if (self.p, self.r, self.m) != (other.p, other.r, other.m):
+            raise ValueError("mismatched section spaces")
+
+    def is_zero(self) -> bool:
+        return all(c.is_zero() for c in self.coeffs)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, JetPoly)
+            and (self.p, self.r, self.m) == (other.p, other.r, other.m)
+            and self.coeffs == other.coeffs
+        )
+
+    def __hash__(self):
+        return hash((self.p, self.r, self.m, self.coeffs))
+
+    def __repr__(self):
+        return f"JetPoly(p={self.p}, r={self.r}, m={self.m}, layers={self.layers()})"
+
+
+def mul_sections(f: JetPoly, g: JetPoly) -> JetPoly:
+    """Product P_{r1,m} x P_{r2,m} -> P_{r1+r2,m}, truncating at t^(m+1)."""
+    if f.p != g.p or f.m != g.m:
+        raise ValueError("mismatched section spaces")
+    p, m = f.p, f.m
+    out = [Jet.zero(p, m) for _ in range(f.r + g.r + 1)]
+    for i, a in enumerate(f.coeffs):
+        if a.is_zero():
+            continue
+        for j, b in enumerate(g.coeffs):
+            out[i + j] = out[i + j] + a * b
+    return JetPoly(p, f.r + g.r, m, out)
+
+
+def apply_layer(alpha: DualFunctional, i: int, layer) -> int:
+    return sum(a * int(b) for a, b in zip(alpha.parts[i], layer)) % alpha.p
+
+
+def apply_functional(alpha: DualFunctional, y: JetPoly) -> Jet:
+    """alpha(y): the jet whose t^k coefficient is sum_{i+j=k} alpha_i(y_j)."""
+    if (alpha.p, alpha.r) != (y.p, y.r) or alpha.m != y.m:
+        raise ValueError("functional and section live on different spaces")
+    ylayers = y.layers()
+    out = [
+        sum(apply_layer(alpha, i, ylayers[k - i]) for i in range(k + 1)) % alpha.p
+        for k in range(alpha.m + 1)
+    ]
+    return Jet(alpha.p, out)
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +300,71 @@ def count_divisors(p: int, degree: int) -> int:
     return sum(p**j for j in range(degree + 1))
 
 
+def vanishing_basis(p: int, r: int, z: DivisorP1) -> list[tuple[int, ...]]:
+    """F_p basis of sections of degree <= r vanishing on the divisor.
+
+    Multiples of the finite part h with degree <= r - k_inf, i.e.
+    { h * x^i : 0 <= i <= r - deg h - k_inf }; empty when deg Z > r.
+    """
+    if r < 0:
+        return []
+    basis = []
+    dh = z.finite_degree
+    for i in range(r - dh - z.k_inf + 1):
+        vec = [0] * (r + 1)
+        for j, c in enumerate(z.h):
+            vec[i + j] = c % p
+        basis.append(tuple(vec))
+    return basis
+
+
+def factors_through(alpha: DualFunctional, z: DivisorP1) -> bool:
+    """True iff the t^0 part of alpha kills every section vanishing on Z."""
+    a0 = alpha.parts[0]
+    for vec in vanishing_basis(alpha.p, alpha.r, z):
+        if sum(a * b for a, b in zip(a0, vec)) % alpha.p != 0:
+            return False
+    return True
+
+
+def enumerate_divisors(p: int, degree: int):
+    """All effective divisors of the given degree, k_inf then h, h by
+    lexicographic coefficient order."""
+    check_prime(p)
+    for k_inf in range(degree + 1):
+        dh = degree - k_inf
+        for tail in itertools.product(range(p), repeat=dh):
+            yield DivisorP1(p, tuple(tail) + (1,), k_inf)
+
+
+def minimal_divisor(alpha: DualFunctional) -> tuple[DivisorP1, int, bool]:
+    """Smallest-degree divisor the functional factors through.
+
+    Scans degrees upward; returns (divisor, degree, unique) where unique
+    says the minimizing degree had exactly one match.  Ties return the
+    first divisor in enumeration order.
+    """
+    for b in range(alpha.r + 2):
+        found = None
+        unique = True
+        for z in enumerate_divisors(alpha.p, b):
+            if factors_through(alpha, z):
+                if found is None:
+                    found = z
+                else:
+                    unique = False
+                    break
+        if found is not None:
+            return found, b, unique
+    raise AssertionError("every functional factors through a degree r+1 divisor")
+
+
+def count_minimizers(alpha: DualFunctional, degree: int) -> int:
+    return sum(
+        1 for z in enumerate_divisors(alpha.p, degree) if factors_through(alpha, z)
+    )
+
+
 def enumerate_duals(p: int, r: int, m: int, budget: int | None = None):
     """All functionals on P_{r,m}, lexicographic in flat coordinates."""
     check_prime(p)
@@ -126,6 +386,50 @@ def enumerate_sections(p: int, r: int, m: int, budget: int | None = None):
 
 # ---------------------------------------------------------------------------
 # forms
+
+
+def eval_form(F: SymmetricForm, x: tuple[JetPoly, ...]) -> JetPoly:
+    """F applied to an (n+1)-tuple of sections of P_{e,m}; lands in P_{de,m}."""
+    if len(x) != F.n + 1:
+        raise ValueError(f"need a tuple of {F.n + 1} sections")
+    p, e, m = x[0].p, x[0].r, x[0].m
+    out = JetPoly.zero(p, F.d * e, m)
+    for exps, c in F.monomials.items():
+        term = None
+        for j, ej in enumerate(exps):
+            for _ in range(ej):
+                term = x[j] if term is None else mul_sections(term, x[j])
+        out = out + _scale_int(term, c)
+    return out
+
+
+def _scale_int(s: JetPoly, c: int) -> JetPoly:
+    return JetPoly(s.p, s.r, s.m, (a * c for a in s.coeffs))
+
+
+def gradient(F: SymmetricForm, x: tuple[JetPoly, ...]) -> tuple[JetPoly, ...]:
+    """Tuple of partial derivatives evaluated on sections; each in P_{(d-1)e,m}."""
+    if len(x) != F.n + 1:
+        raise ValueError(f"need a tuple of {F.n + 1} sections")
+    p, e, m = x[0].p, x[0].r, x[0].m
+    r_out = (F.d - 1) * e
+    grads = [JetPoly.zero(p, r_out, m) for _ in range(F.n + 1)]
+    for exps, c in F.monomials.items():
+        for j, ej in enumerate(exps):
+            if ej == 0:
+                continue
+            term = None
+            for k, ek in enumerate(exps):
+                rep = ek - 1 if k == j else ek
+                for _ in range(rep):
+                    term = x[k] if term is None else mul_sections(term, x[k])
+            if term is None:
+                term = JetPoly.from_ints(p, 0, m, [1])
+            if term.r < r_out:
+                pad = tuple(Jet.zero(p, m) for _ in range(r_out - term.r))
+                term = JetPoly(p, r_out, m, term.coeffs + pad)
+            grads[j] = grads[j] + _scale_int(term, c * ej)
+    return tuple(grads)
 
 
 def transform_form(F: SymmetricForm, A) -> SymmetricForm:
@@ -337,7 +641,7 @@ def base_solutions_slow(F: SymmetricForm, e: int, budget: int | None) -> np.ndar
     rows rather than by the vectorized mask."""
     zeros = np.concatenate([
         coords[~values.any(axis=1)]
-        for _, coords, values, _ in iter_base_chunks(F, e, budget)
+        for coords, values, _ in iter_base_chunks(F, e, budget)
     ])
     return zeros[np.array([_generates(F.p, x0) for x0 in zeros], dtype=bool)]
 
@@ -402,7 +706,7 @@ def exp_sum_slow(F: SymmetricForm, e: int, m: int, alpha: DualFunctional,
     ):
         if not globally_generates(combo):
             continue
-        acc = acc + psi_m(alpha(eval_form(F, combo)))
+        acc = acc + psi_m(apply_functional(alpha, eval_form(F, combo)))
     return acc
 
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from jetsums.arith import Cyclo, Jet, psi_m
+from jetsums.arith import Cyclo
 from jetsums.bounds import (
     certify,
     degree_floor,
@@ -32,16 +32,16 @@ from jetsums.expsums import (
     t_vanishing_report,
     weyl_alpha_sample,
 )
-from jetsums.forms import (
-    conic_form,
-    fermat_form,
-    gradient,
-)
-from jetsums.sections import (
+from jetsums.forms import conic_form, fermat_form
+from oracles import (
+    Jet,
     JetPoly,
+    difference_apply,
+    gradient,
     mul_sections,
+    multilinear_psi_sections,
+    psi_m,
 )
-from oracles import difference_apply, multilinear_psi_sections
 
 
 def _announce(name: str, started: float, limit: float, detail: str = ""):

@@ -6,12 +6,11 @@ import pytest
 
 from jetsums.arith import (
     Cyclo,
-    Jet,
     check_prime,
     compare_abs_power,
     magnitude,
-    psi_m,
 )
+from oracles import Jet, psi_m
 
 
 def test_prime_check():

@@ -265,6 +265,9 @@ def test_certify_rejects_bad_spans():
         certify("smooth", 2, 1)
     with pytest.raises(ValueError, match="jet orders must be >= 1"):
         certify("terminal", 2, 1, (25, 26), m_span=(0, 3))
+    for n_plus_1 in (1, 0, -3):  # a configuration error, not a failed inequality
+        with pytest.raises(ValueError, match="variable count must be >= 2"):
+            certify("canonical", 2, 1, n_plus_1=n_plus_1)
 
 
 def test_certify_fails_below_threshold():

@@ -454,11 +454,15 @@ COUNT_M0 = ["count", "--q", "3", "--form", "conic", "--e", "2", "--m", "0"]
     (COUNT_M0, "abc"),
     (COUNT_M0, "0"),
     (COUNT_M0, "-3"),
+    (["bounds", "--action", "certify", "--mode", "canonical", "--d", "2", "--g", "1",
+      "--n-plus-1", "0"], None),
+    (["bounds", "--action", "certify", "--mode", "canonical", "--d", "2", "--g", "1",
+      "--n-plus-1", "-3"], None),
 ], ids=["m-negative", "e-negative", "orthogonality-m", "major-e", "budget-zero",
         "shrink-k-negative", "shrink-samples-negative", "lw-trend-no-e",
         "shrink-samples-zero", "n-counts-samples-zero", "t-vanishing-samples-zero",
         "weyl-no-functionals", "workers-zero", "workers-env-abc", "workers-env-zero",
-        "workers-env-negative"])
+        "workers-env-negative", "certify-n-plus-1-zero", "certify-n-plus-1-negative"])
 def test_out_of_range_inputs_exit_2(argv, env, capsys, monkeypatch):
     # each of these once answered (a count with m = -1, a sweep over -1 or
     # 0 samples reported "holds", a count with 0 workers, from --workers or
@@ -469,6 +473,8 @@ def test_out_of_range_inputs_exit_2(argv, env, capsys, monkeypatch):
     code, out, err = run_cli([*argv, "--no-timestamp"], capsys)
     assert code == 2
     assert out == "" and err.startswith("error: --" if env is None else "error: JETSUMS_WORKERS")
+    if "--n-plus-1" in argv:  # the flag as typed, once a verdict "fail" and exit 1
+        assert err.startswith(f"error: --n-plus-1 must be >= 2, got {argv[-1]}")
 
 
 def test_weyl_without_samples_checks_the_exhaustive_functionals(capsys):

@@ -23,8 +23,9 @@ from jetsums.counting import (
     mult_matrix_batch,
 )
 from jetsums.forms import conic_form, fermat_form, make_form
-from jetsums.sections import BudgetExceeded, JetPoly
+from jetsums.sections import BudgetExceeded
 from oracles import (
+    JetPoly,
     base_solutions_slow,
     count_multilinear_zeros_slow,
     count_solutions_slow,
@@ -194,7 +195,7 @@ def test_generating_mask_matches_scalar_oracle():
     for e in (0, 1, 2):
         F = conic_form(p)
         total_checked = 0
-        for _, coords, _, gg in iter_base_chunks(F, e):
+        for coords, _, gg in iter_base_chunks(F, e):
             for row, flag in zip(coords, gg):
                 secs = tuple(
                     JetPoly.from_ints(p, e, 0, row[j]) for j in range(3)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from jetsums import linalg
-from jetsums.arith import Cyclo, psi_m
+from jetsums.arith import Cyclo
 from jetsums.counting import (
     base_scan,
     batch_digits,
@@ -40,21 +40,28 @@ from jetsums.expsums import (
     value_histogram,
     weyl_alpha_sample,
 )
-from jetsums.forms import conic_form, eval_form, fermat_form, make_form
+from jetsums.forms import conic_form, fermat_form, make_form
 from jetsums.sections import (
     MEMO,
     BudgetExceeded,
     DualFunctional,
-    JetPoly,
     section_space_size,
 )
 from oracles import (
+    JetPoly,
+    apply_functional,
     char_transform_roll,
+    count_minimizers,
     enumerate_sections,
+    eval_form,
     exp_sum_slow,
     globally_generates,
+    gradient,
+    minimal_divisor,
     mult_matrix,
+    mul_sections,
     n_count_slow,
+    psi_m,
     t_value_histogram_slow,
     unfolded_mult_matrix,
 )
@@ -156,9 +163,6 @@ def test_pair_sum_matches_brute_force():
     secs = list(enumerate_sections(p, e, m))
     tuples = [t for t in itertools.product(secs, repeat=3)]
     rng = random.Random(4)
-    from jetsums.forms import gradient
-    from jetsums.sections import mul_sections
-
     for _ in range(4):
         alpha = dual_from_code(p, 0, 0, rng.randrange(p))
         beta = dual_from_code(p, 0, 0, rng.randrange(p))
@@ -172,7 +176,7 @@ def test_pair_sum_matches_brute_force():
                 for j in range(3):
                     term = mul_sections(x1[j], g[j])
                     inner = term if inner is None else inner + term
-                val = alpha(eval_form(F, x0)) + beta(inner)
+                val = apply_functional(alpha, eval_form(F, x0)) + apply_functional(beta, inner)
                 brute = brute + psi_m(val)
         assert exp_sum_pair(F, e, m, alpha, beta) == brute
 
@@ -265,14 +269,43 @@ def test_major_identity_rejects_base_order():
     (5, 3, random.Random(56).sample(range(5**7), 200)),
 ])
 def test_classify_arc_matches_divisor_table(p, e, codes):
-    # classify_arc scans divisors per functional, the identities read the
-    # batched table: the two routes must give the same degree and count
-    de = 2 * e
-    tab = divisor_table(p, de)
-    for code in codes if codes is not None else range(p ** (de + 1)):
-        label = classify_arc(dual_from_code(p, de, 0, code), e)
-        assert label.degree == tab.degree[code]
-        assert label.minimizers == tab.multiplicity[code]
+    # classify_arc solves the Hankel systems of the divisor table for one
+    # functional; the divisor scan, the table's oracle too, is its reference
+    _check_classify_against_scan(p, 2 * e, e, codes)
+
+
+@pytest.mark.parametrize("p,r,sample", [
+    (2, 6, False), (3, 5, False), (5, 3, False), (7, 2, False),
+    (7, 5, True), (3, 8, True), (2, 10, True),
+])
+def test_classify_arc_matches_divisor_scan_across_primes(p, r, sample):
+    # every functional of the small spaces, 200 seeded ones of the larger,
+    # with the arcs split at e = r // 2; (3, 4) and (5, 6) are the cells of
+    # test_classify_arc_matches_divisor_table
+    codes = random.Random(1000 * p + r).sample(range(p ** (r + 1)), 200) if sample else None
+    _check_classify_against_scan(p, r, r // 2, codes)
+
+
+def _check_classify_against_scan(p, r, e, codes):
+    """classify_arc against the scan oracle: the same first minimizer (k_inf
+    ascending, then h lexicographic), degree, minimizer count and kind."""
+    for code in codes if codes is not None else range(p ** (r + 1)):
+        alpha = dual_from_code(p, r, 0, code)
+        z, deg, unique = minimal_divisor(alpha)
+        label = classify_arc(alpha, e)
+        assert (label.divisor, label.degree) == (z, deg), code
+        assert label.minimizers == (1 if unique else count_minimizers(alpha, deg)), code
+        assert label.kind == ("major" if deg <= e + 1 else "minor"), code
+
+
+def test_classify_arc_budget():
+    # the per-functional Hankel figure on P_4 is 182, the table's 3^5 * 182
+    alpha = dual_from_code(3, 4, 0, 17)
+    with pytest.raises(BudgetExceeded) as err:
+        classify_arc(alpha, 2, budget=181)
+    assert err.value.needed == 182
+    assert "minimal divisor Hankel eliminations" in str(err.value)
+    assert classify_arc(alpha, 2, budget=182) == classify_arc(alpha, 2)
 
 
 def _single_lhs_transform_oracle(F, e, tab, major):

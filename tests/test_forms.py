@@ -4,24 +4,29 @@ import random
 import numpy as np
 import pytest
 
-from jetsums.arith import Jet
 from jetsums.forms import (
     _gradient_monomials,
     _is_irreducible,
     _reduction_table,
     _search_singular,
     conic_form,
-    eval_form,
     fermat_form,
-    gradient,
     irreducible_poly,
     make_form,
     named_form,
     parse_form_file,
     smoothness_check,
 )
-from jetsums.sections import JetPoly, mul_sections
-from oracles import difference_apply, multilinear_psi_scalars, multilinear_psi_sections
+from oracles import (
+    Jet,
+    JetPoly,
+    difference_apply,
+    eval_form,
+    gradient,
+    mul_sections,
+    multilinear_psi_scalars,
+    multilinear_psi_sections,
+)
 
 
 def sec(p, r, ints, m=0):
@@ -311,7 +316,7 @@ def _line_times_conic(seed, count=6):
 
 def _scalar_search(F):
     """First point of P^n(F_p) in scan order (lead coordinate 1, the next
-    coordinate the fastest digit) where every forms.gradient vanishes."""
+    coordinate the fastest digit) where every oracles.gradient vanishes."""
     p, n = F.p, F.n
     for lead in range(n + 1):
         for code in range(p ** (n - lead)):

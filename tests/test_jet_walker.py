@@ -4,7 +4,7 @@ objects and the per-candidate recursions they replaced.
 The recursions below (``_extend_layer_counts``, ``_extend_tuples``,
 ``_slice_recurse`` and ``_slice_recurse_explicit``) are the former library
 routes, kept here as oracles: they lift one candidate at a time through
-``JetPoly`` tuples, ``forms.eval_form`` and a scalar ``oracles.solve``.
+``JetPoly`` tuples, ``oracles.eval_form`` and a scalar ``oracles.solve``.
 """
 
 import itertools
@@ -36,9 +36,18 @@ from jetsums.counting import (
     walk_layers,
 )
 from jetsums.expsums import all_sums, pair_data, slice_histogram, w_code_from_values
-from jetsums.forms import conic_form, eval_form, fermat_form, gradient, make_form
-from jetsums.sections import BudgetExceeded, JetPoly
-from oracles import mult_matrix, rank, solution_tuples, solve, unfolded_mult_matrix
+from jetsums.forms import conic_form, fermat_form, make_form
+from jetsums.sections import BudgetExceeded
+from oracles import (
+    JetPoly,
+    eval_form,
+    gradient,
+    mult_matrix,
+    rank,
+    solution_tuples,
+    solve,
+    unfolded_mult_matrix,
+)
 
 
 def x0x1():

@@ -12,7 +12,7 @@ belongs in ``tests/oracles.py``, not in ``src/``.
 Every module-level import of a submodule is used by that module, so a
 leftover import cannot keep a moved or deleted name in view; the package's
 re-exports in ``__init__.py`` are what it ships.  The test modules, oracles
-included, are held to the same rule.
+included, and the demos are held to the same rule.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "jetsums"
+DEMOS = TESTS.parent / "demos"
 
 
 class _Module:
@@ -166,6 +167,10 @@ def test_every_module_level_import_is_used():
 
 def test_every_test_module_import_is_used():
     assert unused_imports(TESTS) == []
+
+
+def test_every_demo_import_is_used():
+    assert unused_imports(DEMOS) == []
 
 
 def test_unused_import_scan(tmp_path):
