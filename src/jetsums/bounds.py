@@ -332,9 +332,13 @@ def _dominant_term_splits(d: int, g: int, e: int, Ds: np.ndarray) -> np.ndarray:
 
 
 def _grid_cells(mode: str, d: int, g: int, e_span, m_span) -> int:
-    """Cells the sweep evaluates: per degree, |Ds| divisor degrees
-    (singles) or the minor pairs (pairs) at each jet order, and for pairs
-    the |Ds|^2 grid of the minor mask and the case tags once."""
+    """Cells the sweep evaluates before it lists any failure: per degree,
+    |Ds| divisor degrees at each jet order (singles); for pairs, one pass
+    over the |Ds| divisor degrees (shrink weights, search tables and case
+    tags) and two candidate cells per distinct shrink weight of a side
+    with e - s >= 2g - 1 at each jet order.  A pair sweep adds the full
+    |Ds|^2 grid of each jet order it lists failures for, which _sweep
+    charges once its searches have found those orders."""
     orders = m_span[1] - m_span[0] + 1
     cells = 0
     for e in range(e_span[0], e_span[1] + 1):
@@ -342,12 +346,13 @@ def _grid_cells(mode: str, d: int, g: int, e_span, m_span) -> int:
         if mode == "canonical":
             cells += orders * max(0, dmax - max(0, e - 2 * g + 2) + 1)
         else:
-            full = (dmax + 1) ** 2  # the non-minor pairs: both below e - 2g + 2
-            cells += full + orders * (full - min(max(0, e - 2 * g + 2), dmax + 1) ** 2)
+            Ds = np.arange(0, dmax + 1, dtype=np.int64)
+            w = e - _shrink_exponents(d, g, e, Ds) - g + 1
+            cells += Ds.size + 2 * orders * np.unique(w[w >= g]).size
     return cells
 
 
-SWEEP_BLOCK = 1 << 13  # cells per block of jet orders; a larger order runs alone
+SWEEP_BLOCK = 1 << 13  # cells per block of jet orders or pair-grid rows
 
 
 def _check_int64(mode: str, d: int, g: int, e_hi: int, m_span, n_plus_1: int) -> None:
@@ -356,7 +361,9 @@ def _check_int64(mode: str, d: int, g: int, e_hi: int, m_span, n_plus_1: int) ->
     For D <= de/2 + 1 the shrink parameter lies in [0, e + 2g + 1], so
     |e - s - g + 1| <= max(e + 1, 3g), and every jet-order factor of the
     doubled numerators and denominators is at most m + 1 (m >= 1).  The
-    sweep multiplies a denominator by n+1 or by a numerator, never more.
+    sweep multiplies a denominator by n+1 or by a numerator, never more:
+    the pair searches compare candidates by the same cross-products, and
+    their limits on the shrink weight are quotients of doubled gains.
     """
     mm = m_span[1] + 1
     den = mm * (2 * max(e_hi + 1, 3 * g) + int(4 * genus_slack(g)))
@@ -381,13 +388,14 @@ def certify(
     inequality at every point, in exact integer arithmetic.
 
     Half-integer thresholds are doubled so that every comparison runs on
-    whole int64 arrays.  Each degree e is one (m, cell) grid over all jet
-    orders at once, in blocks of at most SWEEP_BLOCK cells: the cells are
-    the divisor degrees D (canonical) or only the minor pairs
-    (D_alpha, D_beta) in row-major order (terminal).  The total cell count
-    is checked against the budget, and the largest product against int64,
-    before any grid is built.  Jet orders start at m = 1: the theorem
-    covers no other.
+    int64 arrays.  Singles evaluate each degree e as one (m, D) grid over
+    all jet orders at once, in blocks of at most SWEEP_BLOCK cells.  Pairs
+    never build the (D_alpha, D_beta) grid of a passing jet order: two
+    one-sided searches find, among at most 2|Ds| candidate cells per
+    order, every cell that can attain the order's maximum or fail it (see
+    _sweep).  The charged cell count is checked against the budget, and
+    the largest product against int64, before the sweep starts.  Jet
+    orders start at m = 1: the theorem covers no other.
 
     Also asserts: the two transcription pipelines agree, the shrink
     parameter's max-term domination switches where predicted, and the
@@ -414,20 +422,42 @@ def certify(
     check_budget(_grid_cells(mode, d, g, e_span, m_span), budget,
                  "certificate grid")
     _check_int64(mode, d, g, e_hi, m_span, n_plus_1)
-    return _sweep(mode, d, g, (e_lo, e_hi), (m_lo, m_hi), n_plus_1)
+    return _sweep(mode, d, g, (e_lo, e_hi), (m_lo, m_hi), n_plus_1, budget)
 
 
 def _sweep(mode: str, d: int, g: int, e_span: tuple[int, int],
-           m_span: tuple[int, int], n_plus_1: int) -> Certificate:
+           m_span: tuple[int, int], n_plus_1: int,
+           budget: int | None = None) -> Certificate:
     """The sweep of certify, on spans it has checked.
 
-    It takes any jet orders, so that tests can reach the precondition
-    failures: sweeps of m >= 1 above the threshold have shown none.
+    It takes any jet orders m >= 0, so that tests can reach the
+    precondition failures: sweeps of m >= 1 above the threshold have shown
+    none.
+
+    A pair cell (i, j) = (D_alpha, D_beta) has the doubled bound
+    2^d (i + j + mK) / (max(a_i, b_j) - (m+1) f2), where a_i and b_j are
+    the one-sided gains, nondecreasing in the shrink weight w because
+    their jet-order factors are >= 0, and a side without e - s >= 2g - 1
+    enters at -inf.  Where a_i <= b_j the denominator is b_j's, and the
+    numerator grows with i, so the largest such i is the only cell of row
+    b_j that can attain the maximum, fail the inequality or have a
+    denominator <= 0 when any cell there does; where b_j < a_i the same
+    holds for the largest such j.  The minor condition
+    max(i, j) >= e - 2g + 2 keeps that largest index if it keeps any.
+    Equal weights give equal gains, so one sort of the weights and one
+    searchsorted per degree (_PairSearch) find these candidates, at most
+    2|Ds| per jet order.  They give the exact maximum and its
+    witness (the first (e, m) at the maximum and there the least cell in
+    row-major order), and tell which jet orders have a failure.  Only
+    those orders are evaluated cell by cell, in row blocks, to list their
+    failures and count their skipped cells, after the grid figure plus
+    their |Ds|^2 cells has passed the budget.  case_counts come from
+    intervals in D_beta (_count_pair_cases) and grid_points in closed
+    form.
     """
     e_lo, e_hi = e_span
     m_lo, m_hi = m_span
     f2 = int(2 * genus_slack(g))
-    cap = None if mode == "canonical" else 3  # failures kept per kind and order
     failures: list = []
     best_num, best_den = 0, 1  # running max of the ratio, cross-multiplied
     witness = None
@@ -436,6 +466,7 @@ def _sweep(mode: str, d: int, g: int, e_span: tuple[int, int],
     agreement = True
     case_counts: dict[str, int] = {}
     flags = {"derived_pair_bound_disagreements": 0}
+    listed: list[tuple[int, int]] = []  # pair orders (e, m) with a failure
 
     for e in range(e_lo, e_hi + 1):
         de = d * e
@@ -447,63 +478,50 @@ def _sweep(mode: str, d: int, g: int, e_span: tuple[int, int],
             Ds = np.arange(max(0, d_lo), dmax + 1, dtype=np.int64)
             for D in Ds[~_dominant_term_splits(d, g, e, Ds)]:
                 failures.append({"kind": "dominant-term", "e": e, "D": int(D)})
-            cells = {"D": Ds}
-            ncells = Ds.size
         else:
             Ds = np.arange(0, dmax + 1, dtype=np.int64)
-            minor = np.maximum(Ds[:, None], Ds[None, :]) >= e - 2 * g + 2
-            _count_pair_cases(case_counts, flags, d, g, e, Ds, minor)
-            I, J = (ix.astype(np.int32) for ix in np.nonzero(minor))  # row-major
-            cells = {"D_alpha": I, "D_beta": J}  # the degrees: Ds[i] == i
-            ncells = I.size
+            _count_pair_cases(case_counts, flags, d, g, e)
+            side_lo = min(max(0, e - 2 * g + 2), dmax + 1)
+            total_points += (m_hi - m_lo + 1) * ((dmax + 1) ** 2 - side_lo**2)
         w = e - _shrink_exponents(d, g, e, Ds) - g + 1
         ca = w >= g  # e - s >= 2g - 1
-        if mode == "terminal":
-            neither = ~(ca[I] | ca[J])
-        step = max(1, SWEEP_BLOCK // max(1, ncells))
+        if mode == "canonical":
+            width = Ds.size
+        else:
+            agreement &= _check_pair_pipeline(d, g, e, m_lo, Ds,
+                                              *_side_gains(d, m_lo, w, ca, f2))
+            search = _PairSearch(d, g, e, w, ca, f2)
+            width = max(1, 2 * search.weights.size)
+        step = max(1, SWEEP_BLOCK // width)
         for m0 in range(m_lo, m_hi + 1, step):
             ms = np.arange(m0, min(m0 + step, m_hi + 1), dtype=np.int64)[:, None]
-            mp = (ms + 2) // 2
             if mode == "canonical":
-                den2 = 2 * w * ((ms - mp) // (d - 1) + 1) - (ms - mp + 1) * f2
-                num2 = 2 ** (d - 1) * (2 * Ds + ms * (de + 1 - g))
-                bad_pre = ~ca | (den2 <= 0)
+                num2, den2, ok = _single_block(failures, d, g, e, Ds, w, ca, ms,
+                                               n_plus_1, f2)
+                total_points += ok.size
+                skipped += int(np.count_nonzero(~ok))
+                cells = {"D": np.broadcast_to(Ds, num2.shape)}
+                if m0 == m_lo:
+                    agreement &= _check_single_pipeline(d, g, e, m_lo, Ds,
+                                                        num2[0], den2[0])
             else:
-                qa = mp * f2 + 2 * w * -((ms - mp + 1) // -(d - 1))
-                qb = 2 * w * -((ms + 1) // -(d - 1))
-                # the larger gain of the sides with e - s >= 2g - 1: a side
-                # without one enters at the least gain, so it never wins.
-                # Cells where neither side has one are precondition failures.
-                low = min(qa.min(), qb.min())
-                qa, qb = np.where(ca, qa, low), np.where(ca, qb, low)
-                den2 = np.maximum(qa[:, I], qb[:, J]) - (ms + 1) * f2
-                num2 = 2 ** d * (I + J + ms * (de - g + 1))
-                bad_pre = neither | (den2 <= 0)
-            ok = ~bad_pre
-            bad_ineq = ok & (num2 >= n_plus_1 * den2)
-            total_points += bad_pre.size
-            skipped += int(np.count_nonzero(bad_pre))
-            # each jet order lists its precondition failures first
-            for r in np.flatnonzero(bad_pre.any(axis=1) | bad_ineq.any(axis=1)):
-                m = int(ms[r, 0])
-                for c in np.flatnonzero(bad_pre[r])[:cap]:
-                    failures.append({"kind": "precondition", "e": e, "m": m,
-                                     **_cell(cells, c)})
-                for c in np.flatnonzero(bad_ineq[r])[:cap]:
-                    failures.append({"kind": "inequality", "e": e, "m": m,
-                                     **_cell(cells, c),
-                                     "bound": f"{num2[r, c]}/{den2[r, c]}"})
-            # exact test first: few grids of a sweep beat the running best
-            if (ok & (num2 * best_den > best_num * den2)).any():
-                r, c = divmod(_argmax_ratio(num2.ravel(), den2.ravel(), ok.ravel()),
-                              num2.shape[1])
-                best_num, best_den = int(num2[r, c]), int(den2[r, c])
-                witness = {"e": e, "m": int(ms[r, 0]), **_cell(cells, c)}
-            if m0 == m_lo:
-                agreement &= (
-                    _check_single_pipeline(d, g, e, m_lo, Ds, num2[0], den2[0])
-                    if mode == "canonical" else
-                    _check_pair_pipeline(d, g, e, m_lo, Ds, minor, qa[0], qb[0]))
+                I, J, num2, den2, valid = search.candidates(ms)
+                ok = valid & (den2 > 0)
+                failing = (valid & (den2 <= 0)) | (ok & (num2 >= n_plus_1 * den2))
+                failing = failing.any(axis=1) | search.neither
+                listed += [(e, int(m)) for m in ms[failing, 0]]
+                cells = {"D_alpha": I, "D_beta": J}
+            top = _top_cell(num2, den2, ok, cells, best_num, best_den)
+            if top is not None:
+                best_num, best_den, r, c = top
+                witness = {"e": e, "m": int(ms[r, 0]), **_cell(cells, r, c)}
+
+    if listed:
+        check_budget(_grid_cells(mode, d, g, e_span, m_span)
+                     + sum((d * e // 2 + 2) ** 2 for e, _ in listed),
+                     budget, "certificate grid")
+        for e, m in listed:
+            skipped += _list_pair_failures(failures, d, g, e, m, n_plus_1, f2)
 
     monotonicity = check_display_monotonicity(mode, d, g, (e_lo, e_hi))
     mono_fail = [entry for entry in monotonicity if not entry["ok"]]
@@ -525,18 +543,170 @@ def _sweep(mode: str, d: int, g: int, e_span: tuple[int, int],
     )
 
 
-def _cell(cells: dict, c) -> dict:
-    return {key: int(col[c]) for key, col in cells.items()}
+def _cell(cells: dict, r, c) -> dict:
+    return {key: int(col[r, c]) for key, col in cells.items()}
 
 
-def _argmax_ratio(num: np.ndarray, den: np.ndarray, ok: np.ndarray) -> int:
-    ratios = np.where(ok & (den > 0), num / np.maximum(den, 1), -np.inf)
-    near = np.nonzero(ratios >= ratios.max() * (1 - 1e-12))[0]
-    best = near[0]
-    for i in near[1:]:
-        if num[i] * den[best] > num[best] * den[i]:
-            best = i
-    return int(best)
+def _single_block(failures: list, d: int, g: int, e: int, Ds: np.ndarray,
+                  w: np.ndarray, ca: np.ndarray, ms: np.ndarray, n_plus_1: int,
+                  f2: int):
+    """(doubled numerators, doubled denominators, preconditions hold) of a
+    single sweep's (m, D) grid at the jet orders ms (a column); each order
+    appends all of its precondition failures and then all of its
+    inequality failures to failures."""
+    mp = (ms + 2) // 2
+    den2 = 2 * w * ((ms - mp) // (d - 1) + 1) - (ms - mp + 1) * f2
+    num2 = 2 ** (d - 1) * (2 * Ds + ms * (d * e + 1 - g))
+    bad_pre = ~ca | (den2 <= 0)
+    bad_ineq = ~bad_pre & (num2 >= n_plus_1 * den2)
+    for r in np.flatnonzero(bad_pre.any(axis=1) | bad_ineq.any(axis=1)):
+        m = int(ms[r, 0])
+        for c in np.flatnonzero(bad_pre[r]):
+            failures.append({"kind": "precondition", "e": e, "m": m, "D": int(Ds[c])})
+        for c in np.flatnonzero(bad_ineq[r]):
+            failures.append({"kind": "inequality", "e": e, "m": m, "D": int(Ds[c]),
+                             "bound": f"{num2[r, c]}/{den2[r, c]}"})
+    return num2, den2, ~bad_pre
+
+
+def _top_cell(num2: np.ndarray, den2: np.ndarray, ok: np.ndarray, cells: dict,
+              best_num: int, best_den: int):
+    """(num, den, r, c) of the largest ratio num2/den2 over the cells where
+    ok (den2 > 0 there), at its first row r and there its least cell c in
+    row-major order, when it beats best_num/best_den >= 0; else None.
+
+    The exact test comes first, since few blocks of a sweep beat the
+    running best.  Floats then only pick the few cells near the top, which
+    are compared exactly."""
+    beat = ok & (num2 * best_den > best_num * den2)
+    if not beat.any():
+        return None
+    ratios = np.where(beat, num2 / np.maximum(den2, 1), -np.inf).ravel()
+    for i in np.flatnonzero(ratios >= ratios.max() * (1 - 1e-12)).tolist():
+        if int(num2.flat[i]) * best_den > best_num * int(den2.flat[i]):
+            best_num, best_den = int(num2.flat[i]), int(den2.flat[i])
+    at = beat & (num2 * best_den == best_num * den2)
+    r = int(np.flatnonzero(at.any(axis=1))[0])
+    cs = np.flatnonzero(at[r])
+    c = int(cs[np.lexsort([col[r, cs] for col in reversed(cells.values())])[0]])
+    return best_num, best_den, r, c
+
+
+def _gain_factors(d: int, m):
+    """(m', A, B) at the jet order(s) m: the doubled one-sided gains of a
+    divisor degree with shrink weight w are a = m' f2 + 2 A w and
+    b = 2 B w, with A = ceil((m - m' + 1)/(d - 1)) >= 0 and
+    B = ceil((m + 1)/(d - 1)) >= 1 for m >= 0."""
+    mp = (m + 2) // 2
+    return mp, -((m - mp + 1) // -(d - 1)), -((m + 1) // -(d - 1))
+
+
+def _side_gains(d: int, m: int, w: np.ndarray, ca: np.ndarray, f2: int):
+    """The doubled one-sided gains (a, b) of every divisor degree at jet
+    order m, each side without e - s >= 2g - 1 at the least gain of the
+    order, so that it never wins a max."""
+    mp, A, B = _gain_factors(d, m)
+    qa, qb = mp * f2 + 2 * A * w, 2 * B * w
+    low = min(qa.min(), qb.min())
+    return np.where(ca, qa, low), np.where(ca, qb, low)
+
+
+class _PairSearch:
+    """The one-sided searches of one degree's pair grid (see _sweep).
+
+    A gain depends on its divisor degree only through the shrink weight w,
+    so divisor degrees with equal w share their partner and their
+    denominator, and only the largest of them can attain or fail: each
+    search runs over the distinct weights of the sides with
+    e - s >= 2g - 1, each with the largest divisor degree that has it.
+    The weights are integers in a range of about e, so one searchsorted
+    over their sorted list, with the running maximum of those degrees,
+    tabulates the largest index whose w is at most each limit in that
+    range.  The other sides enter at -inf, below every gain: the largest
+    of them bounds every search from below.
+    """
+
+    def __init__(self, d: int, g: int, e: int, w: np.ndarray, ca: np.ndarray, f2: int):
+        self.d, self.f2 = d, f2
+        self.K = d * e - g + 1
+        self.T = e - 2 * g + 2  # minor: max(D_alpha, D_beta) >= T
+        sides = np.flatnonzero(ca)
+        by_w = sides[np.argsort(w[sides], kind="stable")]  # ties by index
+        ws = w[by_w]
+        last = np.flatnonzero(np.diff(ws, append=ws[-1:] + 1))  # each weight's top
+        self.weights, self.top = ws[last], by_w[last]
+        reach = np.concatenate(([-1], np.maximum.accumulate(self.top)))
+        free = np.flatnonzero(~ca)
+        top_free = int(free[-1]) if free.size else -1
+        # a cell with neither side is a precondition failure at every order
+        self.neither = top_free >= max(self.T, 0)
+        # limits at most lo reach no side, limits at least hi reach all
+        self.lo, self.hi = (int(ws[0]) - 1, int(ws[-1])) if ws.size else (0, 0)
+        limits = np.arange(self.lo, self.hi + 1)
+        self.table = np.maximum(
+            reach[np.searchsorted(self.weights, limits, side="right")], top_free)
+
+    def _largest(self, limit: np.ndarray) -> np.ndarray:
+        """The largest index whose side fails the test or whose w is at
+        most limit, -1 where none is."""
+        return self.table[np.clip(limit, self.lo, self.hi) - self.lo]
+
+    def candidates(self, ms: np.ndarray):
+        """(D_alpha, D_beta, doubled numerator, doubled denominator, valid)
+        of the candidate cells at each jet order of ms (a column), two per
+        distinct weight: first, for its D_beta, the largest D_alpha with
+        a <= b; then, for its D_alpha, the largest D_beta with b < a.
+        valid marks the candidates that exist and are minor."""
+        w = self.weights
+        mp, A, B = _gain_factors(self.d, ms)
+        qa, qb = mp * self.f2 + 2 * A * w, 2 * B * w
+        # a_i <= b_j  <=>  2 A w_i <= b_j - mp f2; with A = 0, all i or none
+        room = qb - mp * self.f2
+        limit = np.where(A > 0, room // (2 * np.maximum(A, 1)),
+                         np.where(room >= 0, self.hi, self.lo))
+        # b_j < a_i  <=>  2 B w_j <= a_i - 1
+        top = np.broadcast_to(self.top, qa.shape)
+        I = np.concatenate((self._largest(limit), top), axis=1)
+        J = np.concatenate((top, self._largest((qa - 1) // (2 * B))), axis=1)
+        valid = (I >= 0) & (J >= 0) & (np.maximum(I, J) >= self.T)
+        den2 = np.concatenate((qb, qa), axis=1) - (ms + 1) * self.f2
+        num2 = 2 ** self.d * (I + J + ms * self.K)
+        return I, J, num2, den2, valid
+
+
+def _list_pair_failures(failures: list, d: int, g: int, e: int, m: int,
+                        n_plus_1: int, f2: int) -> int:
+    """Evaluate one jet order's minor pairs cell by cell, in blocks of at
+    most SWEEP_BLOCK cells, append its first 3 precondition failures and
+    then its first 3 inequality failures (row-major order) to failures,
+    and return its count of precondition failures."""
+    Ds = np.arange(0, d * e // 2 + 2, dtype=np.int64)
+    w = e - _shrink_exponents(d, g, e, Ds) - g + 1
+    ca = w >= g
+    qa, qb = _side_gains(d, m, w, ca, f2)
+    pre, ineq, skipped = [], [], 0
+    rows = max(1, SWEEP_BLOCK // Ds.size)
+    for i0 in range(0, Ds.size, rows):
+        I = Ds[i0:i0 + rows, None]
+        minor = np.maximum(I, Ds) >= e - 2 * g + 2
+        den2 = np.maximum(qa[I], qb) - (m + 1) * f2
+        num2 = 2 ** d * (I + Ds + m * (d * e - g + 1))
+        bad_pre = minor & (~(ca[I] | ca) | (den2 <= 0))
+        bad_ineq = minor & ~bad_pre & (num2 >= n_plus_1 * den2)
+        skipped += int(np.count_nonzero(bad_pre))
+        for r, c in zip(*np.nonzero(bad_pre)):
+            if len(pre) == 3:
+                break
+            pre.append({"kind": "precondition", "e": e, "m": m,
+                        "D_alpha": int(I[r, 0]), "D_beta": int(c)})
+        for r, c in zip(*np.nonzero(bad_ineq)):
+            if len(ineq) == 3:
+                break
+            ineq.append({"kind": "inequality", "e": e, "m": m,
+                         "D_alpha": int(I[r, 0]), "D_beta": int(c),
+                         "bound": f"{num2[r, c]}/{den2[r, c]}"})
+    failures += pre + ineq
+    return skipped
 
 
 def _check_single_pipeline(d, g, e, m, Ds, num2, den2) -> bool:
@@ -555,16 +725,16 @@ def _check_single_pipeline(d, g, e, m, Ds, num2, den2) -> bool:
     return True
 
 
-def _check_pair_pipeline(d, g, e, m, Ds, minor, qa, qb) -> bool:
+def _check_pair_pipeline(d, g, e, m, Ds, qa, qb) -> bool:
     """_pair_gain against _pair_gain_display and the doubled one-sided
     gains of the sweep, whose max at (i, j) is 2M, on an 8 x 8 sample of
-    cells."""
+    the minor cells (max(i, j) >= e - 2g + 2)."""
     f2 = int(2 * genus_slack(g))
     degrees, qa, qb = Ds.tolist(), qa.tolist(), qb.tolist()
     step = max(1, len(degrees) // 8)
     for i in range(0, len(degrees), step):
         for j in range(0, len(degrees), step):
-            if not minor[i, j]:
+            if max(i, j) < e - 2 * g + 2:
                 continue
             M2 = _pair_gain(d, g, e, m, degrees[i], degrees[j], f2)[0]
             disp = _pair_gain_display(d, g, e, m, degrees[i], degrees[j], f2)
@@ -581,44 +751,46 @@ _PAIR_TAGS_D2 = ("d2-I", "d2-II", "d2-III")
 _PAIR_TAGS = ("I.1", "I.2.1", "I.2.2", "II", "III.1", "III.2.1", "III.2.2")
 
 
-def _count_pair_cases(case_counts, flags, d, g, e, Ds, minor):
+def _count_pair_cases(case_counts, flags, d, g, e):
     """Tag every minor pair (D_alpha, D_beta) with its case of the pair
     analysis and add the tag counts to case_counts.
 
     The half-integer thresholds are doubled: Db <= de/2 - g + 1 is
-    2 Db <= de - 2g + 2 and Db >= Da/2 is 2 Db >= Da.  A tag new to
-    case_counts is inserted in the order of its first minor cell in
-    row-major order, the order in which a walk of the grid meets them.
+    2 Db <= de - 2g + 2 and Db >= Da/2 is 2 Db >= Da.  Each condition,
+    the minor one max(Da, Db) >= e - 2g + 2 among them, holds on an
+    interval of D_beta in each row, so every row is cut at the ends of
+    those intervals and each piece is tagged once, at its first D_beta,
+    and weighted by its length.  A tag new to case_counts is inserted in
+    the order of its first minor cell in row-major order, the order in
+    which a walk of the grid meets them.
     """
-    Da, Db = Ds[:, None], Ds[None, :]
+    dmax = d * e // 2 + 1
+    T = e - 2 * g + 2
+    h2 = d * e - 2 * g + 2  # twice de/2 - g + 1
+    Da = np.arange(dmax + 1, dtype=np.int64)[:, None]
+    ends = [0, T, h2 // 2 + 1, (Da + 1) // 2, (T + 1) // 2, 2 * g, dmax + 1]
+    cuts = np.sort(np.clip(np.hstack(np.broadcast_arrays(*ends)), 0, dmax + 1), axis=1)
+    Db, weight = cuts[:, :-1], np.diff(cuts, axis=1) * ((Da >= T) | (cuts[:, :-1] >= T))
     if d == 2:
         tags = _PAIR_TAGS_D2
         conds = [(e + 2 - 2 * g <= Db) & (Db <= e + 1),
                  (2 * g <= Db) & (Db <= e + 1 - 2 * g)]
     else:
         tags = _PAIR_TAGS
-        h2 = d * e - 2 * g + 2  # twice de/2 - g + 1
         in_I = (e - 2 * g + 2 <= Db) & (2 * Db <= h2)
         in_II = (h2 < 2 * Db) & (2 * Db <= d * e + 2)
         a_big = 2 * Da > h2
-        conds = [in_I & (2 * Db >= Da), in_I & ~a_big, in_I, in_II, a_big,
-                 Da > 2 * Db]
-    codes = np.select(
-        [np.broadcast_to(c, minor.shape) for c in conds],
-        [np.int8(t) for t in range(len(conds))], np.int8(len(conds)),
-    )[minor]  # boolean indexing keeps row-major order
-    counts = np.bincount(codes, minlength=len(tags))
-    present = np.flatnonzero(counts)
-    first = [np.argmax(codes == t) for t in present]
+        conds = [in_I & (2 * Db >= Da), in_I & ~a_big, in_I, in_II,
+                 np.broadcast_to(a_big, Db.shape), Da > 2 * Db]
+    codes = np.select(conds, range(len(conds)), len(conds))
+    present, first = np.unique(codes[weight > 0], return_index=True)  # row-major
     for t in present[np.argsort(first)]:
-        case_counts[tags[t]] = case_counts.get(tags[t], 0) + int(counts[t])
+        case_counts[tags[t]] = case_counts.get(tags[t], 0) + int(weight[codes == t].sum())
     if d != 2:
         # the derived lower bound D_beta >= e/2 - g + 1 must follow from
         # D_beta >= D_alpha / 2 in case III.2.2
-        tail = np.broadcast_to(2 * Db < e - 2 * g + 2, minor.shape)[minor]
         flags["derived_pair_bound_disagreements"] += int(
-            np.count_nonzero(tail & (codes == len(conds)))
-        )
+            weight[(2 * Db < T) & (codes == len(conds))].sum())
 
 
 # ---------------------------------------------------------------------------

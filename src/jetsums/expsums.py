@@ -896,11 +896,14 @@ def check_weyl(F: SymmetricForm, e: int, m: int, alpha: DualFunctional,
     """|S|^(2^(d-2)) against the squaring bound, with interval magnitudes.
 
     Escalates precision from 64 bits until the comparison is decided or the
-    cap is hit.
+    cap is hit; a cap below 64 bits is refused, since no comparison runs
+    below it.
     """
     p, n, d = F.p, F.n, F.d
     if m < 1:
         raise ValueError("the squaring bound needs m >= 1")
+    if precision_cap < 64:
+        raise ValueError(f"precision cap must be >= 64 bits, got {precision_cap}")
     mprime = (m + 1 + 1) // 2  # ceil((m+1)/2)
     expo = 2 ** (d - 2)
     size_pm = section_space_size(p, e, m, n + 1)

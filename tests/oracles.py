@@ -9,8 +9,10 @@ algebra against ``rref_batch``, the divisor scan (``minimal_divisor``,
 of ``classify_arc``, enumerations of sections, functionals and tuples
 against the rank counts, the lift and the character transforms, the
 scalar generation test against the batched mask, the z-enumeration of the
-auxiliary sum's histogram against its image rule, and Fraction
-transcriptions against the integer cores of ``bounds``.  None of them runs
+auxiliary sum's histogram against its image rule, Fraction
+transcriptions against the integer cores of ``bounds``, and the
+certificate sweep over every cell of its int64 grids against the one-sided
+searches of ``bounds._sweep``.  None of them runs
 in the package itself; the budget checks they make keep a test from
 starting an enumeration far beyond its size.
 """
@@ -26,10 +28,19 @@ import numpy as np
 from jetsums import expsums
 from jetsums.arith import Cyclo, check_prime
 from jetsums.bounds import (
+    _PAIR_TAGS,
+    _PAIR_TAGS_D2,
+    Certificate,
     PointCheck,
+    _check_pair_pipeline,
+    _check_single_pipeline,
+    _dominant_term_splits,
     _pair_gain,
     _pair_gain_display,
+    _shrink_exponents,
     _single_display,
+    check_display_monotonicity,
+    degree_floor,
     genus_slack,
 )
 from jetsums.counting import (
@@ -810,3 +821,171 @@ def count_pair_cases_slow(case_counts, flags, d, g, e, Ds, minor):
                     if Db < Fraction(e, 2) - g + 1:
                         flags["derived_pair_bound_disagreements"] += 1
             case_counts[tag] = case_counts.get(tag, 0) + 1
+
+
+SWEEP_BLOCK = 1 << 13  # cells per block of jet orders; a larger order runs alone
+
+
+def sweep_dense(mode: str, d: int, g: int, e_span: tuple[int, int],
+                m_span: tuple[int, int], n_plus_1: int) -> Certificate:
+    """The certificate of ``bounds._sweep`` from whole int64 grids.
+
+    Each degree e is one (m, cell) grid over all jet orders at once, in
+    blocks of at most SWEEP_BLOCK cells: the cells are the divisor degrees
+    D (canonical) or every minor pair (D_alpha, D_beta) in row-major order
+    (terminal), whose case tags come from one np.select over the |Ds|^2
+    grid of the degree.  Takes any jet orders m >= 0.
+    """
+    e_lo, e_hi = e_span
+    m_lo, m_hi = m_span
+    f2 = int(2 * genus_slack(g))
+    cap = None if mode == "canonical" else 3  # failures kept per kind and order
+    failures: list = []
+    best_num, best_den = 0, 1  # running max of the ratio, cross-multiplied
+    witness = None
+    total_points = 0
+    skipped = 0
+    agreement = True
+    case_counts: dict[str, int] = {}
+    flags = {"derived_pair_bound_disagreements": 0}
+
+    for e in range(e_lo, e_hi + 1):
+        de = d * e
+        dmax = de // 2 + 1
+        if mode == "canonical":
+            d_lo = e - 2 * g + 2
+            if d_lo > dmax:
+                continue
+            Ds = np.arange(max(0, d_lo), dmax + 1, dtype=np.int64)
+            for D in Ds[~_dominant_term_splits(d, g, e, Ds)]:
+                failures.append({"kind": "dominant-term", "e": e, "D": int(D)})
+            cells = {"D": Ds}
+            ncells = Ds.size
+        else:
+            Ds = np.arange(0, dmax + 1, dtype=np.int64)
+            minor = np.maximum(Ds[:, None], Ds[None, :]) >= e - 2 * g + 2
+            count_pair_cases_grid(case_counts, flags, d, g, e, Ds, minor)
+            I, J = (ix.astype(np.int32) for ix in np.nonzero(minor))  # row-major
+            cells = {"D_alpha": I, "D_beta": J}  # the degrees: Ds[i] == i
+            ncells = I.size
+        w = e - _shrink_exponents(d, g, e, Ds) - g + 1
+        ca = w >= g  # e - s >= 2g - 1
+        if mode == "terminal":
+            neither = ~(ca[I] | ca[J])
+        step = max(1, SWEEP_BLOCK // max(1, ncells))
+        for m0 in range(m_lo, m_hi + 1, step):
+            ms = np.arange(m0, min(m0 + step, m_hi + 1), dtype=np.int64)[:, None]
+            mp = (ms + 2) // 2
+            if mode == "canonical":
+                den2 = 2 * w * ((ms - mp) // (d - 1) + 1) - (ms - mp + 1) * f2
+                num2 = 2 ** (d - 1) * (2 * Ds + ms * (de + 1 - g))
+                bad_pre = ~ca | (den2 <= 0)
+            else:
+                qa = mp * f2 + 2 * w * -((ms - mp + 1) // -(d - 1))
+                qb = 2 * w * -((ms + 1) // -(d - 1))
+                # the larger gain of the sides with e - s >= 2g - 1: a side
+                # without one enters at the least gain, so it never wins.
+                # Cells where neither side has one are precondition failures.
+                low = min(qa.min(), qb.min())
+                qa, qb = np.where(ca, qa, low), np.where(ca, qb, low)
+                den2 = np.maximum(qa[:, I], qb[:, J]) - (ms + 1) * f2
+                num2 = 2 ** d * (I + J + ms * (de - g + 1))
+                bad_pre = neither | (den2 <= 0)
+            ok = ~bad_pre
+            bad_ineq = ok & (num2 >= n_plus_1 * den2)
+            total_points += bad_pre.size
+            skipped += int(np.count_nonzero(bad_pre))
+            # each jet order lists its precondition failures first
+            for r in np.flatnonzero(bad_pre.any(axis=1) | bad_ineq.any(axis=1)):
+                m = int(ms[r, 0])
+                for c in np.flatnonzero(bad_pre[r])[:cap]:
+                    failures.append({"kind": "precondition", "e": e, "m": m,
+                                     **_dense_cell(cells, c)})
+                for c in np.flatnonzero(bad_ineq[r])[:cap]:
+                    failures.append({"kind": "inequality", "e": e, "m": m,
+                                     **_dense_cell(cells, c),
+                                     "bound": f"{num2[r, c]}/{den2[r, c]}"})
+            # exact test first: few grids of a sweep beat the running best
+            if (ok & (num2 * best_den > best_num * den2)).any():
+                r, c = divmod(_argmax_ratio(num2.ravel(), den2.ravel(), ok.ravel()),
+                              num2.shape[1])
+                best_num, best_den = int(num2[r, c]), int(den2[r, c])
+                witness = {"e": e, "m": int(ms[r, 0]), **_dense_cell(cells, c)}
+            if m0 == m_lo:
+                agreement &= (
+                    _check_single_pipeline(d, g, e, m_lo, Ds, num2[0], den2[0])
+                    if mode == "canonical" else
+                    _check_pair_pipeline(d, g, e, m_lo, Ds, qa[0], qb[0]))
+
+    monotonicity = check_display_monotonicity(mode, d, g, (e_lo, e_hi))
+    mono_fail = [entry for entry in monotonicity if not entry["ok"]]
+    verdict = "pass" if not failures and agreement and not mono_fail else "fail"
+    frac = Fraction(best_num, best_den) if witness else None
+    return Certificate(
+        mode=mode, d=d, g=g, n_plus_1=n_plus_1,
+        e_span=(e_lo, e_hi), m_span=(m_lo, m_hi),
+        degree_floor=str(degree_floor(mode, d, g)),
+        grid_points=total_points, skipped_points=skipped,
+        verdict=verdict,
+        max_bound=f"{frac.numerator}/{frac.denominator}" if frac else None,
+        witness=witness,
+        monotonicity=monotonicity,
+        pipeline_agreement=agreement,
+        case_counts=case_counts,
+        flags=flags,
+        failures=failures,
+    )
+
+
+def _dense_cell(cells: dict, c) -> dict:
+    return {key: int(col[c]) for key, col in cells.items()}
+
+
+def _argmax_ratio(num: np.ndarray, den: np.ndarray, ok: np.ndarray) -> int:
+    ratios = np.where(ok & (den > 0), num / np.maximum(den, 1), -np.inf)
+    near = np.nonzero(ratios >= ratios.max() * (1 - 1e-12))[0]
+    best = near[0]
+    for i in near[1:]:
+        if num[i] * den[best] > num[best] * den[i]:
+            best = i
+    return int(best)
+
+
+def count_pair_cases_grid(case_counts, flags, d, g, e, Ds, minor):
+    """Array oracle for _count_pair_cases: every minor pair tagged by one
+    np.select over the |Ds|^2 grid.
+
+    The half-integer thresholds are doubled: Db <= de/2 - g + 1 is
+    2 Db <= de - 2g + 2 and Db >= Da/2 is 2 Db >= Da.  A tag new to
+    case_counts is inserted in the order of its first minor cell in
+    row-major order, the order in which a walk of the grid meets them.
+    """
+    Da, Db = Ds[:, None], Ds[None, :]
+    if d == 2:
+        tags = _PAIR_TAGS_D2
+        conds = [(e + 2 - 2 * g <= Db) & (Db <= e + 1),
+                 (2 * g <= Db) & (Db <= e + 1 - 2 * g)]
+    else:
+        tags = _PAIR_TAGS
+        h2 = d * e - 2 * g + 2  # twice de/2 - g + 1
+        in_I = (e - 2 * g + 2 <= Db) & (2 * Db <= h2)
+        in_II = (h2 < 2 * Db) & (2 * Db <= d * e + 2)
+        a_big = 2 * Da > h2
+        conds = [in_I & (2 * Db >= Da), in_I & ~a_big, in_I, in_II, a_big,
+                 Da > 2 * Db]
+    codes = np.select(
+        [np.broadcast_to(c, minor.shape) for c in conds],
+        [np.int8(t) for t in range(len(conds))], np.int8(len(conds)),
+    )[minor]  # boolean indexing keeps row-major order
+    counts = np.bincount(codes, minlength=len(tags))
+    present = np.flatnonzero(counts)
+    first = [np.argmax(codes == t) for t in present]
+    for t in present[np.argsort(first)]:
+        case_counts[tags[t]] = case_counts.get(tags[t], 0) + int(counts[t])
+    if d != 2:
+        # the derived lower bound D_beta >= e/2 - g + 1 must follow from
+        # D_beta >= D_alpha / 2 in case III.2.2
+        tail = np.broadcast_to(2 * Db < e - 2 * g + 2, minor.shape)[minor]
+        flags["derived_pair_bound_disagreements"] += int(
+            np.count_nonzero(tail & (codes == len(conds)))
+        )

@@ -87,7 +87,7 @@ def test_criterion_2_threshold_calibration():
 def test_criterion_3_sweep_certificates():
     start = time.time()
     canonical = [(3, 0), (3, 1), (4, 0), (4, 1), (2, 1), (2, 2)]
-    terminal = [(2, 1), (3, 0), (3, 1)]
+    terminal = [(2, 1), (3, 0), (3, 1), (3, 2), (4, 1)]
     maxima = []
     for d, g in canonical:
         cert = certify("canonical", d, g, m_span=(1, 50))

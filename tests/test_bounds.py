@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jetsums import bounds
@@ -34,6 +34,7 @@ from oracles import (
     pair_gain,
     pair_gain_display,
     single_bound_display,
+    sweep_dense,
 )
 
 
@@ -329,6 +330,12 @@ def test_shrink_arrays_match_scalar(d, g, e):
         assert split[D] == dominant_term_split(d, g, e, D)
 
 
+def _minor_grid(d, g, e):
+    """The divisor degrees of a pair sweep and its minor-pair mask."""
+    Ds = np.arange(0, d * e // 2 + 2, dtype=np.int64)
+    return Ds, np.maximum(Ds[:, None], Ds[None, :]) >= e - 2 * g + 2
+
+
 @given(st.integers(2, 4), st.integers(0, 2), st.integers(1, 45),
        st.integers(1, 3))
 def test_pair_cases_match_scalar_walker(d, g, e_lo, width):
@@ -338,10 +345,8 @@ def test_pair_cases_match_scalar_walker(d, g, e_lo, width):
     fast_flags = {"derived_pair_bound_disagreements": 0}
     slow_flags = dict(fast_flags)
     for e in range(e_lo, e_lo + width):
-        Ds = np.arange(0, d * e // 2 + 2, dtype=np.int64)
-        minor = np.maximum(Ds[:, None], Ds[None, :]) >= e - 2 * g + 2
-        bounds._count_pair_cases(fast, fast_flags, d, g, e, Ds, minor)
-        count_pair_cases_slow(slow, slow_flags, d, g, e, Ds, minor)
+        bounds._count_pair_cases(fast, fast_flags, d, g, e)
+        count_pair_cases_slow(slow, slow_flags, d, g, e, *_minor_grid(d, g, e))
     assert list(fast.items()) == list(slow.items())
     assert fast_flags == slow_flags
 
@@ -349,7 +354,9 @@ def test_pair_cases_match_scalar_walker(d, g, e_lo, width):
 def _scalar_sweep(monkeypatch):
     """Route certify through the scalar case walker and the scalar shrink
     parameter instead of the integer-array versions."""
-    monkeypatch.setattr(bounds, "_count_pair_cases", count_pair_cases_slow)
+    monkeypatch.setattr(bounds, "_count_pair_cases", lambda case_counts, flags, d, g, e:
+                        count_pair_cases_slow(case_counts, flags, d, g, e,
+                                              *_minor_grid(d, g, e)))
     monkeypatch.setattr(bounds, "_shrink_exponents", lambda d, g, e, Ds: np.array(
         [_frac_shrink_exponent(d, g, e, int(D)) for D in Ds], dtype=np.int64))
     monkeypatch.setattr(bounds, "_dominant_term_splits", lambda d, g, e, Ds: np.array(
@@ -465,25 +472,120 @@ def test_certify_failures_match_scalar_walk(mode, d, g, e_span, m_span, n_plus_1
 def test_certify_budget():
     start = time.time()
     with pytest.raises(BudgetExceeded):
-        certify("terminal", 5, 1)  # 26,824^2-cell pair grids at every degree
+        certify("terminal", 5, 1, budget=10**7)  # charged 69,410,050
     assert time.time() - start < 1
-    # terminal (2,1) at e = 25..26: the 27^2 + 28^2 cells of the minor masks
-    # and case tags once, and the (27^2 - 25^2) + (28^2 - 26^2) minor cells
-    # at each of 3 orders: 2149
+    # terminal (2,1) at e = 25..26: one pass over the 27 + 28 divisor
+    # degrees, and two candidates for each of the 23 + 24 distinct shrink
+    # weights of the sides with e - s >= 2g - 1 at each of 3 orders: 337
     with pytest.raises(BudgetExceeded):
-        certify("terminal", 2, 1, (25, 26), (1, 3), budget=2148)
-    assert certify("terminal", 2, 1, (25, 26), (1, 3), budget=2149).passed
+        certify("terminal", 2, 1, (25, 26), (1, 3), budget=336)
+    assert certify("terminal", 2, 1, (25, 26), (1, 3), budget=337).passed
+
+
+def test_certify_budget_charges_the_failure_listing():
+    """At n + 1 = 10 the order m = 2 fails at e = 25 and 26: their full
+    27^2 + 28^2 pair grids are charged on top of the 337 search cells,
+    after the searches and before any grid is built."""
+    args = ("terminal", 2, 1, (25, 26), (1, 3))
+    with pytest.raises(BudgetExceeded) as exc:
+        certify(*args, n_plus_1=10, budget=1849)
+    assert exc.value.needed == 337 + 27**2 + 28**2
+    cert = certify(*args, n_plus_1=10, budget=1850)
+    assert not cert.passed and {(f["e"], f["m"]) for f in cert.failures} == {(25, 2), (26, 2)}
+
+
+def _counted_cells(monkeypatch):
+    """Count the cells a pair sweep evaluates, in the units of
+    _grid_cells: each divisor degree once (the search tables and case
+    tags) plus every candidate the searches return."""
+    counted = [0]
+    real_candidates, real_search = bounds._PairSearch.candidates, bounds._PairSearch.__init__
+
+    def candidates(self, ms):
+        out = real_candidates(self, ms)
+        counted[0] += out[0].size
+        return out
+
+    def search(self, d, g, e, w, *rest):
+        counted[0] += w.size
+        real_search(self, d, g, e, w, *rest)
+
+    monkeypatch.setattr(bounds._PairSearch, "candidates", candidates)
+    monkeypatch.setattr(bounds._PairSearch, "__init__", search)
+    return counted
 
 
 @pytest.mark.parametrize("mode,d,g,e_span", SWEEP_GRID)
-def test_certify_work_within_charged_cells(mode, d, g, e_span):
-    """The budget figure bounds the cells a sweep evaluates at its jet
-    orders.  Singles are charged exactly.  Pairs are also charged the
-    |Ds|^2 grid of the minor mask and case tags once per degree.  At 4
-    orders the figure stays within 4 times the minor cells on this grid
-    (3.5 at terminal (2, 2), whose minor cells are a tenth of the pair
-    grid); charging the whole pair grid at every order reads 10 there."""
+def test_certify_work_within_charged_cells(monkeypatch, mode, d, g, e_span):
+    """The budget figure bounds the cells a sweep evaluates, and k = 1
+    here: a single sweep evaluates its |Ds| degrees at each order, which
+    grid_points counts, and a passing pair sweep evaluates exactly what
+    _grid_cells charges, a pass over its divisor degrees and two
+    candidates per distinct shrink weight at each order (the minor pairs
+    at every order, which the dense pass evaluated, are 2 to 150 times
+    this figure on this grid)."""
+    counted = _counted_cells(monkeypatch)
     cert = certify(mode, d, g, e_span, (1, 4))
     charged = bounds._grid_cells(mode, d, g, e_span, (1, 4))
-    assert cert.grid_points <= charged
-    assert charged <= (1 if mode == "canonical" else 4) * cert.grid_points
+    work = cert.grid_points if mode == "canonical" else counted[0]
+    assert cert.passed and work <= charged <= 1 * work
+
+
+COVERED = [(mode, d, g) for mode in ("terminal", "canonical")
+           for d in (2, 3, 4) for g in range(4) if not (d == 2 and g == 0)]
+
+
+@st.composite
+def sweep_args(draw):
+    """A sweep that the dense pass runs in well under a second: 1-3
+    degrees just above the floor where its pair grid has at most 120,000
+    cells (every single sweep, and terminal (2, g), (3, 0), (3, 1), (4, 0)),
+    else 1-3 degrees in 1..60, below the floor; jet orders from 0, 1 or 2
+    (m = 0 has precondition failures), and n + 1 from 2 (many inequality
+    failures) to two above the least admitted count."""
+    mode, d, g = draw(st.sampled_from(COVERED))
+    e_lo = math.floor(degree_floor(mode, d, g)) + 1
+    if mode == "terminal" and (d * e_lo // 2 + 2) ** 2 > 120_000:
+        e_lo = draw(st.integers(1, 60))
+    else:
+        e_lo += draw(st.integers(0, 2))
+    e_span = (e_lo, e_lo + draw(st.integers(0, 2)))
+    m_lo = draw(st.integers(0, 2))
+    m_span = (m_lo, m_lo + draw(st.integers(0, 5)))
+    n_plus_1 = draw(st.integers(2, minimal_variables(mode, d, g) + 2))
+    return mode, d, g, e_span, m_span, n_plus_1
+
+
+@settings(max_examples=150)  # 5-9 s
+@given(sweep_args())
+def test_sweep_matches_dense_pass(args):
+    """The searched sweep against the dense pass over every cell: the whole
+    certificate as a json string (the key order of case_counts is output
+    too) and the full failure list, of which the json keeps 20."""
+    mode, d, g, e_span, m_span, _ = args
+    try:  # below the floor a display form may divide by zero
+        bounds.check_display_monotonicity(mode, d, g, e_span)
+    except ZeroDivisionError:
+        assume(False)
+    fast, dense = bounds._sweep(*args), sweep_dense(*args)
+    assert json.dumps(fast.to_json()) == json.dumps(dense.to_json())
+    assert fast.failures == dense.failures
+
+
+@pytest.mark.parametrize("d,g,max_bound,e_span,m_span", [
+    (3, 2, "9584/89", (1257, 1258), (1, 4)),
+    (4, 1, "124848/205", (1847, 1848), (3, 6)),
+])
+def test_certify_terminal_sweeps_past_the_old_grid_budget(d, g, max_bound, e_span, m_span):
+    """The default terminal (3, 2) and (4, 1) sweeps, whose minor-pair grids
+    (1.1e10 and 5.5e10 cells) the default budget refused, pass at it.  Two
+    degrees x 4 orders around each maximum's witness match the dense pass,
+    and their maximum is the sweep's."""
+    cert = certify("terminal", d, g)
+    assert cert.passed and cert.max_bound == max_bound
+    assert cert.witness["e"] in range(e_span[0], e_span[1] + 1)
+    assert cert.witness["m"] in range(m_span[0], m_span[1] + 1)
+    window = ("terminal", d, g, e_span, m_span, cert.n_plus_1)
+    fast = bounds._sweep(*window)
+    assert json.dumps(fast.to_json()) == json.dumps(sweep_dense(*window).to_json())
+    assert fast.max_bound == max_bound and fast.witness == cert.witness

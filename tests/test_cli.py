@@ -345,9 +345,11 @@ def test_circle_identity_golden_output(golden, args, exit_code, capsys):
 
 
 def test_bounds_certify_budget_exceeded():
+    # charged 69,410,050 search cells; the default budget admits this sweep
     proc = subprocess.run(
         [sys.executable, "-m", "jetsums.cli", "bounds", "--action", "certify",
-         "--mode", "terminal", "--d", "5", "--g", "1", "--no-timestamp"],
+         "--mode", "terminal", "--d", "5", "--g", "1", "--budget", "10000000",
+         "--no-timestamp"],
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 2
@@ -475,6 +477,17 @@ def test_out_of_range_inputs_exit_2(argv, env, capsys, monkeypatch):
     assert out == "" and err.startswith("error: --" if env is None else "error: JETSUMS_WORKERS")
     if "--n-plus-1" in argv:  # the flag as typed, once a verdict "fail" and exit 1
         assert err.startswith(f"error: --n-plus-1 must be >= 2, got {argv[-1]}")
+
+
+def test_weyl_precision_cap_below_64_bits_exits_2(capsys):
+    # this command once ran at 64 bits and exited 0
+    argv = ["circle", "--check", "weyl", "--q", "3", "--form", "conic", "--e", "1",
+            "--m", "1", "--samples", "3", "--no-timestamp"]
+    code, out, err = run_cli([*argv, "--precision-cap", "10"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: precision cap must be >= 64 bits, got 10")
+    code, out, _ = run_cli([*argv, "--precision-cap", "64"], capsys)
+    assert code == 0 and json.loads(out)["verdict"] == "holds"
 
 
 def test_weyl_without_samples_checks_the_exhaustive_functionals(capsys):

@@ -498,6 +498,15 @@ def test_weyl_requires_jet_layer():
         check_weyl(conic_form(3), 2, 0, DualFunctional.zero(3, 4, 0))
 
 
+@pytest.mark.parametrize("cap", [63, 10, 0, -64])
+def test_weyl_refuses_a_precision_cap_below_64_bits(cap):
+    # the comparison starts at 64 bits: a lower cap once ran there anyway
+    with pytest.raises(ValueError, match=f"precision cap must be >= 64 bits, got {cap}"):
+        check_weyl(conic_form(3), 2, 1, DualFunctional.zero(3, 4, 1), precision_cap=cap)
+    assert check_weyl(conic_form(3), 2, 1, DualFunctional.zero(3, 4, 1),
+                      precision_cap=64).params["precision_bits"] == 64
+
+
 def test_weyl_sample_composition():
     F = conic_form(3)
     alphas = weyl_alpha_sample(F, 2, 1, max_degree=1, extra=7, seed=1)
