@@ -18,11 +18,12 @@ for rec in lw_trend(conic_form, 2, 0, [3, 5, 7]):
     )
 
 print()
-print("climbing the jet tower at p = 3 (an affine bundle over a smooth base,")
-print("so each layer multiplies the count by p^4 and the ratio is constant)")
-for m in (0, 1, 2):
+print("climbing the jet tower at p = 3: every base map's gradient map is onto,")
+print("so the jets form an affine bundle, counted in closed form; each layer")
+print("multiplies the count by p^4 and the normalized count is stable")
+for m in (0, 1, 2, 3, 4):
     rec = count_solutions(conic_form(3), 2, m)
-    print(f"  m={m}: raw={rec.raw_count:>7}  normalized={rec.normalized}")
+    print(f"  m={m}: raw={rec.raw_count:>10}  normalized={rec.normalized}")
 
 print()
 print("first-order tangent data: pairs (x0, x1) with x1 killed by the")

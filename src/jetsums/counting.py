@@ -1,39 +1,21 @@
 """Exact point counts for jet spaces of section tuples on a hypersurface.
 
-The main counts:
-
 * ``count_solutions``    -- tuples x in P_{e,m}^(n+1), globally generating
   mod t, with F(x) = 0 in P_{de,m} (any jet order m).
 * ``count_tangent_pairs`` -- pairs (x0, x1) with x0 as above and
-  x1 . grad F(x0) = 0; x1 is counted through the kernel of an F_p-linear
-  map, never enumerated (the tests enumerate single fibers as its oracle).
+  x1 . grad F(x0) = 0, x1 counted through kernels, never enumerated.
 * ``count_multilinear_zeros`` -- (d-1)-tuples killed by linear conditions
   on the multilinear forms Psi_j attached to F, by ranks; it gives
   ``count_psi_zero_sections``, ``count_jet_multilinear`` and N(alpha).
 
-Tuples grow one layer at a time in one depth-first walk, ``descend``, in
-``append_layer`` blocks of at most WALK_CHUNK rows.  The degree-zero
-solutions come from a lift through the coefficient layers x[:, k] of the
-tuple (``_lift``): the s^k coefficient of F(x) depends only on the layers
-0..k, the end coefficients are F of the end layers, so layer 0 and layer e
-run over the affine cone {a : F(a) = 0} and each middle layer keeps only
-the candidates whose s^k coefficient vanishes; the full p^((n+1)(e+1))
-scan (``iter_base_chunks``) remains for the value histograms, which need
-every generating tuple, and as the lift's oracle.  Higher jet layers enter
-through exact linear algebra (image / kernel of the multiplication-by-
-gradient map), which is what makes jet orders m >= 1 affordable: tuples of
-P_{e,m} are (N, n+1, m+1, e+1) int64 stacks for the array jet kernel
-(``batch_eval_jets``, ``batch_gradient``, ``unfolded_mult_matrix_batch``),
-which has one polynomial product, ``_section_mul_batch``, run on one
-batch-last copy of each stack; the scan and the lift evaluate F through it
-too, ``batch_eval_form`` being the jet order 0 case of ``batch_eval_jets``.
-The counts, solution tuples and slice histograms share one loop over the
-base solutions, ``base_systems``, which reduces the stacked [L | I] of
-FIBER_CHUNK of them at a time; ``walk_layers`` grows whole stacks through
-the solution cosets of L above each, the sums' free layers take every
-layer.  Every operation computes the size of its search space first and
-refuses to start above the budget before any lookup in ``sections.MEMO``,
-the one bounded memo of reused results.
+The degree-zero solutions come from a lift through the coefficient layers
+(``_lift``), the full scan (``iter_base_chunks``) serving the value
+histograms and the lift's oracle.  Above a base point whose gradient map L
+is onto (coker L = H^1(f*T_X) vanishes) the jets form an affine bundle,
+counted in closed form; only the obstructed points are walked, through the
+solution cosets of L (``walk_layers``), on the array jet kernel.  Every
+operation computes the size of its search space first and refuses above
+the budget before any lookup in ``sections.MEMO``, the one bounded memo.
 """
 
 from __future__ import annotations
@@ -544,7 +526,7 @@ def _lift_solutions(F: SymmetricForm, e: int, lo: int, hi: int):
 # L is the gradient multiplication map at the base point and c_k, the t^k
 # coefficient of F on the layers below k, is the same for every x^k.  So the
 # lifts of a base point through layer k are the solutions of L x^k = -c_k:
-# a coset of ker L, or nothing.
+# a coset of ker L, or nothing; where L is onto, always a coset.
 
 @dataclass
 class _Block:
@@ -592,6 +574,10 @@ class LayerSystem:
     @property
     def kerdim(self) -> int:
         return self.L.shape[1] - self.rank
+
+    @property
+    def onto(self) -> bool:  # then every layer above the point solves
+        return self.rank == self.L.shape[0]
 
     @cached_property
     def pivots(self) -> list:
@@ -649,52 +635,22 @@ def walk_layers(F: SymmetricForm, X: np.ndarray, top: int, system: LayerSystem):
 def _solution_fibers(F: SymmetricForm, e: int, m: int, budget: int | None):
     """Yield (base point, fiber count) over gg solutions mod t^(m+1), m >= 1.
 
-    Solutions are fibered over the degree-zero layer: the layers below m
-    are walked inside the solution cosets of L, and the top layer
-    contributes p^(dim ker L) to each walk whose last constraint is
-    consistent.
+    An onto L solves every layer, so its fiber has p^(m dim ker L) points,
+    as every fiber at m = 1 (c_1 = 0).  Above an obstructed point the layers
+    below m are walked in the solution cosets of L, and each walk whose top
+    constraint is consistent adds p^(dim ker L).
     """
     p = F.p
     for x0, system in base_systems(F, e, budget):
         kerdim = system.kerdim
-        if m == 1:  # the walk is x0 itself, and L x^1 = -c_1 = 0 always holds
-            yield x0, p**kerdim
+        if m == 1 or system.onto:
+            yield x0, p ** (m * kerdim)
             continue
-        check_budget(
-            p ** (kerdim * (m - 1)) * (m + 1), budget, "jet-layer fiber enumeration"
-        )
+        check_budget(p ** (kerdim * (m - 1)) * (m + 1), budget, "jet-layer fiber enumeration")
         walks = 0
         for X in walk_layers(F, x0[None, :, None, :], m - 1, system):
             walks += int(system.solve(next_layer(F, X)[:, -1])[0].sum())
         yield x0, walks * p**kerdim
-
-
-def _solution_stacks(F: SymmetricForm, e: int, m: int, budget: int | None):
-    """Every gg tuple with F(x) = 0, as (N, n+1, m+1, e+1) stacks in base
-    order, then in the order of the nested kernel enumeration."""
-    for x0, system in base_systems(F, e, budget):
-        if m:  # at m = 0 the figure is 1 and the walk never reduces L
-            check_budget(
-                F.p ** (system.kerdim * m) * (m + 1), budget, "solution tuple enumeration"
-            )
-        yield from walk_layers(F, x0[None, :, None, :], m, system)
-
-
-def _rechunk(stacks, size: int):
-    """Re-cut a stream of stacks into stacks of ``size`` rows (the last one
-    shorter), keeping the row order."""
-    held, rows = [], 0
-    for X in stacks:
-        held.append(X)
-        rows += X.shape[0]
-        if rows >= size:
-            X = np.concatenate(held)
-            cut = rows - rows % size
-            for i in range(0, cut, size):
-                yield X[i : i + size]
-            held, rows = [X[cut:]], rows - cut
-    if rows:
-        yield np.concatenate(held)
 
 
 def count_tangent_pairs(
@@ -705,19 +661,29 @@ def count_tangent_pairs(
 ) -> CountRecord:
     """#{(x0, x1) : x0 gg solution, x1 . grad F(x0) = 0 in P_{de,m}}.
 
-    Normalization exponent is 2(m+1)(mu+1); x1 ranges over P_{e,m}^(n+1)
-    and is counted through kernel dimensions.
+    Normalization exponent is 2(m+1)(mu+1); x1 ranges over P_{e,m}^(n+1),
+    counted by kernel dimensions: an onto L has p^(m dim ker L) lifts whose
+    pair maps (block triangular, L on the diagonal) have full row rank, and
+    at m = 0 the pair map is L; only obstructed lifts at m >= 1 are ranked.
     """
     _check_count_inputs(F, e, m)
     mu = moduli_dimension(F.n, F.d, e)
     exponent = 2 * (m + 1) * (mu + 1)
-    total = 0
-    ncols = (m + 1) * (F.n + 1) * (e + 1)
-    for X in _rechunk(_solution_stacks(F, e, m, budget), FIBER_CHUNK):
-        M = unfolded_mult_matrix_batch(F, X)
-        _, ranks = linalg.rref_batch(M.transpose(0, 2, 1), F.p)
-        for rank, count in zip(*np.unique(ranks, return_counts=True)):
-            total += int(count) * F.p ** (ncols - int(rank))
+    p, ncols = F.p, (m + 1) * (F.n + 1) * (e + 1)
+    total, obstructed = 0, []
+    for x0, system in base_systems(F, e, budget):
+        if system.onto or not m:
+            total += p ** (m * system.kerdim + ncols - (m + 1) * system.rank)
+        else:
+            obstructed.append((x0, system))
+    for x0, system in obstructed:
+        check_budget(p ** (system.kerdim * m) * (m + 1), budget, "solution tuple enumeration")
+        for X in walk_layers(F, x0[None, :, None, :], m, system):
+            for i in range(0, X.shape[0], FIBER_CHUNK):
+                M = unfolded_mult_matrix_batch(F, X[i : i + FIBER_CHUNK])
+                _, ranks = linalg.rref_batch(M.transpose(0, 2, 1), p)
+                for rank, count in zip(*np.unique(ranks, return_counts=True)):
+                    total += int(count) * p ** (ncols - int(rank))
     return _record(F, e, m, total, exponent, "tangent_pairs")
 
 

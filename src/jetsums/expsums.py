@@ -8,7 +8,7 @@ an exact element of Z[zeta_p].  Everything here reduces to two computable
 objects:
 
 * the value histogram of F over generating tuples, stored in "partial sum"
-  coordinates w_i = v_i + ... + v_(m-i), in which psi_m(alpha(v)) is the
+  coordinates w_i = v_0 + ... + v_(m-i), in which psi_m(alpha(v)) is the
   plain pairing zeta^(alpha . w); and
 * an exact character transform of such histograms, which returns every
   S(alpha) at once as cyclotomic coefficient vectors.  It splits off the
@@ -17,13 +17,14 @@ objects:
   integer-shift butterfly over the others, and the other a0 follow from
   the scaling symmetry S(lam alpha)[lam t] = S(alpha)[t] by a gather.
 
-The value, pair and slice histograms share one fiber engine at every jet
-order: base points (fiber classes computed once per (F, e), or base
-solutions), middle layers run freely or in solution cosets, and one
+The value, pair and slice histograms share one fiber engine over base
+points (fiber classes, or base solutions).  Above an onto gradient map the
+value layers above the base are uniform over P_de and the pair class is
+trivial, in closed form; obstructed points walk their middle layers to one
 top-layer leaf, ``_top_layer``, that adds the image coset of the gradient
-map with weight p^(dim ker), or enumerates the top layer where pair classes
-need it.  The x1-sum of the pair sums and the full dual layer sums go
-through kernels and small tables; slow enumerations cross-check them.
+map with weight p^(dim ker), or enumerates the top layer where pair
+classes need it.  The x1-sum of the pair sums and the full dual layer sums
+go through kernels and small tables; slow enumerations cross-check them.
 Reused results go through the bounded ``sections.MEMO``, after all refusals.
 """
 
@@ -44,6 +45,7 @@ from .counting import (
     base_scan,
     base_systems,
     batch_digits,
+    batch_eval_form,
     batch_eval_jets,
     count_solutions,
     count_tangent_pairs,
@@ -231,6 +233,10 @@ def dual_from_code(p: int, r: int, m: int, code: int) -> DualFunctional:
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+# Cells of the largest histograms built at any budget: the value histogram
+# and its transform took 600 MiB at 3^15 cells (conic(3), e = 2, m = 2), the
+# pair histogram (a dict) 2.2 GB at 9.8e6 (conic(5), e = 2, m = 1).
+HIST_CELL_CAP, PAIR_CELL_CAP = 1 << 24, 1 << 21
 
 
 def _check_mass(F: SymmetricForm, e: int, m: int, what: str) -> None:
@@ -294,16 +300,15 @@ def _free_layers(X: np.ndarray, top: int, p: int):
 
 def _top_layer(F: SymmetricForm, X: np.ndarray, m: int, image: np.ndarray | None,
                ann: _AnnClasses | None):
-    """The leaf of every fiber route: complete a stack X of tuples known
+    """The leaf of the walked fibers: complete a stack X of tuples known
     through layer m-1, whose base maps L share one image, by layer m.
 
     Yields blocks (V, span, weight, classes): row i stands for the value
     layers V[i] with each row of span added to layer m, and pair class
     classes[i].  Layer m enters only at t^m, as c_m + L x^m, so given the
-    image of L, V is F with layer m zero, span the image, the weight
-    p^(dim ker L), and the pair map of an onto L has trivial annihilator
-    (block triangular).  With ``image`` None every top layer is enumerated
-    (none at m = 0: the base layer is the top) and classed by ``ann``.
+    image of L, V is F with layer m zero, span the image and the weight
+    p^(dim ker L), unclassed.  With ``image`` None every top layer is
+    enumerated (none at m = 0) and classed by ``ann``.
     """
     p = F.p
     if image is None:
@@ -311,12 +316,28 @@ def _top_layer(F: SymmetricForm, X: np.ndarray, m: int, image: np.ndarray | None
             V = batch_eval_jets(F, full)
             yield V, np.zeros((1, V.shape[2]), dtype=np.int64), 1, ann.of(F, full)
         return
-    V, span = next_layer(F, X), linalg.span_elements(image, p)
     kerdim = X.shape[1] * X.shape[3] - image.shape[0]
-    step = max(1, WALK_CHUNK // span.shape[0])  # about WALK_CHUNK values per block
+    yield from _coset_blocks(next_layer(F, X), linalg.span_elements(image, p), p**kerdim, None)
+
+
+def _coset_blocks(V: np.ndarray, span: np.ndarray, weight: int, klass: int | None):
+    """Leaf blocks of about WALK_CHUNK values, every row of class klass."""
+    step = max(1, WALK_CHUNK // span.shape[0])
     for i in range(0, V.shape[0], step):
         block = V[i : i + step]
-        yield block, span, p**kerdim, None if ann is None else np.full(len(block), ann.TRIVIAL)
+        yield block, span, weight, None if klass is None else np.full(len(block), klass)
+
+
+def _onto_leaves(F: SymmetricForm, x0s: np.ndarray, m: int, weight: int, ann: _AnnClasses | None):
+    """Leaves above base points x0s whose L is onto, each point for ``weight``
+    tuples of each value: layer 0 F(x0), the layers above over P_de (free
+    layers of a one-variable value stack, the top a coset), class trivial."""
+    p, width = F.p, F.d * (x0s.shape[2] - 1) + 1
+    span = batch_digits(np.arange(p ** (width if m else 0)), p, width)
+    klass = None if ann is None else ann.TRIVIAL
+    for Y in _free_layers(batch_eval_form(F, x0s)[:, None, None, :], m - 1, p):
+        V = np.pad(Y[:, 0], ((0, 0), (0, m + 1 - Y.shape[2]), (0, 0)))  # layer m zero
+        yield from _coset_blocks(V, span, weight, klass)
 
 
 def _w_codes(V: np.ndarray, span: np.ndarray, p: int) -> np.ndarray:
@@ -339,44 +360,54 @@ def _check_pair_scan(F: SymmetricForm, e: int, m: int, walks: int, budget: int |
 
 def _base_leaves(F: SymmetricForm, e: int, m: int, ann: _AnnClasses | None,
                  budget: int | None):
-    """``_top_layer`` blocks over every generating tuple of P_{e,m}^(n+1),
-    classed by ``ann`` if given.  The refusals are made at the call, from
-    the class sizes alone; the points are grouped (``_image_groups``) only
-    when the blocks are first asked for, so a memo hit never groups them.
+    """Leaf blocks over every generating tuple of P_{e,m}^(n+1), classed by
+    ``ann`` if given.  Above an onto L each value layer c_k + L x^k takes
+    every value p^(dim ker L) times and every pair class is trivial, so an
+    onto class enters once (``_onto_leaves``); only obstructed points walk
+    to ``_top_layer``.  The refusals are made at the call, from the class
+    sizes alone; the points are grouped (``_image_groups``) only when the
+    blocks are first asked for, so a memo hit never groups them.
     """
     p, width, ncols = F.p, F.d * e + 1, (F.n + 1) * (e + 1)
     coords, ids, images = generating_fibers(F, e, budget)
-    pairs = ann is not None and m > 0
-    explicit = np.array([pairs and im.shape[0] < width for im in images], dtype=bool)
-    if m >= 2:
-        check_budget(ids.size * p ** (ncols * (m - 1) + width), budget, "free jet-layer walk")
+    onto = np.array([im.shape[0] == width for im in images], dtype=bool)
+    explicit = ~onto & (ann is not None and m > 0)
+    if m >= 2:  # charged by the obstructed points alone
+        walked = int((~onto[ids]).sum())
+        check_budget(walked * p ** (ncols * (m - 1) + width), budget, "free jet-layer walk")
     if explicit.any():
         _check_pair_scan(F, e, m, int(explicit[ids].sum()) * p ** (ncols * (m - 1)), budget,
                          "non-surjective pair annihilator scan")
+    if ann is not None:  # each onto class fills p^(m(de+1)) cells
+        limit = min(PAIR_CELL_CAP, 10**18 if budget is None else budget)
+        check_budget(int(onto.sum()) * p ** (m * width), limit, "pair histogram")
 
     def leaves():
-        for X, image, weight in _image_groups(coords, ids, images, explicit, m):
-            for W in _free_layers(X.astype(np.int64)[:, :, None, :], m - 1, p):
-                for V, span, mult, klass in _top_layer(F, W, m, image, ann):
+        for X, image, weight in _image_groups(coords, ids, images, onto, explicit, m):
+            X = X.astype(np.int64)
+            if image is not None and image.shape[0] == width:
+                yield from _onto_leaves(F, X, m, weight * p ** (m * (ncols - width)), ann)
+                continue
+            for W in _free_layers(X[:, :, None, :], m - 1, p):
+                for V, span, mult, klass in _top_layer(F, W, m, image if m else None, ann):
                     yield V, span, weight * mult, klass
 
     return leaves()
 
 
-def _image_groups(coords, ids, images, explicit, m: int) -> list:
+def _image_groups(coords, ids, images, onto, explicit, m: int) -> list:
     """(points, image, weight) groups of the base points sharing their
-    gradient image.  With no layer between base and top (m <= 1) a coset
-    depends only on the fiber class, so each class enters once by its first
-    point, weighted by its size (one group per image and size); above that
-    every point enters.  The points whose pairs need the top layer
-    enumerated (``explicit`` classes) come last, in scan order, with no
-    image."""
+    gradient image.  An ``onto`` class, or any class at m <= 1 (no layer
+    between base and top), enters once by its first point, weighted by its
+    size (one group per image and size); otherwise every point enters.  The
+    ``explicit`` classes' points come last, in scan order, with no image."""
     _, first, counts = np.unique(ids, return_index=True, return_counts=True)
+    once = onto | (m <= 1)
     by_image: dict[tuple, list] = {}
     for k in np.flatnonzero(~explicit).tolist():
-        by_image.setdefault((images[k].tobytes(), int(counts[k]) if m <= 1 else 1), []).append(k)
+        by_image.setdefault((images[k].tobytes(), int(counts[k]) if once[k] else 1), []).append(k)
     return [
-        (coords[first[ks] if m <= 1 else np.isin(ids, ks)], images[ks[0]] if m else None, weight)
+        (coords[first[ks] if once[ks[0]] else np.isin(ids, ks)], images[ks[0]], weight)
         for (_, weight), ks in by_image.items()
     ] + ([(coords[explicit[ids]], None, 1)] if explicit.any() else [])
 
@@ -395,7 +426,8 @@ def _value_leaves(F: SymmetricForm, e: int, m: int, budget: int | None):
     orders take the fiber engine (``_base_leaves``).  Every refusal is made
     at the call, so ``all_sums`` makes them before its memo lookup."""
     _check_mass(F, e, m, "value histogram")
-    check_budget(F.p ** ((F.d * e + 1) * (m + 1)), budget, "value histogram")
+    limit = min(HIST_CELL_CAP, 10**18 if budget is None else budget)
+    check_budget(F.p ** ((F.d * e + 1) * (m + 1)), limit, "value histogram")
     if m:
         return _base_leaves(F, e, m, None, budget)
     _check_scan(F, e, budget)  # every generating tuple is a base point
@@ -771,27 +803,31 @@ def _beta_pair_weights(ann_bases, tab, major, p, width):
 
 def slice_histogram(F: SymmetricForm, e: int, m: int, budget: int | None = None,
                     with_ann: bool = False):
-    """KK(u) = #{x gg : F(x) = t^m u}, u over P_de (degree-zero layer).
+    """KK(u) = #{x gg : F(x) = t^m u}, u over P_de (degree-zero layer), m >= 1.
 
-    Base solutions, middle layers walked in solution cosets of the gradient
-    map, then the fiber engine's leaf; ``with_ann`` splits the counts by
-    annihilator class, enumerating the top layer above maps not onto.
-    Returns (array KK, dict {(u_code, ann_key): count}, ann_bases).
+    Each u has p^(m dim ker L) such x above an onto L, of trivial class.
+    Above obstructed solutions the middle layers walk in solution cosets of
+    L to the fiber engine's leaf; ``with_ann`` splits the counts by
+    annihilator class, enumerating their top layer.  Returns (array KK,
+    dict {(u_code, ann_key): count}, ann_bases).
     """
     p, width = F.p, F.d * e + 1
+    if m < 1:  # the base layer is the top: no closed form nor walk applies
+        raise ValueError(f"the slice needs m >= 1, got m={m}")
     _check_mass(F, e, m, "slice histogram")
     systems = list(base_systems(F, e, budget))
-    if with_ann:  # at most p^(dim ker (m-1)) walks above each map not onto
-        walks = sum(p ** (s.kerdim * (m - 1)) for _, s in systems if s.rank < width)
+    obstructed = [(x0, s) for x0, s in systems if not s.onto]
+    if with_ann:  # at most p^(dim ker (m-1)) walks above each obstructed point
+        walks = sum(p ** (s.kerdim * (m - 1)) for _, s in obstructed)
         _check_pair_scan(F, e, m, walks, budget, "explicit slice fiber")
-    kk = np.zeros(p**width, dtype=np.int64)
-    hist: dict = {}
+    onto = sum(p ** (m * s.kerdim) for _, s in systems if s.onto)
+    kk = np.full(p**width, onto, dtype=np.int64)
+    hist = {(u, _AnnClasses.TRIVIAL): onto for u in range(kk.size)} if with_ann and onto else {}
     ann = _AnnClasses(p, (m + 1) * width)
-    for x0, system in systems:
-        explicit = with_ann and system.rank < width
-        if not explicit:
+    for x0, system in obstructed:
+        if not with_ann:
             check_budget(p ** (system.kerdim * (m - 1) + system.rank), budget, "slice histogram")
-        image = None if explicit else system.L[:, system.pivots].T  # pivot columns span im L
+        image = None if with_ann else system.L[:, system.pivots].T  # pivot columns span im L
         for X in walk_layers(F, x0[None, :, None, :], m - 1, system):
             for V, span, weight, klass in _top_layer(F, X, m, image, ann):
                 codes = encode_digits((V[:, None, m] + span) % p, p)

@@ -46,11 +46,12 @@ from jetsums.bounds import (
 from jetsums.counting import (
     WALK_CHUNK,
     _psi_batch,
-    _solution_stacks,
+    base_systems,
     batch_digits,
     batch_eval_jets,
     encode_digits,
     iter_base_chunks,
+    walk_layers,
 )
 from jetsums.forms import SymmetricForm, make_form
 from jetsums.linalg import rref
@@ -594,10 +595,13 @@ def unfolded_mult_matrix(F: SymmetricForm, x0: tuple[JetPoly, ...]) -> np.ndarra
 
 
 def solution_tuples(F: SymmetricForm, e: int, m: int, budget: int | None = None):
-    """All gg tuples with F(x) = 0, as JetPoly tuples."""
-    for X in _solution_stacks(F, e, m, budget):
-        for x in X.tolist():
-            yield tuple(JetPoly.from_layers(F.p, e, m, layers) for layers in x)
+    """All gg tuples with F(x) = 0, as JetPoly tuples: the walk above every
+    base point, onto or not, in base order, then in the order of the nested
+    kernel enumeration."""
+    for x0, system in base_systems(F, e, budget):
+        for X in walk_layers(F, x0[None, :, None, :], m, system):
+            for x in X.tolist():
+                yield tuple(JetPoly.from_layers(F.p, e, m, layers) for layers in x)
 
 
 def tangent_fiber_slow(F: SymmetricForm, x0, budget) -> int:

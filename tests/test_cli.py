@@ -393,15 +393,16 @@ def test_unsupported_configuration_exits_2():
 
 def test_count_golden_output(capsys):
     """--no-timestamp count reports are byte-stable; the m = 0 count runs
-    through the coefficient-layer lift."""
-    golden = Path(__file__).parent / "data" / "count_conic_q5_e2_m0.json"
-    code, out, _ = run_cli(
-        ["count", "--q", "5", "--form", "conic", "--e", "2", "--m", "0",
-         "--no-timestamp"],
-        capsys,
-    )
-    assert code == 0
-    assert out == golden.read_text()
+    through the coefficient-layer lift, the m = 4 count through the onto
+    base points' closed form."""
+    for golden, q, m in (("count_conic_q5_e2_m0.json", "5", "0"),
+                         ("count_conic_q3_e2_m4.json", "3", "4")):
+        code, out, _ = run_cli(
+            ["count", "--q", q, "--form", "conic", "--e", "2", "--m", m, "--no-timestamp"],
+            capsys,
+        )
+        assert code == 0
+        assert out == (DATA / golden).read_text()
 
 
 def test_trend_golden_output(capsys):

@@ -1,4 +1,6 @@
 import itertools
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -58,9 +60,16 @@ def test_conic_count_p5():
 
 
 def test_conic_jet_counts_affine_bundle():
-    # the count picks up a factor p^4 per jet layer over the smooth base
+    # the count picks up a factor p^4 per jet layer over the smooth base,
+    # whose gradient maps are all onto: the high orders come in closed form,
+    # at the default budget and in well under a second
     assert count_solutions(conic_form(3), 2, 1).raw_count == 48 * 3**4
     assert count_solutions(conic_form(3), 2, 2).raw_count == 48 * 3**8
+    start = time.perf_counter()
+    rec = count_solutions(conic_form(3), 2, 4)
+    assert (rec.raw_count, rec.normalized) == (2_066_242_608, Fraction(16, 27))
+    assert count_solutions(conic_form(5), 2, 3).normalized == Fraction(96, 125)
+    assert time.perf_counter() - start < 1
 
 
 def test_count_solutions_refuses_worker_counts_below_one(monkeypatch):

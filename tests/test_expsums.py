@@ -262,6 +262,9 @@ def test_major_identity_small():
 def test_major_identity_rejects_base_order():
     with pytest.raises(ValueError):
         check_major_identity(conic_form(3), 2, 0)
+    # its slice engine too, which gave a wrong histogram at m = 0
+    with pytest.raises(ValueError, match="m >= 1"):
+        slice_histogram(conic_form(3), 2, 0)
 
 
 @pytest.mark.parametrize("p,e,codes", [
@@ -684,8 +687,9 @@ def test_memo_hits_never_group_the_base_points(monkeypatch):
         assert len(calls) == 1
         calls.clear()
     assert MEMO.hits["all_sums"] == MEMO.hits["pair_data"] == 1
+    # x0*x1 (n = 2) at e = 1: 192 obstructed base maps, charged 192 * 3^9 > 10^6
     with pytest.raises(BudgetExceeded, match="free jet-layer walk"):
-        all_sums(F, 1, 2, budget=10**6)
+        all_sums(_x0x1(2), 1, 2, budget=10**6)
     assert calls == []
 
 

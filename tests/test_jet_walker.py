@@ -24,7 +24,6 @@ from jetsums.counting import (
     base_scan,
     base_systems,
     _solution_fibers,
-    _solution_stacks,
     batch_digits,
     batch_eval_form,
     batch_eval_jets,
@@ -35,7 +34,13 @@ from jetsums.counting import (
     unfolded_mult_matrix_batch,
     walk_layers,
 )
-from jetsums.expsums import all_sums, pair_data, slice_histogram, w_code_from_values
+from jetsums.expsums import (
+    all_sums,
+    pair_data,
+    slice_histogram,
+    value_histogram,
+    w_code_from_values,
+)
 from jetsums.forms import conic_form, fermat_form, make_form
 from jetsums.sections import BudgetExceeded
 from oracles import (
@@ -56,6 +61,13 @@ def x0x1():
 
 def x0sq(n=1):
     return make_form(3, n, 2, [((2,) + (0,) * n, 1)], name="x0sq")
+
+
+def cone():
+    # x0^2 + x1^2 + x2^2 in P^3, singular at (0:0:0:1): at e = 2 over F_3,
+    # 1,296 of its 3,024 base solutions have an onto gradient map
+    return make_form(3, 3, 2, [((2, 0, 0, 0), 1), ((0, 2, 0, 0), 1), ((0, 0, 2, 0), 1)],
+                     name="cone")
 
 
 def _jets(p, X):
@@ -298,6 +310,57 @@ def test_slice_histogram_matches_recursion(F, e, m, with_ann):
     )
 
 
+def test_onto_closed_form_matches_the_walk():
+    # the values the walk above every base point gave before onto points
+    # had a closed form, on a form with both kinds of point (and against
+    # the recursions) and on conic(5) at orders the walk took seconds at
+    F = cone()
+    systems = [system for _, system in base_systems(F, 2, None)]
+    assert (len(systems), sum(system.onto for system in systems)) == (3024, 1296)
+    assert count_solutions(F, 2, 0).raw_count == 3024
+    assert count_solutions(F, 2, 1).raw_count == 36_846_576 == sum(oracle_fiber_counts(F, 2, 1))
+    assert count_tangent_pairs(F, 2, 0).raw_count == 36_846_576
+    kk = slice_histogram(F, 2, 1)[0]
+    assert (kk == oracle_slice_histogram(F, 2, 1, False)[0]).all()
+    assert (int(kk.sum()), int(kk[0])) == (1_607_077_584, 36_846_576)
+    # 100 values of P_4 are reached from the onto points alone, 3^7 times each
+    assert kk.min() == 1296 * 3**7 and (kk == kk.min()).sum() == 100
+    F = conic_form(5)
+    assert count_solutions(F, 2, 2).raw_count == 187_500_000
+    assert count_tangent_pairs(F, 2, 1).raw_count == 117_187_500_000
+
+
+def test_only_obstructed_points_walk(monkeypatch):
+    # the smooth conic is onto everywhere and walks nothing; every base map
+    # of x0*x1 and x0^2 (n = 2) at e = 1 is obstructed, and each one walks
+    walked, leaves = [], []
+    real_walk, real_leaf = counting.walk_layers, expsums._top_layer
+
+    def walk(F, X, top, system):
+        walked.append(system.onto)
+        return real_walk(F, X, top, system)
+
+    monkeypatch.setattr(counting, "walk_layers", walk)
+    monkeypatch.setattr(expsums, "walk_layers", walk)
+    monkeypatch.setattr(expsums, "_top_layer", lambda *a: leaves.append(1) or real_leaf(*a))
+    F = conic_form(3)
+    count_solutions(F, 2, 3)
+    count_tangent_pairs(F, 2, 2)
+    slice_histogram(F, 2, 3, with_ann=True)
+    value_histogram(F, 1, 2)
+    pair_data(F, 1, 2)
+    assert walked == leaves == []
+    for F, points in ((x0x1(), 96), (x0sq(2), 48)):
+        walked.clear()
+        count_solutions(F, 1, 2)
+        count_tangent_pairs(F, 1, 1)
+        slice_histogram(F, 1, 2)
+        assert walked == [False] * 3 * points
+    leaves.clear()
+    value_histogram(x0x1(), 0, 2)  # 2 of its 26 generating base maps are obstructed
+    assert leaves
+
+
 def test_explicit_branches_are_reached():
     # the singular forms exercise the non-surjective branch, with several
     # annihilator classes, and conic(3) at e = 2 does not
@@ -400,7 +463,8 @@ def test_fibers_cross_the_chunk_boundary():
         assert count == F.p ** (L.shape[1] - rank(L, F.p))
     # the counts depend on ranks alone, which agree at every point of the
     # smooth conic; the tuples also need each point's own system
-    X = np.concatenate(list(_solution_stacks(F, e, 1, None)))
+    X = np.concatenate([X for x0, system in base_systems(F, e, None)
+                        for X in walk_layers(F, x0[None, :, None, :], 1, system)])
     assert X.shape[0] == sum(count for _, count in fibers)
     assert (X[:, :, 0].reshape(len(x0s), -1, *x0s.shape[1:]) == x0s[:, None]).all()
     assert not batch_eval_jets(F, X).any()
@@ -449,10 +513,17 @@ def test_m0_stacks_and_m1_counts_build_no_kernel(monkeypatch):
         real = getattr(linalg, name)
         monkeypatch.setattr(linalg, name, lambda *a, _f=real, _n=name: calls.append(_n) or _f(*a))
     F = conic_form(5)
-    assert sum(len(X) for X in _solution_stacks(F, 2, 0, None)) == 480
+    assert sum(len(X) for x0, system in base_systems(F, 2, None)
+               for X in walk_layers(F, x0[None, :, None, :], 0, system)) == 480
     assert calls == []
     assert sum(count for _, count in _solution_fibers(F, 2, 1, None)) == 480 * 5**4
     assert calls == ["rref_batch"] * 2
+    # every base map of conic(5) is onto: at any order its counts take the
+    # ranks alone, one reduction per block of base points
+    calls.clear()
+    assert count_solutions(F, 2, 3).raw_count == 480 * 5**12
+    assert count_tangent_pairs(F, 2, 2).raw_count == 480 * 5**8 * 5**12
+    assert calls == ["rref_batch"] * 4
 
 
 def test_pair_scan_is_charged_by_its_eliminations():
@@ -467,26 +538,44 @@ def test_pair_scan_is_charged_by_its_eliminations():
 
 
 def test_walker_budget_figures():
-    # each route keeps its figure; conic(3) at e = 2 has kernel dimension 4
-    # above every base point and its lift is charged (27 + 9 * 27 * 9) * 6
-    F = conic_form(3)
+    # each route charges its obstructed points alone.  x0^2 on three
+    # variables at e = 1: each of its 48 base maps is zero (kernel dimension
+    # 6), above a lift charged (27 + 9 * 9) * 6 = 648
+    F = x0sq(2)
     with pytest.raises(BudgetExceeded, match="jet-layer fiber enumeration") as err:
-        count_solutions(F, 2, 3, budget=3**8 * 4 - 1)
-    assert err.value.needed == 3**8 * 4
+        count_solutions(F, 1, 2, budget=3**6 * 3 - 1)
+    assert err.value.needed == 3**6 * 3
     with pytest.raises(BudgetExceeded, match="solution tuple enumeration") as err:
-        list(solution_tuples(F, 2, 2, budget=3**8 * 3 - 1))
-    assert err.value.needed == 3**8 * 3
+        count_tangent_pairs(F, 1, 2, budget=3**12 * 3 - 1)
+    assert err.value.needed == 3**12 * 3
     with pytest.raises(BudgetExceeded, match="slice histogram") as err:
-        slice_histogram(F, 2, 2, budget=3**4 * 3**5 - 1)
-    assert err.value.needed == 3**4 * 3**5
-    # x0^2 on three variables: each of its 48 base maps is zero, so above
-    # its 3^6 middle-layer walks the 3^6 top tuples are enumerated and each
-    # pair map ranked, charged 18 rows x 9^2 columns^2
+        slice_histogram(F, 1, 2, budget=3**6 - 1)
+    assert err.value.needed == 3**6
+    # above its 3^6 middle-layer walks the 3^6 top tuples are enumerated and
+    # each pair map ranked, charged 18 rows x 9^2 columns^2
     with pytest.raises(BudgetExceeded, match="explicit slice fiber") as err:
-        slice_histogram(x0sq(2), 1, 2, budget=48 * 3**12 * 1458 - 1, with_ann=True)
+        slice_histogram(F, 1, 2, budget=48 * 3**12 * 1458 - 1, with_ann=True)
     assert err.value.needed == 48 * 3**12 * 1458
-    # the free middle layer of the m = 2 sums: 16,848 generating base points,
-    # 3^9 middle layers each, and an image coset of at most 3^5 values
+    # the free middle layer of the m = 2 sums: x0*x1 at e = 1 has 192 of its
+    # 624 generating base maps obstructed, 3^6 middle layers each, and an
+    # image coset of at most 3^3 values
     with pytest.raises(BudgetExceeded, match="free jet-layer walk") as err:
-        all_sums(F, 2, 2, budget=16848 * 3**14 - 1)
-    assert err.value.needed == 16848 * 3**14
+        all_sums(x0x1(), 1, 2, budget=192 * 3**9 - 1)
+    assert err.value.needed == 192 * 3**9
+    # each onto class of the pair histogram fills p^(m(de+1)) cells of its
+    # dict, above 2^21 cells refused at any budget: 235 classes of conic(3)
+    # at e = 2, m = 2
+    with pytest.raises(BudgetExceeded, match="pair histogram") as err:
+        pair_data(conic_form(3), 2, 2, budget=10**11)
+    assert err.value.needed == 235 * 3**10
+    # and a value histogram above 2^24 cells: 3^18 for conic(3) at e = 1,
+    # m = 5, whose free walk is no longer charged
+    with pytest.raises(BudgetExceeded, match="value histogram") as err:
+        all_sums(conic_form(3), 1, 5, budget=10**11)
+    assert err.value.needed == 3**18
+    # conic(3) at e = 2 is onto at every point: its lift, charged
+    # (27 + 9 * 27 * 9) * 6, is all the walker routes charge
+    F, lift = conic_form(3), (27 + 9 * 27 * 9) * 6
+    assert count_solutions(F, 2, 4, budget=lift).raw_count == 48 * 3**16
+    assert count_tangent_pairs(F, 2, 2, budget=lift).raw_count == 48 * 3**8 * 3**12
+    assert (slice_histogram(F, 2, 3, budget=lift, with_ann=True)[0] == 48 * 3**12).all()
