@@ -35,7 +35,8 @@ class ConfigError(Exception):
     pass
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top parser and each command's parser by name."""
     top = argparse.ArgumentParser(prog="jetsums", description=__doc__)
     top.add_argument("--config", help="JSON file with default option values")
     sub = top.add_subparsers(dest="command", required=True)
@@ -106,24 +107,47 @@ def _build_parser() -> argparse.ArgumentParser:
     common(ps)
     ps.add_argument("--k-max", type=int, default=None)
 
-    return top
+    return top, sub.choices
 
 
-def _apply_config(args: argparse.Namespace, argv: list[str]) -> argparse.Namespace:
-    """Config file supplies defaults; anything set on the command line wins."""
+def _apply_config(args: argparse.Namespace, argv: list[str],
+                  command: argparse.ArgumentParser) -> argparse.Namespace:
+    """Config file supplies defaults; anything set on the command line wins.
+    Keys naming no flag of the command are ignored."""
     if not args.config:
         return args
     try:
         defaults = json.loads(Path(args.config).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}")
+    if not isinstance(defaults, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(defaults).__name__}")
     explicit = {a.lstrip("-").split("=")[0].replace("-", "_") for a in argv
                 if a.startswith("--")}
+    flags = {a.dest: a for a in command._actions if a.option_strings}
     for key, val in defaults.items():
         attr = key.replace("-", "_")
-        if hasattr(args, attr) and attr not in explicit:
-            setattr(args, attr, val)
+        if attr in flags and attr not in explicit:
+            setattr(args, attr, _config_value(flags[attr], val))
     return args
+
+
+def _config_value(flag: argparse.Action, val):
+    """A config value as the command line would give it: true or false for a
+    switch, else a JSON string or number through the flag's type and
+    choices."""
+    if flag.nargs == 0:
+        if isinstance(val, bool):
+            return val
+    elif isinstance(val, (str, int, float)) and not isinstance(val, bool):
+        try:
+            out = (flag.type or str)(str(val))
+        except ValueError:
+            pass
+        else:
+            if flag.choices is None or out in flag.choices:
+                return out
+    raise ConfigError(f"config value {json.dumps(val)} is not valid for {flag.option_strings[0]}")
 
 
 def _budget(args) -> int:
@@ -272,21 +296,10 @@ def _cmd_circle(args) -> int:
                 f"--samples {args.samples} with --max-degree {args.max_degree} "
                 "leaves no functional to check"
             )
-        worst = None
-        failed = 0
-        undecided = 0
-        for a in alphas:
-            r = expsums.check_weyl(F, e, args.m, a,
-                                   precision_cap=args.precision_cap,
-                                   budget=budget)
-            if r.verdict == "fails":
-                failed += 1
-            elif r.verdict == "undecided":
-                undecided += 1
-            if r.tightness is not None and (
-                worst is None or r.tightness > worst.tightness
-            ):
-                worst = r
+        reports = [expsums.check_weyl(F, e, args.m, a, precision_cap=args.precision_cap,
+                                      budget=budget) for a in alphas]
+        verdicts = [r.verdict for r in reports]
+        failed, undecided = verdicts.count("fails"), verdicts.count("undecided")
         rep = expsums.Report(
             "weyl-sweep",
             {"p": p, "e": e, "m": args.m, "form": F.name,
@@ -294,7 +307,7 @@ def _cmd_circle(args) -> int:
             {"failed": failed, "undecided": undecided},
             {"expected_failed": 0},
             "holds" if failed == 0 and undecided == 0 else "fails",
-            worst.tightness if worst else None,
+            max((r.tightness for r in reports if r.tightness is not None), default=None),
         )
     elif args.check == "shrink":
         rng = random.Random(args.seed)
@@ -403,10 +416,10 @@ def _cmd_smooth(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _apply_config(args, argv)
+        args = _apply_config(args, argv, commands[args.command])
         _check_ranges(args)
         if args.command == "count":
             return _cmd_count(args)

@@ -508,15 +508,15 @@ def _lift(F: SymmetricForm, e: int, lo: int, hi: int):
 
 def _lift_solutions(F: SymmetricForm, e: int, lo: int, hi: int):
     """Generating solutions whose layer 0 has its code in [lo, hi), one
-    array per last-stage block of the lift (lift order, not code order)."""
+    array per last-stage block of the lift (lift order, not code order):
+    the rows with F = 0 first, then the generation mask on those alone."""
     p, n = F.p, F.n
     # the generation mask refuses e >= 3; refuse before any work, also when
     # no candidate reaches the last stage
     batch_generating_mask(np.zeros((0, n + 1, e + 1), dtype=np.int64), p)
     for coords in _lift(F, e, lo, hi):
-        values = batch_eval_form(F, coords)
-        gg = batch_generating_mask(coords, p)
-        yield coords[gg & ~values.any(axis=1)]
+        zeros = coords[~batch_eval_form(F, coords).any(axis=1)]
+        yield zeros[batch_generating_mask(zeros, p)]
 
 
 # ---------------------------------------------------------------------------

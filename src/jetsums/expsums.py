@@ -19,13 +19,13 @@ objects:
 
 The value, pair and slice histograms share one fiber engine over base
 points (fiber classes, or base solutions).  Above an onto gradient map the
-value layers above the base are uniform over P_de and the pair class is
-trivial, in closed form; obstructed points walk their middle layers to one
-top-layer leaf, ``_top_layer``, that adds the image coset of the gradient
-map with weight p^(dim ker), or enumerates the top layer where pair
-classes need it.  The x1-sum of the pair sums and the full dual layer sums
-go through kernels and small tables; slow enumerations cross-check them.
-Reused results go through the bounded ``sections.MEMO``, after all refusals.
+value layers above the base are uniform and the pair class trivial: one mass
+per base value.  Obstructed points walk their middle layers to one leaf,
+``_top_layer``, that adds the image coset of the gradient map with weight
+p^(dim ker), or enumerates the top layer where pair classes need it.  The
+x1-sum of the pair sums and the full dual layer sums go through kernels and
+small tables; slow enumerations cross-check them.  Reused results go
+through the bounded ``sections.MEMO``, after all refusals.
 """
 
 from __future__ import annotations
@@ -213,19 +213,11 @@ def _shift_butterfly(x: np.ndarray, p: int) -> np.ndarray:
 
 def dual_code(alpha: DualFunctional) -> int:
     """Little-endian code of the flat (layer-major) coordinates."""
-    code = 0
-    for i, c in enumerate(alpha.flat()):
-        code += int(c) * alpha.p**i
-    return code
+    return sum(int(c) * alpha.p**i for i, c in enumerate(alpha.flat()))
 
 
 def dual_from_code(p: int, r: int, m: int, code: int) -> DualFunctional:
-    length = (r + 1) * (m + 1)
-    flat = []
-    for _ in range(length):
-        flat.append(code % p)
-        code //= p
-    return DualFunctional.from_flat(p, r, m, flat)
+    return DualFunctional.from_flat(p, r, m, [code // p**i % p for i in range((r + 1) * (m + 1))])
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +225,13 @@ def dual_from_code(p: int, r: int, m: int, code: int) -> DualFunctional:
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
-# Cells of the largest histograms built at any budget: the value histogram
-# and its transform took 600 MiB at 3^15 cells (conic(3), e = 2, m = 2), the
-# pair histogram (a dict) 2.2 GB at 9.8e6 (conic(5), e = 2, m = 1).
-HIST_CELL_CAP, PAIR_CELL_CAP = 1 << 24, 1 << 21
+HIST_CELL_CAP = 1 << 24
+
+
+def _check_cells(cells: int, budget: int | None, what: str) -> None:
+    """Refuse a histogram or layer table above HIST_CELL_CAP cells at any
+    budget: 3^15 cells and the transform took 600 MiB (conic(3), e = 2, m = 2)."""
+    check_budget(cells, min(HIST_CELL_CAP, 10**18 if budget is None else budget), what)
 
 
 def _check_mass(F: SymmetricForm, e: int, m: int, what: str) -> None:
@@ -316,28 +311,11 @@ def _top_layer(F: SymmetricForm, X: np.ndarray, m: int, image: np.ndarray | None
             V = batch_eval_jets(F, full)
             yield V, np.zeros((1, V.shape[2]), dtype=np.int64), 1, ann.of(F, full)
         return
-    kerdim = X.shape[1] * X.shape[3] - image.shape[0]
-    yield from _coset_blocks(next_layer(F, X), linalg.span_elements(image, p), p**kerdim, None)
-
-
-def _coset_blocks(V: np.ndarray, span: np.ndarray, weight: int, klass: int | None):
-    """Leaf blocks of about WALK_CHUNK values, every row of class klass."""
-    step = max(1, WALK_CHUNK // span.shape[0])
+    weight, V = p ** (X.shape[1] * X.shape[3] - image.shape[0]), next_layer(F, X)
+    span = linalg.span_elements(image, p)
+    step = max(1, WALK_CHUNK // span.shape[0])  # blocks of about WALK_CHUNK values
     for i in range(0, V.shape[0], step):
-        block = V[i : i + step]
-        yield block, span, weight, None if klass is None else np.full(len(block), klass)
-
-
-def _onto_leaves(F: SymmetricForm, x0s: np.ndarray, m: int, weight: int, ann: _AnnClasses | None):
-    """Leaves above base points x0s whose L is onto, each point for ``weight``
-    tuples of each value: layer 0 F(x0), the layers above over P_de (free
-    layers of a one-variable value stack, the top a coset), class trivial."""
-    p, width = F.p, F.d * (x0s.shape[2] - 1) + 1
-    span = batch_digits(np.arange(p ** (width if m else 0)), p, width)
-    klass = None if ann is None else ann.TRIVIAL
-    for Y in _free_layers(batch_eval_form(F, x0s)[:, None, None, :], m - 1, p):
-        V = np.pad(Y[:, 0], ((0, 0), (0, m + 1 - Y.shape[2]), (0, 0)))  # layer m zero
-        yield from _coset_blocks(V, span, weight, klass)
+        yield V[i : i + step], span, weight, None
 
 
 def _w_codes(V: np.ndarray, span: np.ndarray, p: int) -> np.ndarray:
@@ -360,54 +338,52 @@ def _check_pair_scan(F: SymmetricForm, e: int, m: int, walks: int, budget: int |
 
 def _base_leaves(F: SymmetricForm, e: int, m: int, ann: _AnnClasses | None,
                  budget: int | None):
-    """Leaf blocks over every generating tuple of P_{e,m}^(n+1), classed by
-    ``ann`` if given.  Above an onto L each value layer c_k + L x^k takes
-    every value p^(dim ker L) times and every pair class is trivial, so an
-    onto class enters once (``_onto_leaves``); only obstructed points walk
-    to ``_top_layer``.  The refusals are made at the call, from the class
-    sizes alone; the points are grouped (``_image_groups``) only when the
-    blocks are first asked for, so a memo hit never groups them.
+    """A thunk for (onto, leaves) over every generating tuple of
+    P_{e,m}^(n+1), classed by ``ann`` if given.  Above an onto L the value
+    layers 1..m, hence the low w-digits w_0..w_(m-1), are uniform and the
+    pair class is trivial: onto[v] is the mass of each w-code with top
+    digits w_m = F(x0) = v, p^(m(ncols - width)) per onto point.  Obstructed
+    points walk to ``_top_layer``.  The refusals are made at the call, from
+    the class sizes alone, so a memo hit never groups the points.
     """
     p, width, ncols = F.p, F.d * e + 1, (F.n + 1) * (e + 1)
     coords, ids, images = generating_fibers(F, e, budget)
-    onto = np.array([im.shape[0] == width for im in images], dtype=bool)
-    explicit = ~onto & (ann is not None and m > 0)
+    walked = np.array([im.shape[0] < width for im in images], dtype=bool)
+    explicit = walked & (ann is not None and m > 0)
     if m >= 2:  # charged by the obstructed points alone
-        walked = int((~onto[ids]).sum())
-        check_budget(walked * p ** (ncols * (m - 1) + width), budget, "free jet-layer walk")
+        check_budget(int(walked[ids].sum()) * p ** (ncols * (m - 1) + width), budget,
+                     "free jet-layer walk")
     if explicit.any():
         _check_pair_scan(F, e, m, int(explicit[ids].sum()) * p ** (ncols * (m - 1)), budget,
                          "non-surjective pair annihilator scan")
-    if ann is not None:  # each onto class fills p^(m(de+1)) cells
-        limit = min(PAIR_CELL_CAP, 10**18 if budget is None else budget)
-        check_budget(int(onto.sum()) * p ** (m * width), limit, "pair histogram")
 
     def leaves():
-        for X, image, weight in _image_groups(coords, ids, images, onto, explicit, m):
-            X = X.astype(np.int64)
-            if image is not None and image.shape[0] == width:
-                yield from _onto_leaves(F, X, m, weight * p ** (m * (ncols - width)), ann)
-                continue
-            for W in _free_layers(X[:, :, None, :], m - 1, p):
+        for X, image, weight in _image_groups(coords, ids, images, walked, explicit, m):
+            for W in _free_layers(X.astype(np.int64)[:, :, None, :], m - 1, p):
                 for V, span, mult, klass in _top_layer(F, W, m, image if m else None, ann):
                     yield V, span, weight * mult, klass
 
-    return leaves()
+    def build():
+        onto = np.zeros(p**width, dtype=np.int64)
+        values = batch_eval_form(F, coords[~walked[ids]].astype(np.int64))
+        np.add.at(onto, encode_digits(values, p), p ** (m * (ncols - width)))
+        return onto, leaves()
+
+    return build
 
 
-def _image_groups(coords, ids, images, onto, explicit, m: int) -> list:
-    """(points, image, weight) groups of the base points sharing their
-    gradient image.  An ``onto`` class, or any class at m <= 1 (no layer
-    between base and top), enters once by its first point, weighted by its
-    size (one group per image and size); otherwise every point enters.  The
-    ``explicit`` classes' points come last, in scan order, with no image."""
+def _image_groups(coords, ids, images, walked, explicit, m: int) -> list:
+    """(points, image, weight) groups of the ``walked`` base points sharing
+    their gradient image.  At m <= 1 (no layer between base and top) a class
+    enters once by its first point, weighted by its size (one group per
+    image and size); above, every point enters.  The ``explicit`` classes'
+    points come last, in scan order, with no image."""
     _, first, counts = np.unique(ids, return_index=True, return_counts=True)
-    once = onto | (m <= 1)
     by_image: dict[tuple, list] = {}
-    for k in np.flatnonzero(~explicit).tolist():
-        by_image.setdefault((images[k].tobytes(), int(counts[k]) if once[k] else 1), []).append(k)
+    for k in np.flatnonzero(walked & ~explicit).tolist():
+        by_image.setdefault((images[k].tobytes(), int(counts[k]) if m <= 1 else 1), []).append(k)
     return [
-        (coords[first[ks] if once[ks[0]] else np.isin(ids, ks)], images[ks[0]], weight)
+        (coords[first[ks] if m <= 1 else np.isin(ids, ks)], images[ks[0]], weight)
         for (_, weight), ks in by_image.items()
     ] + ([(coords[explicit[ids]], None, 1)] if explicit.any() else [])
 
@@ -422,27 +398,34 @@ def _add_counts(hist: dict, codes: np.ndarray, klass: np.ndarray, weight: int) -
 
 
 def _value_leaves(F: SymmetricForm, e: int, m: int, budget: int | None):
-    """The value histogram's leaves: m = 0 streams the tuple space, higher
-    orders take the fiber engine (``_base_leaves``).  Every refusal is made
-    at the call, so ``all_sums`` makes them before its memo lookup."""
+    """The value histogram's thunk for (onto, leaves): m = 0 streams the
+    tuple space with no onto mass, higher orders take the fiber engine
+    (``_base_leaves``).  Every refusal is made at the call, so ``all_sums``
+    makes them before its memo lookup."""
+    width = F.d * e + 1
     _check_mass(F, e, m, "value histogram")
-    limit = min(HIST_CELL_CAP, 10**18 if budget is None else budget)
-    check_budget(F.p ** ((F.d * e + 1) * (m + 1)), limit, "value histogram")
+    _check_cells(F.p ** (width * (m + 1)), budget, "value histogram")
     if m:
         return _base_leaves(F, e, m, None, budget)
     _check_scan(F, e, budget)  # every generating tuple is a base point
-    zero = np.zeros((1, F.d * e + 1), dtype=np.int64)
-    return ((values[gg][:, None], zero, 1, None)
-            for _, values, gg in iter_base_chunks(F, e, budget))
+    zero = np.zeros((1, width), dtype=np.int64)
+    return lambda: (np.zeros(F.p**width, dtype=np.int64),
+                    ((values[gg][:, None], zero, 1, None)
+                     for _, values, gg in iter_base_chunks(F, e, budget)))
 
 
 def value_histogram(F: SymmetricForm, e: int, m: int, budget: int | None = None) -> np.ndarray:
-    """Histogram over w-codes of F-values on gg tuples in P_{e,m}^(n+1)."""
-    leaves = _value_leaves(F, e, m, budget)
-    p, size = F.p, F.p ** ((F.d * e + 1) * (m + 1))
-    hist = np.zeros(size, dtype=np.int64)
+    """Histogram over w-codes of F-values on gg tuples in P_{e,m}^(n+1): the
+    onto mass goes to every code with its top digits, then the leaves.  Rows
+    of no mass are never written, so their zero pages stay unmapped."""
+    onto, leaves = _value_leaves(F, e, m, budget)()
+    p, width = F.p, F.d * e + 1
+    hist = np.zeros(p ** (width * (m + 1)), dtype=np.int64)
+    by_top = hist.reshape(p**width, -1)  # row w_m, column the low digits
+    for v in np.flatnonzero(onto).tolist():
+        by_top[v] += onto[v]
     for V, span, weight, _ in leaves:
-        np.add.at(hist, _in_range(_w_codes(V, span, p), size), weight)
+        np.add.at(hist, _in_range(_w_codes(V, span, p), hist.size), weight)
     return hist
 
 
@@ -621,6 +604,8 @@ def t_vanishing_report(F: SymmetricForm, e: int, samples: int = 100, seed: int =
 class PairData:
     """Joint histogram over (w-code of F(x0), annihilator class).
 
+    ``hist`` holds the obstructed points' mass by (code, class), ``onto[v]``
+    the onto points' mass at each code with top digits v, of class 0.
     ann_bases[k] is an rref basis (rows) of the functionals beta with
     beta . (x1 -> x1 . grad F(x0)) = 0, in flat layer-major coordinates.
     """
@@ -630,22 +615,25 @@ class PairData:
     m: int
     de: int
     hist: dict
+    onto: np.ndarray
     ann_bases: list[np.ndarray]
 
 
 def pair_data(F: SymmetricForm, e: int, m: int, budget: int | None = None) -> PairData:
     """The joint histogram of ``value_histogram``'s fiber engine with pair
-    classes: a base map that is onto gives cosets in the trivial class, any
-    other has its top layer enumerated and each tuple classed."""
+    classes: the onto points as their mass per base value, the obstructed
+    points with their top layer enumerated and each tuple classed."""
     de = F.d * e
+    _check_mass(F, e, m, "pair data")
     ann = _AnnClasses(F.p, (m + 1) * (de + 1))
     leaves = _base_leaves(F, e, m, ann, budget)  # refusals before the lookup
 
     def build():
+        onto, blocks = leaves()
         hist: dict = {}
-        for V, span, weight, klass in leaves:
+        for V, span, weight, klass in blocks:
             _add_counts(hist, _w_codes(V, span, F.p), klass, weight)
-        return PairData(F.p, e, m, de, hist, ann.bases)
+        return PairData(F.p, e, m, de, hist, onto, ann.bases)
 
     return MEMO.get(("pair_data", F.key(), e, m), build)
 
@@ -654,29 +642,26 @@ def exp_sum_pair(F: SymmetricForm, e: int, m: int, alpha: DualFunctional,
                  beta: DualFunctional, budget: int | None = None) -> Cyclo:
     """S(alpha, beta): x0 ranges over gg tuples, x1 freely; the x1-sum is
     p^(dim P) on the annihilator of the gradient multiplication map and 0
-    off it."""
+    off it.  Summed over the low digits, the onto mass of top value v (class
+    0) gives p^(m(de+1)) zeta^(alpha . v) if alpha vanishes on layers
+    0..m-1, and 0 otherwise."""
     p, n = F.p, F.n
     data = pair_data(F, e, m, budget)
-    width = data.de + 1
+    width, low = data.de + 1, m * (data.de + 1)
     bflat = np.array(beta.flat(), dtype=np.int64)
     aflat = np.array(alpha.flat(), dtype=np.int64)
-    full = p ** ((m + 1) * (n + 1) * (e + 1))
     member = [
         (not b.size and not bflat.any()) or (b.size and linalg.in_row_span(b, bflat, p))
         for b in data.ann_bases
     ]
+    cells = [(code, count) for (code, k), count in data.hist.items() if member[k]]
+    codes, counts = np.array(cells, dtype=np.int64).reshape(-1, 2).T
+    if member[_AnnClasses.TRIVIAL] and not aflat[:low].any():
+        codes = np.concatenate([codes, p**low * np.arange(p**width)])
+        counts = np.concatenate([counts, data.onto * p**low])
     exps = np.zeros(p, dtype=np.int64)
-    digits_cache: dict[int, np.ndarray] = {}
-    for (code, k), count in data.hist.items():
-        if not member[k]:
-            continue
-        if code not in digits_cache:
-            digits_cache[code] = batch_digits(
-                np.array([code]), p, width * (m + 1)
-            )[0]
-        wflat = digits_cache[code]
-        exps[int(wflat @ aflat % p)] += count
-    return Cyclo(p, exps) * full
+    np.add.at(exps, batch_digits(codes, p, low + width) @ aflat % p, counts)
+    return Cyclo(p, exps) * p ** ((m + 1) * (n + 1) * (e + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -689,16 +674,22 @@ def _dual_sum(F: SymmetricForm, e: int, m: int, pairs: bool,
 
     Singles add up the transform rows; pairs weight the full-layer sum table
     at each w-code by the annihilator size, the number of beta for which the
-    x1-sum does not vanish.
+    x1-sum does not vanish, and the onto mass of each top value by the table
+    rows summed over the low digits.  The table of p^((m+1)(de+1)) cells is
+    refused above HIST_CELL_CAP first.
     """
-    p = F.p
+    p, width = F.p, F.d * e + 1
     if not pairs:
         return Cyclo(p, all_sums(F, e, m, budget).sum(axis=0))
+    _check_cells(p ** (width * (m + 1)), budget, "layer sum table")
     data = pair_data(F, e, m, budget)
-    table = layer_sum_table(p, (data.de + 1) * (m + 1))
+    table = layer_sum_table(p, width * (m + 1))
     total = Cyclo.zero(p)
     for (code, k), count in data.hist.items():
         total = total + Cyclo(p, table[code]) * (count * p ** data.ann_bases[k].shape[0])
+    by_top = table.reshape(p**width, -1, p).sum(axis=1)
+    for v in np.flatnonzero(data.onto).tolist():
+        total = total + Cyclo(p, by_top[v]) * int(data.onto[v])
     return total * p ** ((m + 1) * (F.n + 1) * (e + 1))
 
 
@@ -706,22 +697,15 @@ def check_orthogonality(F: SymmetricForm, e: int, m: int, pairs: bool = False,
                         budget: int | None = None) -> Report:
     """Sum of S(alpha) over the full dual against the solution count (or the
     pair version against the tangent-pair count), both sides exact."""
-    p, n = F.p, F.n
-    de = F.d * e
-    params = {"p": p, "n": n, "d": F.d, "e": e, "m": m, "form": F.name,
+    p = F.p
+    params = {"p": p, "n": F.n, "d": F.d, "e": e, "m": m, "form": F.name,
               "pairs": pairs}
     lhs = _dual_sum(F, e, m, pairs, budget)
-    if not pairs:
-        rhs = p ** ((m + 1) * (de + 1)) * count_solutions(F, e, m, budget).raw_count
-    else:
-        rhs = (
-            p ** (2 * (m + 1) * (de + 1))
-            * count_tangent_pairs(F, e, m, budget).raw_count
-        )
+    count = (count_tangent_pairs if pairs else count_solutions)(F, e, m, budget).raw_count
+    rhs = p ** ((2 if pairs else 1) * (m + 1) * (F.d * e + 1)) * count
     ok = lhs == Cyclo.integer(p, rhs)
-    report = Report("orthogonality", params, lhs, rhs,
-                    "equal" if ok else "violated", 1.0 if ok else None)
-    return report
+    return Report("orthogonality", params, lhs, rhs,
+                  "equal" if ok else "violated", 1.0 if ok else None)
 
 
 def check_major_identity(F: SymmetricForm, e: int, m: int, pairs: bool = False,

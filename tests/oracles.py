@@ -725,6 +725,41 @@ def exp_sum_slow(F: SymmetricForm, e: int, m: int, alpha: DualFunctional,
     return acc
 
 
+def pair_cells(data) -> dict:
+    """The joint histogram of ``expsums.pair_data`` cell by cell,
+    {(w-code, class): count}: the obstructed cells, plus the onto mass of
+    each top value v spread over every code with top digits v, trivial
+    class 0."""
+    cells = dict(data.hist)
+    low = data.p ** (data.m * (data.de + 1))
+    for v in np.flatnonzero(data.onto).tolist():
+        for code in range(v * low, (v + 1) * low):
+            cells[code, 0] = cells.get((code, 0), 0) + int(data.onto[v])
+    return cells
+
+
+def exp_sum_pair_cells(data, alpha: DualFunctional, beta: DualFunctional, n: int) -> Cyclo:
+    """S(alpha, beta) from every (w-code, class) cell of ``data``: a cell
+    counts when beta lies in its class's annihilator (scalar ranks), with
+    zeta^(alpha . w), and the free x1 sum multiplies by p^(dim P)."""
+    p, e, m = data.p, data.e, data.m
+    length = (data.de + 1) * (m + 1)
+    aflat = np.array(alpha.flat(), dtype=np.int64)
+    bflat = np.array(beta.flat(), dtype=np.int64)
+    member = []
+    for basis in data.ann_bases:
+        if not basis.shape[0]:
+            member.append(not bflat.any())
+        else:
+            member.append(rank(np.vstack([basis, bflat]), p) == rank(basis, p))
+    exps = [0] * p
+    for (code, k), count in pair_cells(data).items():
+        if member[k]:
+            w = batch_digits(np.array([code]), p, length)[0]
+            exps[int(w @ aflat % p)] += count
+    return Cyclo(p, exps) * p ** ((m + 1) * (n + 1) * (e + 1))
+
+
 def n_count_slow(F: SymmetricForm, e: int, alpha: DualFunctional, k1: int, k2: int,
                  s: int = 0, budget: int | None = None) -> int:
     """``expsums.n_count`` by enumerating every tuple against the same

@@ -174,6 +174,36 @@ def test_config_error_exit(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("config,message", [
+    ({"q": 3, "form": "conic", "m": 0.5}, "config value 0.5 is not valid for --m"),
+    ([{"q": 3}], "config must be a JSON object, got list"),
+    ({"q": 3, "form": "conic", "e": 2, "target": "bogus"},
+     'config value "bogus" is not valid for --target'),
+    ({"q": 3, "form": "conic", "e": [2]}, "config value [2] is not valid for --e"),
+    ({"q": 3, "form": "conic", "e": 2, "force": "yes"},
+     'config value "yes" is not valid for --force'),
+    ({"q": 3, "form": "conic", "e": None}, "config value null is not valid for --e"),
+], ids=["float-m", "top-level-list", "bad-choice", "list-e", "switch-string", "null-e"])
+def test_config_values_take_their_flags_checks(config, message, capsys, tmp_path):
+    # a config value goes through its flag's type and choices: each bad one
+    # is a configuration error (exit 2), never a traceback or a silent default
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run_cli(["--config", str(cfg), "count", "--no-timestamp"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+def test_config_strings_parse_as_on_the_command_line(capsys, tmp_path):
+    # {"e": "2"} is what --e 2 gives the parser
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"q": "3", "form": "conic", "e": "2", "target": "mm"}))
+    code, out, _ = run_cli(["--config", str(cfg), "count", "--no-timestamp"], capsys)
+    assert code == 0
+    assert out == run_cli(["count", "--q", "3", "--form", "conic", "--e", "2",
+                           "--no-timestamp"], capsys)[1]
+
+
 def test_reports_byte_identical_without_timestamp(capsys):
     args = ["count", "--q", "3", "--form", "conic", "--e", "2", "--m", "0",
             "--no-timestamp"]

@@ -54,6 +54,7 @@ from oracles import (
     count_minimizers,
     enumerate_sections,
     eval_form,
+    exp_sum_pair_cells,
     exp_sum_slow,
     globally_generates,
     gradient,
@@ -61,6 +62,7 @@ from oracles import (
     mult_matrix,
     mul_sections,
     n_count_slow,
+    pair_cells,
     psi_m,
     t_value_histogram_slow,
     unfolded_mult_matrix,
@@ -182,13 +184,44 @@ def test_pair_sum_matches_brute_force():
 
 
 def test_pair_sum_with_zero_beta_is_free_x1():
-    F = conic_form(3)
-    e, m = 2, 0
-    alpha = dual_from_code(3, 4, 0, 17)
-    full = 3 ** (3 * 3)
-    assert exp_sum_pair(F, e, m, alpha, DualFunctional.zero(3, 4, 0)) == exp_sum(
-        F, e, m, alpha
-    ) * full
+    # at m >= 1 one alpha vanishes on layers 0..m-1 (the low w-digits) and
+    # one does not, so the onto mass is read both ways
+    cases = [(conic_form(3), 2, 0, [17])]
+    cases += [(conic_form(3), 1, m, [2 * 3 ** (3 * m), 3 ** (3 * m) + 5]) for m in (1, 2)]
+    cases += [(_x0x1(2), 0, 2, [3**2, 3**2 + 1, 4])]
+    for F, e, m, codes in cases:
+        r = F.d * e
+        full = F.p ** ((m + 1) * (F.n + 1) * (e + 1))
+        for code in codes:
+            alpha = dual_from_code(F.p, r, m, code)
+            beta = DualFunctional.zero(F.p, r, m)
+            assert exp_sum_pair(F, e, m, alpha, beta) == exp_sum(F, e, m, alpha) * full
+
+
+@pytest.mark.parametrize("F,orders", [
+    (conic_form(3), list(itertools.product((0, 1), (0, 1, 2)))),
+    (_x0x1(2), [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]),
+    (_x0sq(2), [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]),
+], ids=["conic3", "x0x1-n2", "x0sq-n2"])
+def test_pair_sum_matches_every_cell(F, orders):
+    # exp_sum_pair against the cell-by-cell evaluation of pair_data at
+    # seeded (alpha, beta): beta zero, in a drawn class's annihilator, or
+    # drawn from the whole dual; x0*x1 and x0^2 at e = 1, m = 2 are refused
+    rng = random.Random(23)
+    for e, m in orders:
+        r, p = F.d * e, F.p
+        data = pair_data(F, e, m)
+        size = p ** ((m + 1) * (r + 1))
+        for _ in range(4):
+            alpha = dual_from_code(p, r, m, rng.randrange(size))
+            basis = data.ann_bases[rng.randrange(len(data.ann_bases))]
+            inside = rng.randrange(p ** basis.shape[0])
+            bflat = batch_digits(np.array([inside]), p, basis.shape[0])[0] @ basis % p
+            drawn = [0, int(encode_digits(bflat[None], p)[0]), rng.randrange(size)]
+            for code in drawn:
+                beta = dual_from_code(p, r, m, code)
+                assert exp_sum_pair(F, e, m, alpha, beta) == exp_sum_pair_cells(
+                    data, alpha, beta, F.n)
 
 
 @pytest.mark.parametrize("F,e,onto", [
@@ -346,7 +379,7 @@ def _pair_lhs_entry_oracle(F, e, tab, major):
                 weight += int(tab.multiplicity[code0])
         weights.append(weight)
     total = Cyclo.zero(p)
-    for (code, k), count in data.hist.items():
+    for (code, k), count in pair_cells(data).items():
         w0, w1 = code % p**width, code // p**width
         term = Cyclo(p, gsum[w0]) * Cyclo(p, table[w1])
         total = total + term * (count * weights[k])
@@ -580,7 +613,7 @@ def test_grouped_fiber_routes_match_per_point_reference(F, e):
     data = pair_data(F, e, 0)
     grouped = {
         (code, data.ann_bases[k].tobytes()): count
-        for (code, k), count in data.hist.items()
+        for (code, k), count in pair_cells(data).items()
     }
     assert grouped == pairs
 
@@ -698,6 +731,10 @@ def test_histogram_mass_beyond_int64_is_refused():
         value_histogram(fermat_form(137, 1, 2), 2, 1, budget=10**40)
     with pytest.raises(BudgetExceeded, match="int64"):
         slice_histogram(fermat_form(137, 1, 2), 2, 2, budget=10**40)
+    # the onto mass of the pair data is int64 too: conic(3) at e = 2, m = 4
+    # holds 3^45 tuples, refused before the scan
+    with pytest.raises(BudgetExceeded, match=r"pair data \(int64 counts\)"):
+        pair_data(conic_form(3), 2, 4, budget=10**40)
 
 
 def _direct_histograms_m2(F):
@@ -736,7 +773,7 @@ def test_jet_order_two_histograms_match_direct_enumeration(F):
     data = pair_data(F, 0, 2)
     assert data.ann_bases[0].size == 0
     grouped = {
-        (code, data.ann_bases[k].tobytes()): count for (code, k), count in data.hist.items()
+        (code, data.ann_bases[k].tobytes()): count for (code, k), count in pair_cells(data).items()
     }
     assert grouped == pairs
 

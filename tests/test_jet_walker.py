@@ -36,6 +36,7 @@ from jetsums.counting import (
 )
 from jetsums.expsums import (
     all_sums,
+    check_orthogonality,
     pair_data,
     slice_histogram,
     value_histogram,
@@ -48,6 +49,7 @@ from oracles import (
     eval_form,
     gradient,
     mult_matrix,
+    pair_cells,
     rank,
     solution_tuples,
     solve,
@@ -409,7 +411,7 @@ def _oracle_pair_data(F, e):
 def test_pair_data_explicit_matches_per_point(F, e):
     hist, bases = _oracle_pair_data(F, e)
     data = pair_data(F, e, 1)
-    assert data.hist == hist
+    assert pair_cells(data) == hist
     assert len(data.ann_bases) == len(bases)
     assert all((b == b0).all() for b, b0 in zip(data.ann_bases, bases))
 
@@ -562,12 +564,17 @@ def test_walker_budget_figures():
     with pytest.raises(BudgetExceeded, match="free jet-layer walk") as err:
         all_sums(x0x1(), 1, 2, budget=192 * 3**9 - 1)
     assert err.value.needed == 192 * 3**9
-    # each onto class of the pair histogram fills p^(m(de+1)) cells of its
-    # dict, above 2^21 cells refused at any budget: 235 classes of conic(3)
-    # at e = 2, m = 2
-    with pytest.raises(BudgetExceeded, match="pair histogram") as err:
-        pair_data(conic_form(3), 2, 2, budget=10**11)
-    assert err.value.needed == 235 * 3**10
+    # the onto classes of the pair histogram are one mass per base value,
+    # charged nothing: conic(3) at e = 2, m = 2 keeps no cell in its dict,
+    # and each of its 16,848 generating base points has 3^18 jets above it,
+    # 3^8 for each of the 3^10 settings of the low digits
+    data = pair_data(conic_form(3), 2, 2)
+    assert data.hist == {} and data.onto.sum() == 16848 * 3**8
+    # the pair orthogonality's layer sum table is refused above 2^24 cells:
+    # 3^18 for conic(3) at e = 1, m = 5
+    with pytest.raises(BudgetExceeded, match="layer sum table") as err:
+        check_orthogonality(conic_form(3), 1, 5, pairs=True, budget=10**11)
+    assert err.value.needed == 3**18
     # and a value histogram above 2^24 cells: 3^18 for conic(3) at e = 1,
     # m = 5, whose free walk is no longer charged
     with pytest.raises(BudgetExceeded, match="value histogram") as err:
