@@ -23,9 +23,10 @@ value layers above the base are uniform and the pair class trivial: one mass
 per base value.  Obstructed points walk their middle layers to one leaf,
 ``_top_layer``, that adds the image coset of the gradient map with weight
 p^(dim ker), or enumerates the top layer where pair classes need it.  The
-x1-sum of the pair sums and the full dual layer sums go through kernels and
-small tables; slow enumerations cross-check them.  Reused results go
-through the bounded ``sections.MEMO``, after all refusals.
+x1-sum of the pair sums goes through kernels, the full dual sums through
+the one-layer identity, checked on an exact transform before each use;
+slow enumerations cross-check them.  Reused results go through the bounded
+``sections.MEMO``, after all refusals.
 """
 
 from __future__ import annotations
@@ -229,8 +230,8 @@ HIST_CELL_CAP = 1 << 24
 
 
 def _check_cells(cells: int, budget: int | None, what: str) -> None:
-    """Refuse a histogram or layer table above HIST_CELL_CAP cells at any
-    budget: 3^15 cells and the transform took 600 MiB (conic(3), e = 2, m = 2)."""
+    """Refuse a value histogram or the one-layer check above HIST_CELL_CAP
+    cells at any budget: 3^15 cells and the transform took 600 MiB."""
     check_budget(cells, min(HIST_CELL_CAP, 10**18 if budget is None else budget), what)
 
 
@@ -240,6 +241,14 @@ def _check_mass(F: SymmetricForm, e: int, m: int, what: str) -> None:
     mass = F.p ** ((m + 1) * (F.n + 1) * (e + 1))
     if mass > _INT64_MAX:
         raise BudgetExceeded(mass, _INT64_MAX, f"{what} (int64 counts)")
+
+
+def _check_functional(F: SymmetricForm, e: int, alpha: DualFunctional,
+                      m: int | None = None) -> None:
+    """Refuse a functional off P_{de,m} over F_p (any jet order when m is
+    None): its code would be read as another functional."""
+    if alpha.p != F.p or alpha.r != F.d * e or (m is not None and alpha.m != m):
+        raise ValueError(f"functional on the wrong space: P_{alpha.r},{alpha.m} over F_{alpha.p}")
 
 
 def _in_range(codes: np.ndarray, size: int) -> np.ndarray:
@@ -439,8 +448,7 @@ def all_sums(F: SymmetricForm, e: int, m: int, budget: int | None = None) -> np.
 def exp_sum(F: SymmetricForm, e: int, m: int, alpha: DualFunctional,
             budget: int | None = None) -> Cyclo:
     """S(alpha), exact."""
-    if alpha.r != F.d * e or alpha.m != m:
-        raise ValueError("functional lives on the wrong space")
+    _check_functional(F, e, alpha, m)
     sums = all_sums(F, e, m, budget)
     return Cyclo(F.p, sums[dual_code(alpha)])
 
@@ -508,13 +516,6 @@ def classify_arc(alpha: DualFunctional, e: int, budget: int | None = None) -> Ar
             ))
         return ArcLabel("major", z, deg, mult)
     return ArcLabel("minor", z, deg, mult)
-
-
-def layer_sum_table(p: int, width: int) -> np.ndarray:
-    """sum over a full dual layer of zeta^(a.w) for every w, computed by a
-    small exact transform of the all-ones histogram."""
-    ones = np.ones(p**width, dtype=np.int64)
-    return char_transform(ones, p, width)
 
 
 def major_weighted_sums(F: SymmetricForm, e: int, budget: int | None = None) -> np.ndarray:
@@ -646,6 +647,8 @@ def exp_sum_pair(F: SymmetricForm, e: int, m: int, alpha: DualFunctional,
     0) gives p^(m(de+1)) zeta^(alpha . v) if alpha vanishes on layers
     0..m-1, and 0 otherwise."""
     p, n = F.p, F.n
+    _check_functional(F, e, alpha, m)
+    _check_functional(F, e, beta, m)
     data = pair_data(F, e, m, budget)
     width, low = data.de + 1, m * (data.de + 1)
     bflat = np.array(beta.flat(), dtype=np.int64)
@@ -672,25 +675,20 @@ def _dual_sum(F: SymmetricForm, e: int, m: int, pairs: bool,
               budget: int | None = None) -> Cyclo:
     """Sum of S(alpha), or of S(alpha, beta), over the full dual of P_{de,m}.
 
-    Singles add up the transform rows; pairs weight the full-layer sum table
-    at each w-code by the annihilator size, the number of beta for which the
-    x1-sum does not vanish, and the onto mass of each top value by the table
-    rows summed over the low digits.  The table of p^((m+1)(de+1)) cells is
-    refused above HIST_CELL_CAP first.
+    Singles add up the transform rows, which the identity checks.  For
+    pairs the sum over alpha is the checked one-layer origin to the power
+    m + 1 at w-code 0 and zero elsewhere: only F(x) = 0 counts, each class
+    weighted by its annihilator size, the number of beta whose x1-sum does
+    not vanish, and the onto mass of top value 0 in the trivial class.
     """
-    p, width = F.p, F.d * e + 1
+    p = F.p
     if not pairs:
         return Cyclo(p, all_sums(F, e, m, budget).sum(axis=0))
-    _check_cells(p ** (width * (m + 1)), budget, "layer sum table")
+    origin = _checked_layer_origin(p, F.d * e + 1, budget)
     data = pair_data(F, e, m, budget)
-    table = layer_sum_table(p, width * (m + 1))
-    total = Cyclo.zero(p)
-    for (code, k), count in data.hist.items():
-        total = total + Cyclo(p, table[code]) * (count * p ** data.ann_bases[k].shape[0])
-    by_top = table.reshape(p**width, -1, p).sum(axis=1)
-    for v in np.flatnonzero(data.onto).tolist():
-        total = total + Cyclo(p, by_top[v]) * int(data.onto[v])
-    return total * p ** ((m + 1) * (F.n + 1) * (e + 1))
+    zeros = int(data.onto[0]) + sum(count * p ** data.ann_bases[k].shape[0]
+                                    for (code, k), count in data.hist.items() if code == 0)
+    return Cyclo.integer(p, zeros * origin ** (m + 1) * p ** ((m + 1) * (F.n + 1) * (e + 1)))
 
 
 def check_orthogonality(F: SymmetricForm, e: int, m: int, pairs: bool = False,
@@ -735,15 +733,16 @@ def check_major_identity(F: SymmetricForm, e: int, m: int, pairs: bool = False,
 def _major_lhs(F, e, m, tab, major, pairs, budget) -> Cyclo:
     """Left side of the collapse by the slice engine.
 
-    The sum over the free upper parts of the functional is a precomputed
-    full-layer table, which vanishes away from the origin, so only values
-    F(x) = t^m u survive; at m = 1 the walk below the top layer is the base
-    point itself.  Each u weighs the major functionals at degree zero, once
-    per minimizer; pairs also weigh the annihilator class of the pair map.
+    The sum over the m free upper layers of the functional is the checked
+    one-layer origin to the power m at the origin and zero elsewhere, so
+    only F(x) = t^m u survive; at m = 1 the walk below the top layer is
+    the base point itself.  Each u weighs the major functionals at degree
+    zero, once per minimizer; pairs also weigh the annihilator class of the
+    pair map.
     """
     p, n = F.p, F.n
     width = F.d * e + 1
-    origin = Cyclo(p, _checked_layer_table(p, width)[0])
+    origin = _checked_layer_origin(p, width, budget)
     gsum = major_weighted_sums(F, e, budget)
     kk, hist, ann_bases = slice_histogram(F, e, m, budget, with_ann=pairs)
     if pairs:
@@ -755,23 +754,22 @@ def _major_lhs(F, e, m, tab, major, pairs, budget) -> Cyclo:
     for u, weight in terms:
         if weight:
             total = total + Cyclo(p, gsum[u]) * weight
-    for _ in range(m):
-        total = total * origin
+    total = total * origin**m
     if pairs:
         total = total * p ** ((m + 1) * (n + 1) * (e + 1))
     return total
 
 
-def _checked_layer_table(p: int, width: int) -> np.ndarray:
-    """Full-dual layer sums, verified to be p^width at the origin and zero
-    elsewhere before the slice contraction relies on that."""
-    table = layer_sum_table(p, width)
-    if Cyclo(p, table[0]) != Cyclo.integer(p, p**width):
-        raise AssertionError("layer table origin value is wrong")
-    for row in table[1:]:
-        if not Cyclo(p, row).is_zero():
-            raise AssertionError("layer table does not vanish off the origin")
-    return table
+def _checked_layer_origin(p: int, width: int, budget: int | None) -> int:
+    """p^width, the sum of zeta^(a.w) over a full dual layer a at w = 0,
+    once the exact transform of the all-ones histogram (row w holds that
+    sum) is verified to be p^width at the origin and zero elsewhere."""
+    _check_cells(p**width, budget, "dual layer check")
+    table = char_transform(np.ones(p**width, dtype=np.int64), p, width)
+    zero = (table[1:] == table[1:, :1]).all()  # a zero row has equal coefficients
+    if Cyclo(p, table[0]) != Cyclo.integer(p, p**width) or not zero:
+        raise AssertionError("one-layer sums are not p^width at the origin and 0 elsewhere")
+    return p**width
 
 
 def _beta_pair_weights(ann_bases, tab, major, p, width):
@@ -835,8 +833,7 @@ def n_count(F: SymmetricForm, e: int, alpha: DualFunctional, k1: int, k2: int,
     p^(dim ker) over the first d-2 entries, by the rank engine
     ``counting.count_multilinear_zeros`` (one kernel at d = 2).
     """
-    if alpha.r != F.d * e:
-        raise ValueError("functional lives on the wrong space")
+    _check_functional(F, e, alpha)
     if k1 < 0:
         raise ValueError(f"need k1 >= 0, got k1={k1}")
     if k1 < k2 - 1:

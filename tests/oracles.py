@@ -8,7 +8,8 @@ algebra against ``rref_batch``, the divisor scan (``minimal_divisor``,
 ``count_minimizers``) against the Hankel systems of the divisor table and
 of ``classify_arc``, enumerations of sections, functionals and tuples
 against the rank counts, the lift and the character transforms, the
-scalar generation test against the batched mask, the z-enumeration of the
+full-size dual layer table against the one-layer identity, the scalar
+generation test against the batched mask, the z-enumeration of the
 auxiliary sum's histogram against its image rule, Fraction
 transcriptions against the integer cores of ``bounds``, and the
 certificate sweep over every cell of its int64 grids against the one-sided
@@ -758,6 +759,22 @@ def exp_sum_pair_cells(data, alpha: DualFunctional, beta: DualFunctional, n: int
             w = batch_digits(np.array([code]), p, length)[0]
             exps[int(w @ aflat % p)] += count
     return Cyclo(p, exps) * p ** ((m + 1) * (n + 1) * (e + 1))
+
+
+def pair_dual_sum_table(F: SymmetricForm, e: int, m: int) -> Cyclo:
+    """The full dual sum of S(alpha, beta) from every (w-code, class) cell
+    of ``expsums.pair_data`` against the p^((m+1)(de+1))-cell table of sums
+    of zeta^(a.w) over the full dual, the transform of the all-ones
+    histogram: each cell weighted by its annihilator size, the number of
+    beta whose x1-sum does not vanish."""
+    p = F.p
+    data = expsums.pair_data(F, e, m)
+    length = (m + 1) * (data.de + 1)
+    table = expsums.char_transform(np.ones(p**length, dtype=np.int64), p, length)
+    total = Cyclo.zero(p)
+    for (code, k), count in pair_cells(data).items():
+        total = total + Cyclo(p, table[code]) * (count * p ** data.ann_bases[k].shape[0])
+    return total * p ** ((m + 1) * (F.n + 1) * (e + 1))
 
 
 def n_count_slow(F: SymmetricForm, e: int, alpha: DualFunctional, k1: int, k2: int,

@@ -359,6 +359,8 @@ GOLDEN_CIRCLE = [
     ("t_vanishing_x0x1_q3_e1.json",
      ["--form-file", str(DATA / "x0x1.form"), "--e", "1", "--m", "0",
       "--check", "t-vanishing"], 1),
+    ("orthogonality_pairs_conic_q3_e2_m2.json",
+     ["--form", "conic", "--e", "2", "--m", "2", "--check", "orthogonality", "--pairs"], 0),
 ]
 
 

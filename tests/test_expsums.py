@@ -17,6 +17,7 @@ from jetsums.counting import (
     generating_fibers,
 )
 from jetsums.expsums import (
+    _dual_sum,
     _major_lhs,
     _t_histogram,
     all_sums,
@@ -30,7 +31,6 @@ from jetsums.expsums import (
     dual_from_code,
     exp_sum,
     exp_sum_pair,
-    layer_sum_table,
     major_weighted_sums,
     n_count,
     n_count_plain,
@@ -63,6 +63,7 @@ from oracles import (
     mul_sections,
     n_count_slow,
     pair_cells,
+    pair_dual_sum_table,
     psi_m,
     t_value_histogram_slow,
     unfolded_mult_matrix,
@@ -300,6 +301,45 @@ def test_major_identity_rejects_base_order():
         slice_histogram(conic_form(3), 2, 0)
 
 
+_PAIR_DUAL_CASES = (
+    [(conic_form(3), e, m) for e in (0, 1, 2) for m in (0, 1)]
+    + [(fermat_form(3, 2, 2), 1, m) for m in (0, 1)]
+    + [(form(n), e, m) for form in (_x0x1, _x0sq) for n in (1, 2)
+       for e in (0, 1) for m in (0, 1)]
+)
+
+
+def test_pair_dual_sum_matches_full_layer_table():
+    # the one-layer identity against the full p^((m+1)(de+1))-cell table,
+    # cell by cell; the singular forms carry non-trivial annihilator classes
+    assert len(_PAIR_DUAL_CASES) == 24
+    for F, e, m in _PAIR_DUAL_CASES:
+        assert _dual_sum(F, e, m, True) == pair_dual_sum_table(F, e, m), (F.name, F.n, e, m)
+
+
+def test_functional_from_another_space_is_refused():
+    # an F_5 code read over F_3 gave (-24, 0, 0); a beta of the wrong jet
+    # order or degree gave 0
+    F = conic_form(3)
+    alpha, other_field = dual_from_code(3, 2, 1, 7), dual_from_code(5, 2, 1, 7)
+    for wrong in (other_field, dual_from_code(3, 2, 0, 7), dual_from_code(3, 4, 1, 7)):
+        with pytest.raises(ValueError, match="wrong space"):
+            exp_sum(F, 1, 1, wrong)
+        with pytest.raises(ValueError, match="wrong space"):
+            exp_sum_pair(F, 1, 1, wrong, alpha)
+        with pytest.raises(ValueError, match="wrong space"):
+            exp_sum_pair(F, 1, 1, alpha, wrong)
+    for wrong in (other_field, dual_from_code(3, 4, 1, 7)):
+        with pytest.raises(ValueError, match="wrong space"):
+            n_count(F, 1, wrong, 1, 2)
+    with pytest.raises(ValueError, match="wrong space"):
+        exp_sum(F, 1, 0, dual_from_code(5, 2, 0, 7))
+    with pytest.raises(ValueError, match="wrong space"):
+        check_weyl(F, 1, 1, alpha, other_field)
+    with pytest.raises(ValueError, match="wrong space"):
+        check_shrink(F, 1, other_field, 1, 1)
+
+
 @pytest.mark.parametrize("p,e,codes", [
     (3, 2, None),
     (5, 3, random.Random(56).sample(range(5**7), 200)),
@@ -363,13 +403,13 @@ def _single_lhs_transform_oracle(F, e, tab, major):
 def _pair_lhs_entry_oracle(F, e, tab, major):
     """m = 1 pair left side, one pair_data(F, e, 1) entry at a time: the
     degree-zero part of alpha through the major weights, its upper layer
-    through the full-layer sum table, beta through a per-vector count over
-    each annihilator span."""
+    through the full-layer sum table (the all-ones transform), beta through
+    a per-vector count over each annihilator span."""
     p, n = F.p, F.n
     width = F.d * e + 1
     data = pair_data(F, e, 1)
     gsum = major_weighted_sums(F, e)
-    table = layer_sum_table(p, width)
+    table = char_transform(np.ones(p**width, dtype=np.int64), p, width)
     weights = []
     for basis in data.ann_bases:
         weight = 0
@@ -786,9 +826,9 @@ def test_exp_sum_jet_order_two_matches_slow_oracle():
             assert exp_sum(F, 0, 2, a) == exp_sum_slow(F, 0, 2, a)
 
 
-@pytest.mark.parametrize("e", [0, 1])
-@pytest.mark.parametrize("pairs", [False, True])
-def test_orthogonality_m2_and_major_identity_m3(e, pairs):
+# the singles at e = 2 still build the 3^15-cell value histogram and its transform
+@pytest.mark.parametrize("pairs, e", [(False, 0), (False, 1), (True, 0), (True, 1), (True, 2)])
+def test_orthogonality_m2_and_major_identity_m3(pairs, e):
     F = conic_form(3)
     assert check_orthogonality(F, e, 2, pairs=pairs).verdict == "equal"
     assert check_major_identity(F, e, 3, pairs=pairs).verdict == "equal"

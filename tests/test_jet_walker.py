@@ -570,11 +570,16 @@ def test_walker_budget_figures():
     # 3^8 for each of the 3^10 settings of the low digits
     data = pair_data(conic_form(3), 2, 2)
     assert data.hist == {} and data.onto.sum() == 16848 * 3**8
-    # the pair orthogonality's layer sum table is refused above 2^24 cells:
-    # 3^18 for conic(3) at e = 1, m = 5
-    with pytest.raises(BudgetExceeded, match="layer sum table") as err:
-        check_orthogonality(conic_form(3), 1, 5, pairs=True, budget=10**11)
-    assert err.value.needed == 3**18
+    # the pair orthogonality builds no table of the full dual, only the
+    # checked one-layer origin: conic(3) at e = 1, m = 5, whose full table
+    # would hold 3^18 cells, runs at the default budget
+    assert check_orthogonality(conic_form(3), 1, 5, pairs=True).verdict == "equal"
+    # that one-layer check is itself capped by its cells, before any scan:
+    # 5^13 for the cubic on P^1 over F_5 at e = 4, whose base scan of 5^10
+    # tuples the default budget admits
+    with pytest.raises(BudgetExceeded, match="dual layer check") as err:
+        check_orthogonality(fermat_form(5, 1, 3), 4, 0, pairs=True)
+    assert err.value.needed == 5**13
     # and a value histogram above 2^24 cells: 3^18 for conic(3) at e = 1,
     # m = 5, whose free walk is no longer charged
     with pytest.raises(BudgetExceeded, match="value histogram") as err:
