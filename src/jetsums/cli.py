@@ -281,6 +281,9 @@ def _cmd_circle(args) -> int:
     if args.check in ("t-vanishing", "shrink", "n-counts") and args.samples == 0:
         # a sweep over no samples checks nothing
         raise ConfigError(f"--samples must be >= 1 for --check {args.check}")
+    if args.pairs and args.check not in ("orthogonality", "major-identity"):
+        # the other checks have no pair form, and would run the singles
+        raise ConfigError("--pairs applies only to orthogonality and major-identity")
     if args.check == "orthogonality":
         rep = expsums.check_orthogonality(F, e, args.m, args.pairs, budget)
     elif args.check == "major-identity":

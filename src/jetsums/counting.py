@@ -718,7 +718,9 @@ def count_multilinear_zeros(
     For a block of prefix codes (one empty prefix at d = 2), Psi_j(prefix, u)
     is evaluated at every unit vector u of the last slot, composed with cond
     and stacked over j into ((n+1) len(cond) x slot) matrices, which one
-    ``linalg.rref_batch`` call ranks.  The budget figure counts the Psi
+    ``linalg.rref_batch`` call ranks.  Only cond differs between the counts
+    of one (F, rdeg, k), so when the prefixes fit one block their Psi values
+    are kept in ``sections.MEMO``.  The budget figure counts the Psi
     entries and the entry-column work of the eliminations.
     """
     p, n, d = F.p, F.n, F.d
@@ -731,14 +733,24 @@ def count_multilinear_zeros(
     total = 0
     for start in range(0, prefixes, step):
         codes = np.arange(start, min(start + step, prefixes), dtype=np.int64)
-        heads = np.repeat(batch_digits(codes, p, (d - 2) * slot), slot, axis=0)
-        units = np.tile(np.eye(slot, dtype=np.int64), (codes.size, 1))
-        vals = _psi_batch(F, np.concatenate([heads, units], axis=1), k, rdeg) @ cond.T % p
+        build = lambda: _psi_units(F, codes, slot, k, rdeg)
+        psi = MEMO.get(("psi_units", F.key(), rdeg, k), build) if step >= prefixes else build()
+        vals = psi @ cond.T % p
         mats = vals.reshape(codes.size, slot, rows).transpose(0, 2, 1)
         _, ranks = linalg.rref_batch(mats, p)
         for rank, count in zip(*np.unique(ranks, return_counts=True)):
             total += int(count) * p ** (slot - int(rank))
     return total
+
+
+def _psi_units(F: SymmetricForm, codes: np.ndarray, slot: int, k: int, rdeg: int) -> np.ndarray:
+    """Psi_j at each prefix code followed by each unit vector of the last
+    slot, as ``_psi_batch`` rows (read-only, since the memo shares them)."""
+    heads = np.repeat(batch_digits(codes, F.p, (F.d - 2) * slot), slot, axis=0)
+    units = np.tile(np.eye(slot, dtype=np.int64), (codes.size, 1))
+    psi = _psi_batch(F, np.concatenate([heads, units], axis=1), k, rdeg)
+    psi.flags.writeable = False
+    return psi
 
 
 def count_jet_multilinear(F: SymmetricForm, k: int, budget: int | None = None) -> int:

@@ -20,7 +20,9 @@ objects:
 The value, pair and slice histograms share one fiber engine over base
 points (fiber classes, or base solutions).  Above an onto gradient map the
 value layers above the base are uniform and the pair class trivial: one mass
-per base value.  Obstructed points walk their middle layers to one leaf,
+per base value, whose single sums follow in closed form from its transform
+on one layer, so only the obstructed points' histogram is transformed in
+full.  Obstructed points walk their middle layers to one leaf,
 ``_top_layer``, that adds the image coset of the gradient map with weight
 p^(dim ker), or enumerates the top layer where pair classes need it.  The
 x1-sum of the pair sums goes through kernels, the full dual sums through
@@ -184,10 +186,13 @@ def _transform_into(hist: np.ndarray, p: int, k: int, out: np.ndarray) -> None:
     rows = out.reshape(p, p ** (k - 1), p)  # rows[a0, a', t]
     _transform_into(hist.reshape(p, -1).sum(axis=0), p, k - 1, rows[0])
     rows[1] = _shift_butterfly(hist.reshape((p,) * k), p).reshape(p, -1).T
-    unit = rows[1].reshape((p,) * k)
+    unit = rows[1].reshape(-1)
     for lam in range(2, p):
         perm = pow(lam, -1, p) * np.arange(p) % p
-        rows[lam] = unit[np.ix_(*[perm] * k)].reshape(p ** (k - 1), p)
+        index = perm  # flat code of perm applied to every digit
+        for _ in range(k - 1):
+            index = np.add.outer(index * p, perm).ravel()
+        np.take(unit, index, out=rows[lam].reshape(-1))
 
 
 def _shift_butterfly(x: np.ndarray, p: int) -> np.ndarray:
@@ -231,7 +236,8 @@ HIST_CELL_CAP = 1 << 24
 
 def _check_cells(cells: int, budget: int | None, what: str) -> None:
     """Refuse a value histogram or the one-layer check above HIST_CELL_CAP
-    cells at any budget: 3^15 cells and the transform took 600 MiB."""
+    cells at any budget: its sums take p int64 per cell, about 350 MiB for
+    the 3^15 of conic(3) at e = 2, m = 2."""
     check_budget(cells, min(HIST_CELL_CAP, 10**18 if budget is None else budget), what)
 
 
@@ -423,26 +429,35 @@ def _value_leaves(F: SymmetricForm, e: int, m: int, budget: int | None):
                      for _, values, gg in iter_base_chunks(F, e, budget)))
 
 
-def value_histogram(F: SymmetricForm, e: int, m: int, budget: int | None = None) -> np.ndarray:
-    """Histogram over w-codes of F-values on gg tuples in P_{e,m}^(n+1): the
-    onto mass goes to every code with its top digits, then the leaves.  Rows
-    of no mass are never written, so their zero pages stay unmapped."""
-    onto, leaves = _value_leaves(F, e, m, budget)()
-    p, width = F.p, F.d * e + 1
-    hist = np.zeros(p ** (width * (m + 1)), dtype=np.int64)
-    by_top = hist.reshape(p**width, -1)  # row w_m, column the low digits
-    for v in np.flatnonzero(onto).tolist():
-        by_top[v] += onto[v]
-    for V, span, weight, _ in leaves:
-        np.add.at(hist, _in_range(_w_codes(V, span, p), hist.size), weight)
-    return hist
-
-
 def all_sums(F: SymmetricForm, e: int, m: int, budget: int | None = None) -> np.ndarray:
-    """S(alpha) for every alpha on P_{de,m}, as (p^k, p) coefficient rows."""
-    _value_leaves(F, e, m, budget)  # the refusals only: the leaves are lazy
-    return MEMO.get(("all_sums", F.key(), e, m), lambda: char_transform(
-        value_histogram(F, e, m, budget), F.p, (F.d * e + 1) * (m + 1)))
+    """S(alpha) for every alpha on P_{de,m}, as (p^k, p) coefficient rows:
+    the rows of the value histogram's transform, from the fiber engine's
+    two parts (``_single_sums``)."""
+    build = _value_leaves(F, e, m, budget)  # the refusals only: the leaves are lazy
+    return MEMO.get(("all_sums", F.key(), e, m), lambda: _single_sums(F, e, m, *build()))
+
+
+def _single_sums(F: SymmetricForm, e: int, m: int, onto: np.ndarray, leaves) -> np.ndarray:
+    """The transform of the leaves' histogram plus the onto mass in closed
+    form.  onto[v] sits at every code with top digits v, so its rows are
+    p^(m(de+1)) T[a_top], T the transform of onto on one layer, where alpha
+    vanishes on the low m layers, and elsewhere M/p at every exponent, M
+    its total mass: the low digits are uniform.  No histogram is built
+    without a leaf, as above a form whose base points are all onto."""
+    p, width = F.p, F.d * e + 1
+    k = width * (m + 1)
+    hist = None
+    for V, span, weight, _ in leaves:
+        if hist is None:
+            hist = np.zeros(p**k, dtype=np.int64)
+        np.add.at(hist, _in_range(_w_codes(V, span, p), hist.size), weight)
+    sums = np.zeros((p**k, p), dtype=np.int64) if hist is None else char_transform(hist, p, k)
+    if onto.any():
+        low = p ** (m * width)
+        share = low * int(onto.sum()) // p
+        sums += share
+        sums.reshape(p**width, low, p)[:, 0] += low * char_transform(onto, p, width) - share
+    return sums
 
 
 def exp_sum(F: SymmetricForm, e: int, m: int, alpha: DualFunctional,
@@ -621,7 +636,7 @@ class PairData:
 
 
 def pair_data(F: SymmetricForm, e: int, m: int, budget: int | None = None) -> PairData:
-    """The joint histogram of ``value_histogram``'s fiber engine with pair
+    """The joint histogram of the value histogram's fiber engine with pair
     classes: the onto points as their mass per base value, the obstructed
     points with their top layer enumerated and each tuple classed."""
     de = F.d * e

@@ -8,9 +8,10 @@ algebra against ``rref_batch``, the divisor scan (``minimal_divisor``,
 ``count_minimizers``) against the Hankel systems of the divisor table and
 of ``classify_arc``, enumerations of sections, functionals and tuples
 against the rank counts, the lift and the character transforms, the
-full-size dual layer table against the one-layer identity, the scalar
-generation test against the batched mask, the z-enumeration of the
-auxiliary sum's histogram against its image rule, Fraction
+full value histogram against the two-part single sums, the full-size dual
+layer table against the one-layer identity, the scalar generation test
+against the batched mask, the z-enumeration of the auxiliary sum's
+histogram against its image rule, Fraction
 transcriptions against the integer cores of ``bounds``, and the
 certificate sweep over every cell of its int64 grids against the one-sided
 searches of ``bounds._sweep``.  None of them runs
@@ -724,6 +725,20 @@ def exp_sum_slow(F: SymmetricForm, e: int, m: int, alpha: DualFunctional,
             continue
         acc = acc + psi_m(apply_functional(alpha, eval_form(F, combo)))
     return acc
+
+
+def value_histogram(F: SymmetricForm, e: int, m: int, budget: int | None = None) -> np.ndarray:
+    """The full value histogram, whose transform ``expsums.all_sums`` takes
+    in two parts: over w-codes of F-values on gg tuples in P_{e,m}^(n+1),
+    the fiber engine's onto mass spread over every code with its top digits,
+    then its leaves, cell by cell.  Makes the package's refusals."""
+    onto, leaves = expsums._value_leaves(F, e, m, budget)()
+    p, width = F.p, F.d * e + 1
+    hist = np.zeros(p ** (width * (m + 1)), dtype=np.int64)
+    hist.reshape(p**width, -1)[:] += onto[:, None]  # row w_m, column the low digits
+    for V, span, weight, _ in leaves:
+        np.add.at(hist, expsums._in_range(expsums._w_codes(V, span, p), hist.size), weight)
+    return hist
 
 
 def pair_cells(data) -> dict:

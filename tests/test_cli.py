@@ -493,11 +493,20 @@ COUNT_M0 = ["count", "--q", "3", "--form", "conic", "--e", "2", "--m", "0"]
       "--n-plus-1", "0"], None),
     (["bounds", "--action", "certify", "--mode", "canonical", "--d", "2", "--g", "1",
       "--n-plus-1", "-3"], None),
+    (["circle", "--check", "weyl", "--q", "3", "--form", "conic", "--e", "1", "--m", "1",
+      "--max-degree", "0", "--samples", "3", "--pairs"], None),
+    (["circle", "--check", "shrink", "--q", "3", "--form", "conic", "--e", "1",
+      "--pairs"], None),
+    (["circle", "--check", "t-vanishing", "--q", "3", "--form", "conic", "--e", "1",
+      "--pairs"], None),
+    (["circle", "--check", "n-counts", "--q", "3", "--form", "conic", "--e", "1",
+      "--pairs"], None),
 ], ids=["m-negative", "e-negative", "orthogonality-m", "major-e", "budget-zero",
         "shrink-k-negative", "shrink-samples-negative", "lw-trend-no-e",
         "shrink-samples-zero", "n-counts-samples-zero", "t-vanishing-samples-zero",
         "weyl-no-functionals", "workers-zero", "workers-env-abc", "workers-env-zero",
-        "workers-env-negative", "certify-n-plus-1-zero", "certify-n-plus-1-negative"])
+        "workers-env-negative", "certify-n-plus-1-zero", "certify-n-plus-1-negative",
+        "weyl-pairs", "shrink-pairs", "t-vanishing-pairs", "n-counts-pairs"])
 def test_out_of_range_inputs_exit_2(argv, env, capsys, monkeypatch):
     # each of these once answered (a count with m = -1, a sweep over -1 or
     # 0 samples reported "holds", a count with 0 workers, from --workers or
@@ -510,6 +519,8 @@ def test_out_of_range_inputs_exit_2(argv, env, capsys, monkeypatch):
     assert out == "" and err.startswith("error: --" if env is None else "error: JETSUMS_WORKERS")
     if "--n-plus-1" in argv:  # the flag as typed, once a verdict "fail" and exit 1
         assert err.startswith(f"error: --n-plus-1 must be >= 2, got {argv[-1]}")
+    if "--pairs" in argv:  # these checks have no pair form; they ran the singles
+        assert err.startswith("error: --pairs applies only to orthogonality and major-identity")
 
 
 def test_weyl_precision_cap_below_64_bits_exits_2(capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from jetsums import linalg
 from jetsums.arith import Cyclo
+from jetsums.cli import random_smooth_form
 from jetsums.counting import (
     base_scan,
     batch_digits,
@@ -37,7 +38,6 @@ from jetsums.expsums import (
     pair_data,
     slice_histogram,
     t_vanishing_report,
-    value_histogram,
     weyl_alpha_sample,
 )
 from jetsums.forms import conic_form, fermat_form, make_form
@@ -67,6 +67,7 @@ from oracles import (
     psi_m,
     t_value_histogram_slow,
     unfolded_mult_matrix,
+    value_histogram,
 )
 
 
@@ -496,6 +497,21 @@ def test_n_count_rank_matches_enumeration_d3(p, n, k1, k2, s):
         assert n_count(F, 1, a, k1, k2, s) == n_count_slow(F, 1, a, k1, k2, s)
 
 
+def test_n_counts_share_one_psi_stack():
+    # the N counts of a sweep differ only in their condition matrices: the
+    # Psi values of a one-block prefix range are built once per (F, rdeg, k)
+    F = fermat_form(5, 1, 3)
+    MEMO.clear()
+    rng = random.Random(25)
+    for _ in range(3):
+        a = dual_from_code(5, 3, 1, rng.randrange(5**8))
+        assert n_count(F, 1, a, 0, 1) == n_count_slow(F, 1, a, 0, 1)
+    assert (MEMO.misses["psi_units"], MEMO.hits["psi_units"]) == (1, 2)
+    # 7^4 prefixes of fermat(7,1,3) at k = 1 take two blocks, built per call
+    assert count_psi_zero_sections(fermat_form(7, 1, 3), 0, 0, 1) == 17689
+    assert MEMO.misses["psi_units"] == 1
+
+
 def test_n_count_rejects_functional_off_the_value_space():
     # conic(3) at e = 2 has values in P_4; a functional on P_6 used to be
     # counted as the zero functional and one on P_2 raised IndexError
@@ -710,6 +726,68 @@ def test_all_sums_spot_checks_against_direct_sum():
         assert (sums[code] == np.bincount(expo, minlength=p)).all()
 
 
+@pytest.fixture(scope="module")
+def single_sum_forms():
+    """Seeded smooth forms for p in {5, 7}, n <= 2, d in {2, 3} (the
+    smoothness search of the plane cubic over F_7 runs to F_(7^4), so both
+    caps share one draw), and the singular x0*x1 and x0^2 over F_3 and F_5,
+    whose obstructed base points leave leaves next to the onto mass."""
+    rng = random.Random(25)
+    forms = [random_smooth_form(p, n, d, rng.randrange(1000))
+             for p in (5, 7) for n in (1, 2) for d in (2, 3)]
+    for p in (3, 5):
+        for n in (1, 2):
+            forms.append(make_form(p, n, 2, [((1, 1) + (0,) * (n - 1), 1)], name="x0x1"))
+            forms.append(make_form(p, n, 2, [((2,) + (0,) * n, 1)], name="x0sq"))
+    return forms
+
+
+@pytest.mark.parametrize("cells, budget", [
+    (5**8, 10**7),
+    pytest.param(5**9, 2 * 10**7, marks=pytest.mark.slow),
+])
+def test_all_sums_match_the_full_histogram_transform(single_sum_forms, cells, budget):
+    # every (e, m) with at most `cells` histogram cells (e <= 2, the reach of
+    # the generation mask) whose scan and walk the budget admits, refusals
+    # skipped; entry for entry and dtype, with no constant-vector drift
+    MEMO.clear()
+    checked = 0
+    for F in single_sum_forms:
+        for e in range(3):
+            width = F.d * e + 1
+            for m in itertools.takewhile(lambda m: F.p ** (width * (m + 1)) <= cells,
+                                         itertools.count()):
+                try:
+                    want = char_transform(value_histogram(F, e, m, budget), F.p, width * (m + 1))
+                except BudgetExceeded:
+                    continue
+                got = all_sums(F, e, m, budget)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (F.name, F.p, e, m)
+                checked += 1
+    assert checked >= 140
+    MEMO.clear()
+
+
+def test_all_sums_transform_only_the_obstructed_histogram(monkeypatch):
+    # above a form whose base points are all onto, only the one-layer onto
+    # mass is transformed; x0*x1 (n = 2) has obstructed points, whose leaves
+    # take the full-size transform
+    from jetsums import expsums
+
+    sizes = []
+    real = expsums.char_transform
+    monkeypatch.setattr(expsums, "char_transform",
+                        lambda hist, p, k: sizes.append(hist.size) or real(hist, p, k))
+    MEMO.clear()
+    for F, e, m in ((conic_form(3), 2, 1), (conic_form(3), 1, 2), (fermat_form(5, 1, 3), 1, 1)):
+        sizes.clear()
+        all_sums(F, e, m)
+        assert sizes == [F.p ** (F.d * e + 1)]
+    sizes.clear()
+    all_sums(_x0x1(2), 1, 1)
+    assert sizes == [3**6, 3**3]
+
+
 def test_histogram_budget_is_checked_before_the_cache():
     # a refusal must not depend on an earlier unbudgeted call of the route,
     # which left its result in the memo
@@ -734,8 +812,8 @@ def test_all_sums_builds_one_histogram_per_key(monkeypatch):
     from jetsums import expsums
 
     calls = []
-    real = expsums.value_histogram
-    monkeypatch.setattr(expsums, "value_histogram", lambda *a: calls.append(1) or real(*a))
+    real = expsums._single_sums
+    monkeypatch.setattr(expsums, "_single_sums", lambda *a: calls.append(1) or real(*a))
     MEMO.clear()
     F = conic_form(3)
     assert (all_sums(F, 1, 0) == all_sums(F, 1, 0)).all()
@@ -826,12 +904,15 @@ def test_exp_sum_jet_order_two_matches_slow_oracle():
             assert exp_sum(F, 0, 2, a) == exp_sum_slow(F, 0, 2, a)
 
 
-# the singles at e = 2 still build the 3^15-cell value histogram and its transform
-@pytest.mark.parametrize("pairs, e", [(False, 0), (False, 1), (True, 0), (True, 1), (True, 2)])
+# the singles at e = 2 hold 3^15 transform rows (about 350 MiB), so the test
+# clears the memo rather than keep them for the rest of the session
+@pytest.mark.parametrize("pairs, e", [(False, 0), (False, 1), (True, 0), (True, 1), (True, 2),
+                                      (False, 2)])
 def test_orthogonality_m2_and_major_identity_m3(pairs, e):
     F = conic_form(3)
     assert check_orthogonality(F, e, 2, pairs=pairs).verdict == "equal"
     assert check_major_identity(F, e, 3, pairs=pairs).verdict == "equal"
+    MEMO.clear()
 
 
 def test_fiber_classes_run_once_per_form_and_degree(monkeypatch):

@@ -39,7 +39,6 @@ from jetsums.expsums import (
     check_orthogonality,
     pair_data,
     slice_histogram,
-    value_histogram,
     w_code_from_values,
 )
 from jetsums.forms import conic_form, fermat_form, make_form
@@ -54,6 +53,7 @@ from oracles import (
     solution_tuples,
     solve,
     unfolded_mult_matrix,
+    value_histogram,
 )
 
 
