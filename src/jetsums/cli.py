@@ -436,7 +436,9 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
+        # OSError: a form file that cannot be read or an --out path that
+        # cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NotImplementedError as exc:

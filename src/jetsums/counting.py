@@ -323,44 +323,68 @@ def mult_matrix_batch(F: SymmetricForm, coords: np.ndarray) -> np.ndarray:
     return unfolded_mult_matrix_batch(F, np.asarray(coords)[:, :, None, :])
 
 
-def image_keys(mats: np.ndarray, p: int, lead: np.ndarray | None = None):
-    """Key a stack of matrices by image with one ``rref_batch``: image[i] is
-    the rref of mats[i]^T, whose first rank[i] rows span the image; keys[i]
-    the row (lead, rank, image) as one opaque bytes item, far cheaper to sort
-    than rows along axis 0; first and inverse as ``np.unique`` gives them."""
-    image, rank = linalg.rref_batch(mats.transpose(0, 2, 1), p)
-    cols = [rank[:, None], image.reshape(rank.size, -1)]
-    keys = np.concatenate(cols if lead is None else [lead, *cols], axis=1)
-    keys = keys.view(np.dtype((np.void, keys.shape[1] * keys.itemsize))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return image, rank, keys, first, inverse.ravel()
+ONTO = 0  # the class of every map of full row rank
+
+
+class MapClasses:
+    """Classes of the maps z -> z . grad F(x) (``unfolded_mult_matrix_batch``)
+    of a stream of tuple stacks, by image, in first-seen order.
+
+    ``images[k]`` is the rref basis (rows) of class k's image.  Every map of
+    full row rank is class ``ONTO``, whose image is the identity, and is
+    never keyed: the coker H^1(f*T_X) vanishes there, which the counts take
+    in closed form.  Every other map is keyed by (lead, rank, image), each
+    FIBER_CHUNK maps read off one ``rref_batch`` of their transposes.
+    """
+
+    def __init__(self, p: int, rows: int):
+        self.p = p
+        self.images = [np.eye(rows, dtype=np.int64)]
+        self._index: dict[bytes, int] = {}
+
+    def of(self, F: SymmetricForm, X: np.ndarray, lead: np.ndarray | None = None) -> np.ndarray:
+        """The class of every tuple of a (N, n+1, m+1, e+1) stack X, keyed
+        with its row of ``lead`` too where given."""
+        ids = np.full(X.shape[0], ONTO, dtype=np.int64)
+        for start in range(0, X.shape[0], FIBER_CHUNK):
+            M = unfolded_mult_matrix_batch(F, X[start : start + FIBER_CHUNK])
+            image, rank = linalg.rref_batch(M.transpose(0, 2, 1), self.p)
+            rows = np.flatnonzero(rank < M.shape[1])
+            if not rows.size:
+                continue
+            cols = [rank[rows, None], image[rows].reshape(rows.size, -1)]
+            if lead is not None:
+                cols.insert(0, lead[start + rows].astype(np.int64))
+            # each key row as one opaque bytes item, far cheaper to sort than
+            # rows along axis 0
+            keys = np.concatenate(cols, axis=1)
+            keys = keys.view(np.dtype((np.void, keys.shape[1] * keys.itemsize))).ravel()
+            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            local = np.empty(first.size, dtype=np.int64)
+            for u in np.argsort(first):
+                local[u] = self._index.setdefault(keys[first[u]].tobytes(), len(self.images))
+                if local[u] == len(self.images):
+                    i = rows[first[u]]
+                    self.images.append(image[i, : rank[i]].copy())
+            ids[start + rows] = local[inverse.ravel()]
+        return ids
 
 
 def fiber_classes(F: SymmetricForm, coords: np.ndarray, values: np.ndarray | None = None):
     """Group base points by (value layer, image of z -> z . grad F(x0)), on
-    which alone a point's top-layer coset depends, or by image alone when
-    ``values`` is None.  Returns (the class of each point, numbered in
-    first-seen order; each class's image basis)."""
-    index: dict[bytes, int] = {}
-    images, ids = [], [np.zeros(0, dtype=np.int64)]
-    for start in range(0, coords.shape[0], FIBER_CHUNK):
-        rows = slice(start, start + FIBER_CHUNK)
-        mats = mult_matrix_batch(F, coords[rows])
-        lead = None if values is None else values[rows].astype(np.int64)
-        image, rank, keys, first, inverse = image_keys(mats, F.p, lead)
-        local = []
-        for i in first:
-            local.append(index.setdefault(keys[i].tobytes(), len(images)))
-            if local[-1] == len(images):
-                images.append(image[i, : rank[i]].copy())
-        ids.append(np.array(local, dtype=np.int64)[inverse])
-    return np.concatenate(ids), images
+    which alone an obstructed point's top-layer coset depends, or by image
+    alone when ``values`` is None: the ``MapClasses`` of the degree-zero
+    maps, onto points in class ``ONTO`` whatever their value.  Returns (the
+    class of each point; each class's image basis)."""
+    classes = MapClasses(F.p, F.d * (coords.shape[2] - 1) + 1)
+    return classes.of(F, coords[:, :, None, :], values), classes.images
 
 
 def generating_fibers(F: SymmetricForm, e: int, budget: int | None = None):
     """(coords, ids, images): the generating points of ``base_scan`` and their
-    ``fiber_classes``, computed once per (F, e) into the memo; the scan's
-    refusals come before the lookup."""
+    ``fiber_classes`` (value and image, onto points class ``ONTO``), computed
+    once per (F, e) into the memo; the scan's refusals come before the
+    lookup."""
     scan = base_scan(F, e, budget)
     gg = scan.generating
     return MEMO.get(("generating_fibers", F.key(), e), lambda: (

@@ -42,8 +42,9 @@ import numpy as np
 from . import linalg
 from .arith import Cyclo, compare_abs_power
 from .counting import (
-    FIBER_CHUNK,
+    ONTO,
     WALK_CHUNK,
+    MapClasses,
     append_layer,
     base_scan,
     base_systems,
@@ -56,10 +57,8 @@ from .counting import (
     encode_digits,
     fiber_classes,
     generating_fibers,
-    image_keys,
     iter_base_chunks,
     next_layer,
-    unfolded_mult_matrix_batch,
     walk_layers,
     _check_scan,
     count_multilinear_zeros,
@@ -265,40 +264,6 @@ def _in_range(codes: np.ndarray, size: int) -> np.ndarray:
     return codes
 
 
-class _AnnClasses:
-    """Annihilator classes of pair maps in first-seen order, each kept as an
-    rref basis (rows) in ``bases``; class 0 (``TRIVIAL``) is {0}.  Each
-    distinct image has its annihilator computed once."""
-
-    TRIVIAL = 0
-
-    def __init__(self, p: int, rows: int):
-        self.p = p
-        self.bases = [np.zeros((0, rows), dtype=np.int64)]
-        self._index = {b"": self.TRIVIAL}  # rref basis -> class
-        self._seen: dict[bytes, int] = {}   # image key -> class
-
-    def of(self, F: SymmetricForm, X: np.ndarray) -> np.ndarray:
-        """Class of the unfolded pair map z -> z . grad F(x) for every tuple
-        x of a (N, n+1, m+1, e+1) stack, in order, FIBER_CHUNK at a time."""
-        p, out = self.p, np.empty(X.shape[0], dtype=np.int64)
-        for start in range(0, X.shape[0], FIBER_CHUNK):
-            M = unfolded_mult_matrix_batch(F, X[start : start + FIBER_CHUNK])
-            image, rank, keys, first, inverse = image_keys(M, p)
-            ids = np.empty(first.size, dtype=np.int64)
-            for u in np.argsort(first):
-                sig = keys[first[u]].tobytes()
-                if sig not in self._seen:
-                    ann = linalg.annihilator(image[first[u], : rank[first[u]]], M.shape[1], p)
-                    basis = linalg.row_space(ann, p) if ann.size else ann
-                    k = self._seen[sig] = self._index.setdefault(basis.tobytes(), len(self.bases))
-                    if k == len(self.bases):
-                        self.bases.append(basis)
-                ids[u] = self._seen[sig]
-            out[start : start + rank.size] = ids[inverse]
-        return out
-
-
 def _free_layers(X: np.ndarray, top: int, p: int):
     """Extend a stack X of known layers 0..k-1 by every layer in
     F_p^((n+1)(e+1)) through layer ``top``: the ``descend`` stacks, in
@@ -309,7 +274,7 @@ def _free_layers(X: np.ndarray, top: int, p: int):
 
 
 def _top_layer(F: SymmetricForm, X: np.ndarray, m: int, image: np.ndarray | None,
-               ann: _AnnClasses | None):
+               ann: MapClasses | None):
     """The leaf of the walked fibers: complete a stack X of tuples known
     through layer m-1, whose base maps L share one image, by layer m.
 
@@ -351,56 +316,60 @@ def _check_pair_scan(F: SymmetricForm, e: int, m: int, walks: int, budget: int |
     check_budget(walks * F.p**ncols * work, budget, what)
 
 
-def _base_leaves(F: SymmetricForm, e: int, m: int, ann: _AnnClasses | None,
+def _base_leaves(F: SymmetricForm, e: int, m: int, ann: MapClasses | None,
                  budget: int | None):
     """A thunk for (onto, leaves) over every generating tuple of
-    P_{e,m}^(n+1), classed by ``ann`` if given.  Above an onto L the value
-    layers 1..m, hence the low w-digits w_0..w_(m-1), are uniform and the
-    pair class is trivial: onto[v] is the mass of each w-code with top
-    digits w_m = F(x0) = v, p^(m(ncols - width)) per onto point.  Obstructed
-    points walk to ``_top_layer``.  The refusals are made at the call, from
-    the class sizes alone, so a memo hit never groups the points.
+    P_{e,m}^(n+1), classed by ``ann`` if given.  Above an onto L (fiber
+    class ``ONTO``) the value layers 1..m, hence the low w-digits
+    w_0..w_(m-1), are uniform and the pair class is trivial: onto[v] is the
+    mass of each w-code with top digits w_m = F(x0) = v, p^(m(ncols -
+    width)) per onto point.  Obstructed points walk to ``_top_layer``.  The
+    refusals are made at the call, from the class sizes alone, so a memo
+    hit never groups the points.
     """
     p, width, ncols = F.p, F.d * e + 1, (F.n + 1) * (e + 1)
     coords, ids, images = generating_fibers(F, e, budget)
-    walked = np.array([im.shape[0] < width for im in images], dtype=bool)
-    explicit = walked & (ann is not None and m > 0)
+    walked = int(np.count_nonzero(ids != ONTO))
+    explicit = ann is not None and m > 0
     if m >= 2:  # charged by the obstructed points alone
-        check_budget(int(walked[ids].sum()) * p ** (ncols * (m - 1) + width), budget,
-                     "free jet-layer walk")
-    if explicit.any():
-        _check_pair_scan(F, e, m, int(explicit[ids].sum()) * p ** (ncols * (m - 1)), budget,
+        check_budget(walked * p ** (ncols * (m - 1) + width), budget, "free jet-layer walk")
+    if explicit and walked:
+        _check_pair_scan(F, e, m, walked * p ** (ncols * (m - 1)), budget,
                          "non-surjective pair annihilator scan")
 
     def leaves():
-        for X, image, weight in _image_groups(coords, ids, images, walked, explicit, m):
+        for X, image, weight in _image_groups(coords, ids, images, explicit, m):
             for W in _free_layers(X.astype(np.int64)[:, :, None, :], m - 1, p):
                 for V, span, mult, klass in _top_layer(F, W, m, image if m else None, ann):
                     yield V, span, weight * mult, klass
 
     def build():
         onto = np.zeros(p**width, dtype=np.int64)
-        values = batch_eval_form(F, coords[~walked[ids]].astype(np.int64))
+        values = batch_eval_form(F, coords[ids == ONTO].astype(np.int64))
         np.add.at(onto, encode_digits(values, p), p ** (m * (ncols - width)))
         return onto, leaves()
 
     return build
 
 
-def _image_groups(coords, ids, images, walked, explicit, m: int) -> list:
-    """(points, image, weight) groups of the ``walked`` base points sharing
-    their gradient image.  At m <= 1 (no layer between base and top) a class
-    enters once by its first point, weighted by its size (one group per
-    image and size); above, every point enters.  The ``explicit`` classes'
-    points come last, in scan order, with no image."""
-    _, first, counts = np.unique(ids, return_index=True, return_counts=True)
-    by_image: dict[tuple, list] = {}
-    for k in np.flatnonzero(walked & ~explicit).tolist():
-        by_image.setdefault((images[k].tobytes(), int(counts[k]) if m <= 1 else 1), []).append(k)
-    return [
-        (coords[first[ks] if m <= 1 else np.isin(ids, ks)], images[ks[0]], weight)
-        for (_, weight), ks in by_image.items()
-    ] + ([(coords[explicit[ids]], None, 1)] if explicit.any() else [])
+def _image_groups(coords, ids, images, explicit: bool, m: int) -> list:
+    """(points, image, weight) groups of the obstructed base points (class
+    not ``ONTO``) sharing their gradient image.  At m <= 1 (no layer between
+    base and top) a class enters once by its first point, weighted by its
+    size (one group per image and size); above, every point enters.  When
+    ``explicit``, the points come in one group instead, in scan order, with
+    no image."""
+    walked = ids != ONTO
+    if explicit:
+        return [(coords[walked], None, 1)] if walked.any() else []
+    classes, first, sizes = np.unique(ids, return_index=True, return_counts=True)
+    groups: dict[tuple, tuple] = {}  # (image, weight) -> (image, first points or classes)
+    for k, i, size in zip(classes.tolist(), first.tolist(), sizes.tolist()):
+        if k != ONTO:
+            key = (images[k].tobytes(), size if m <= 1 else 1)
+            groups.setdefault(key, (images[k], []))[1].append(i if m <= 1 else k)
+    return [(coords[rows if m <= 1 else np.isin(ids, rows)], image, weight)
+            for (_, weight), (image, rows) in groups.items()]
 
 
 def _add_counts(hist: dict, codes: np.ndarray, klass: np.ndarray, weight: int) -> None:
@@ -579,20 +548,21 @@ def t_vanishing_report(F: SymmetricForm, e: int, samples: int = 100, seed: int =
     tab = divisor_table(p, de, budget)
     in_range = (tab.degree >= 1) & (tab.degree <= e + 1)
     ids, images = fiber_classes(F, scan.coords[gidx[chosen]].astype(np.int64))
+    present = np.unique(ids).tolist()  # the onto class 0 may have no point
     # one transform per image, charged at width butterfly passes of p^(width+2)
     # additions each, above what the transform does (about p/(p-1) passes of
     # p^(width+1)); the figure is kept so that budgets refuse where they did
-    check_budget(len(images) * width * p ** (width + 2), budget, "auxiliary linear sum")
+    check_budget(len(present) * width * p ** (width + 2), budget, "auxiliary linear sum")
     full = p**ncols
-    checks = []  # per image: (T of the zero functional is full, nonvanishing codes)
-    for image in images:
-        sums = char_transform(_t_histogram(image, ncols, p), p, width)
+    checks = {}  # per image: (T of the zero functional is full, nonvanishing codes)
+    for k in present:
+        sums = char_transform(_t_histogram(images[k], ncols, p), p, width)
         bad = [
             int(code)
             for code in np.nonzero(in_range)[0]
             if not Cyclo(p, sums[code]).is_zero()
         ]
-        checks.append((Cyclo(p, sums[0]) == Cyclo.integer(p, full), bad[:3]))
+        checks[k] = (Cyclo(p, sums[0]) == Cyclo.integer(p, full), bad[:3])
     failures = []
     for ci, k in zip(chosen, ids):
         zero_ok, bad = checks[k]
@@ -641,7 +611,7 @@ def pair_data(F: SymmetricForm, e: int, m: int, budget: int | None = None) -> Pa
     points with their top layer enumerated and each tuple classed."""
     de = F.d * e
     _check_mass(F, e, m, "pair data")
-    ann = _AnnClasses(F.p, (m + 1) * (de + 1))
+    ann = MapClasses(F.p, (m + 1) * (de + 1))
     leaves = _base_leaves(F, e, m, ann, budget)  # refusals before the lookup
 
     def build():
@@ -649,9 +619,16 @@ def pair_data(F: SymmetricForm, e: int, m: int, budget: int | None = None) -> Pa
         hist: dict = {}
         for V, span, weight, klass in blocks:
             _add_counts(hist, _w_codes(V, span, F.p), klass, weight)
-        return PairData(F.p, e, m, de, hist, onto, ann.bases)
+        return PairData(F.p, e, m, de, hist, onto, _annihilators(ann))
 
     return MEMO.get(("pair_data", F.key(), e, m), build)
+
+
+def _annihilators(classes: MapClasses) -> list[np.ndarray]:
+    """The pair classes' annihilators: for each class the rref basis of the
+    functionals beta with beta . (x1 -> x1 . grad F(x)) = 0, read off its
+    image's rref; {0} for class ``ONTO``."""
+    return [linalg.annihilator(image, classes.p) for image in classes.images]
 
 
 def exp_sum_pair(F: SymmetricForm, e: int, m: int, alpha: DualFunctional,
@@ -668,13 +645,15 @@ def exp_sum_pair(F: SymmetricForm, e: int, m: int, alpha: DualFunctional,
     width, low = data.de + 1, m * (data.de + 1)
     bflat = np.array(beta.flat(), dtype=np.int64)
     aflat = np.array(alpha.flat(), dtype=np.int64)
-    member = [
-        (not b.size and not bflat.any()) or (b.size and linalg.in_row_span(b, bflat, p))
-        for b in data.ann_bases
-    ]
+    # beta is in a class's annihilator B when rank [B; beta] = rank B
+    stack = np.zeros((len(data.ann_bases), bflat.size + 1, bflat.size), dtype=np.int64)
+    for k, b in enumerate(data.ann_bases):
+        stack[k, : b.shape[0]] = b
+        stack[k, b.shape[0]] = bflat
+    member = linalg.rref_batch(stack, p)[1] == [b.shape[0] for b in data.ann_bases]
     cells = [(code, count) for (code, k), count in data.hist.items() if member[k]]
     codes, counts = np.array(cells, dtype=np.int64).reshape(-1, 2).T
-    if member[_AnnClasses.TRIVIAL] and not aflat[:low].any():
+    if member[ONTO] and not aflat[:low].any():
         codes = np.concatenate([codes, p**low * np.arange(p**width)])
         counts = np.concatenate([counts, data.onto * p**low])
     exps = np.zeros(p, dtype=np.int64)
@@ -819,8 +798,8 @@ def slice_histogram(F: SymmetricForm, e: int, m: int, budget: int | None = None,
         _check_pair_scan(F, e, m, walks, budget, "explicit slice fiber")
     onto = sum(p ** (m * s.kerdim) for _, s in systems if s.onto)
     kk = np.full(p**width, onto, dtype=np.int64)
-    hist = {(u, _AnnClasses.TRIVIAL): onto for u in range(kk.size)} if with_ann and onto else {}
-    ann = _AnnClasses(p, (m + 1) * width)
+    hist = {(u, ONTO): onto for u in range(kk.size)} if with_ann and onto else {}
+    ann = MapClasses(p, (m + 1) * width)
     for x0, system in obstructed:
         if not with_ann:
             check_budget(p ** (system.kerdim * (m - 1) + system.rank), budget, "slice histogram")
@@ -831,7 +810,7 @@ def slice_histogram(F: SymmetricForm, e: int, m: int, budget: int | None = None,
                 np.add.at(kk, _in_range(codes, kk.size), weight)
                 if with_ann:
                     _add_counts(hist, codes, klass, weight)
-    return kk, hist, ann.bases
+    return kk, hist, _annihilators(ann)
 
 
 # ---------------------------------------------------------------------------

@@ -4,17 +4,17 @@ Matrices are numpy int64 arrays with entries reduced mod p.  Everything here
 is exact integer arithmetic; p is small (a machine prime) and dimensions are
 in the dozens.
 
-Two eliminations share that contract.  ``rref_batch`` row-reduces a whole
+One elimination serves every caller.  ``rref_batch`` row-reduces a whole
 stack of matrices at once, one column step across the batch axis at a time:
-the gradient maps of every base point of a degree-zero scan, the stacked
-[L | I] of each block of base solutions of the jet-layer lifts (after which
-``solve_stack`` solves L x = b for a stack of right-hand sides with one
-matrix product), the Hankel matrices of ``sections.hankel_splits`` (the
-divisor table and ``classify_arc``) and the last-slot maps of
-``counting.count_multilinear_zeros``.  The scalar ``rref`` (with
-``nullspace`` and ``row_space`` built on it) serves callers that hold a
-single matrix -- the annihilator of each distinct image class -- and is the
-oracle the batched kernel is tested against.
+the gradient and pair maps that ``counting.MapClasses`` sorts by image, the
+stacked [L | I] of each block of base solutions of the jet-layer lifts
+(after which ``solve_stack`` solves L x = b for a stack of right-hand sides
+with one matrix product), the Hankel matrices of ``sections.hankel_splits``
+(the divisor table and ``classify_arc``), the last-slot maps of
+``counting.count_multilinear_zeros``, the annihilator of each pair class and
+the membership tests against it.  A single matrix is a stack of one.  The
+scalar elimination in ``tests/oracles.py`` is the oracle it is tested
+against.
 """
 
 from __future__ import annotations
@@ -34,46 +34,14 @@ def inverse_table(p: int) -> np.ndarray:
     return inv
 
 
-def as_matrix(rows, p: int) -> np.ndarray:
-    m = np.asarray(rows, dtype=np.int64) % p
-    if m.ndim == 1:
-        m = m.reshape(1, -1)
-    return m
-
-
-def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form and pivot column indices."""
-    m = mat.copy() % p
-    nrows, ncols = m.shape
-    pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        if row >= nrows:
-            break
-        nz = np.nonzero(m[row:, col])[0]
-        if nz.size == 0:
-            continue
-        pr = row + int(nz[0])
-        if pr != row:
-            m[[row, pr]] = m[[pr, row]]
-        m[row] = (m[row] * inverse_mod(m[row, col], p)) % p
-        other = np.nonzero(m[:, col])[0]
-        for r in other:
-            if r != row:
-                m[r] = (m[r] - m[r, col] * m[row]) % p
-        pivots.append(col)
-        row += 1
-    return m, pivots
-
-
 def rref_batch(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Reduced row echelon form of every matrix of a (N, rows, cols) stack.
 
-    Returns the rref stack and the rank of each matrix; matrix b equals
-    ``rref(mats[b], p)[0]``, its first rank[b] rows are the nonzero ones.
-    Each column step picks, per matrix, the first nonzero entry at or below
-    that matrix's current row (a masked argmax) and eliminates the column
-    from every other row of the matrices that have a pivot there.
+    Returns the rref stack and the rank of each matrix; the first rank[b]
+    rows of matrix b are its nonzero ones.  Each column step picks, per
+    matrix, the first nonzero entry at or below that matrix's current row (a
+    masked argmax) and eliminates the column from every other row of the
+    matrices that have a pivot there.
     """
     a = np.array(mats, dtype=np.int64) % p
     n, nrows, ncols = a.shape
@@ -99,12 +67,6 @@ def rref_batch(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return a, rank
 
 
-def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
-    """Basis of the right kernel, one vector per row."""
-    r, pivots = rref(mat, p)
-    return _kernel_basis(r, pivots, mat.shape[1], p)
-
-
 def _kernel_basis(r: np.ndarray, pivots: list[int], ncols: int, p: int) -> np.ndarray:
     """Kernel basis read off an rref: one vector per free column, in order."""
     free = [c for c in range(ncols) if c not in pivots]
@@ -114,12 +76,6 @@ def _kernel_basis(r: np.ndarray, pivots: list[int], ncols: int, p: int) -> np.nd
         for i, pc in enumerate(pivots):
             basis[k, pc] = (-r[i, fc]) % p
     return basis
-
-
-def row_space(mat: np.ndarray, p: int) -> np.ndarray:
-    """Canonical (rref) basis of the row span; usable as a subspace key."""
-    r, pivots = rref(mat, p)
-    return r[: len(pivots)]
 
 
 def solve_stack(E: np.ndarray, pivots: list[int], ncols: int, rhs: np.ndarray,
@@ -139,19 +95,6 @@ def solve_stack(E: np.ndarray, pivots: list[int], ncols: int, rhs: np.ndarray,
     return ~y[:, rank:].any(axis=1), x
 
 
-def in_row_span(basis_rref: np.ndarray, vec: np.ndarray, p: int) -> bool:
-    """Membership test against an rref basis (reduce and check zero)."""
-    v = vec.copy() % p
-    for row in basis_rref:
-        piv = np.nonzero(row)[0]
-        if piv.size == 0:
-            continue
-        c = int(v[piv[0]])
-        if c:
-            v = (v - c * row) % p
-    return not v.any()
-
-
 def span_elements(basis: np.ndarray, p: int) -> np.ndarray:
     """All p**k vectors in the span of k basis rows (k kept small by callers)."""
     k, n = basis.shape
@@ -161,8 +104,9 @@ def span_elements(basis: np.ndarray, p: int) -> np.ndarray:
     return (coeffs @ basis) % p
 
 
-def annihilator(basis: np.ndarray, n: int, p: int) -> np.ndarray:
-    """Basis of functionals vanishing on the span of the given row vectors."""
-    if basis.size == 0:
-        return np.eye(n, dtype=np.int64)
-    return nullspace(as_matrix(basis, p), p)
+def annihilator(basis: np.ndarray, p: int) -> np.ndarray:
+    """The rref basis of the functionals vanishing on the span of an rref
+    basis (rows): the kernel vectors read off its pivots, reduced."""
+    pivots = (basis != 0).argmax(axis=1).tolist()
+    reduced, rank = rref_batch(_kernel_basis(basis, pivots, basis.shape[1], p)[None], p)
+    return reduced[0, : rank[0]]

@@ -4,19 +4,20 @@ Each function here is a slow or scalar route to a result the package
 computes another way: the scalar jet model (``Jet``, ``psi_m``,
 ``JetPoly``, ``mul_sections``, functionals applied to sections,
 ``eval_form`` and ``gradient``) against the array jet kernel, scalar linear
-algebra against ``rref_batch``, the divisor scan (``minimal_divisor``,
-``count_minimizers``) against the Hankel systems of the divisor table and
-of ``classify_arc``, enumerations of sections, functionals and tuples
-against the rank counts, the lift and the character transforms, the
-full value histogram against the two-part single sums, the full-size dual
-layer table against the one-layer identity, the scalar generation test
-against the batched mask, the z-enumeration of the auxiliary sum's
-histogram against its image rule, Fraction
-transcriptions against the integer cores of ``bounds``, and the
-certificate sweep over every cell of its int64 grids against the one-sided
-searches of ``bounds._sweep``.  None of them runs
-in the package itself; the budget checks they make keep a test from
-starting an enumeration far beyond its size.
+algebra (``rref``, ``nullspace``, ``row_space``) against ``rref_batch``, the
+scalar-rref keyed classes (``map_classes``) against ``counting.MapClasses``,
+the divisor scan (``minimal_divisor``, ``count_minimizers``) against the
+Hankel systems of the divisor table and of ``classify_arc``, enumerations
+of sections, functionals and tuples against the rank counts, the lift and
+the character transforms, the full value histogram against the two-part
+single sums, the full-size dual layer table against the one-layer identity,
+the scalar generation test against the batched mask, the z-enumeration of
+the auxiliary sum's histogram against its image rule, Fraction
+transcriptions against the integer cores of ``bounds``, and the certificate
+sweep over every cell of its int64 grids against the one-sided searches of
+``bounds._sweep``.  None of them runs in the package itself; the budget
+checks they make keep a test from starting an enumeration far beyond its
+size.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from jetsums.counting import (
     walk_layers,
 )
 from jetsums.forms import SymmetricForm, make_form
-from jetsums.linalg import rref
+from jetsums.linalg import inverse_mod
 from jetsums.sections import (
     DivisorP1,
     DualFunctional,
@@ -260,7 +261,72 @@ def apply_functional(alpha: DualFunctional, y: JetPoly) -> Jet:
 
 
 # ---------------------------------------------------------------------------
-# linalg
+# linalg: one matrix at a time, the oracle of ``linalg.rref_batch``
+
+
+def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form and pivot column indices."""
+    m = mat.copy() % p
+    nrows, ncols = m.shape
+    pivots: list[int] = []
+    row = 0
+    for col in range(ncols):
+        if row >= nrows:
+            break
+        nz = np.nonzero(m[row:, col])[0]
+        if nz.size == 0:
+            continue
+        pr = row + int(nz[0])
+        if pr != row:
+            m[[row, pr]] = m[[pr, row]]
+        m[row] = (m[row] * inverse_mod(m[row, col], p)) % p
+        other = np.nonzero(m[:, col])[0]
+        for r in other:
+            if r != row:
+                m[r] = (m[r] - m[r, col] * m[row]) % p
+        pivots.append(col)
+        row += 1
+    return m, pivots
+
+
+def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
+    """Basis of the right kernel, one vector per free column, in order."""
+    r, pivots = rref(mat, p)
+    ncols = mat.shape[1]
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = np.zeros((len(free), ncols), dtype=np.int64)
+    for k, fc in enumerate(free):
+        basis[k, fc] = 1
+        for i, pc in enumerate(pivots):
+            basis[k, pc] = (-r[i, fc]) % p
+    return basis
+
+
+def row_space(mat: np.ndarray, p: int) -> np.ndarray:
+    """Canonical (rref) basis of the row span; usable as a subspace key."""
+    r, pivots = rref(mat, p)
+    return r[: len(pivots)]
+
+
+def map_classes(mats: np.ndarray, p: int, lead: np.ndarray | None = None):
+    """(class of each map, class images) of a (N, rows, cols) stack, one
+    scalar rref per map: a map of full row rank is class 0 with the identity
+    image, every other one is keyed by (lead row, rank, rref image), classes
+    numbered in first-seen order."""
+    images = [np.eye(mats.shape[1], dtype=np.int64)]
+    index: dict = {}
+    ids = []
+    for i, M in enumerate(mats):
+        image = row_space(np.ascontiguousarray(M.T), p)
+        if image.shape[0] == M.shape[0]:
+            ids.append(0)
+            continue
+        key = (None if lead is None else tuple(lead[i].tolist()), image.shape[0], image.tobytes())
+        if key not in index:
+            index[key] = len(images)
+            images.append(image)
+        ids.append(index[key])
+    return np.array(ids, dtype=np.int64), images
 
 
 def rank(mat: np.ndarray, p: int) -> int:

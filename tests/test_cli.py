@@ -167,6 +167,20 @@ def test_config_file_supplies_defaults(capsys, tmp_path):
     assert json.loads(out)["raw_count"] == "0"
 
 
+@pytest.mark.parametrize("flags", [
+    ["--form", "conic", "--out", "{missing}/x.json"],
+    ["--form-file", "{missing}.txt"],
+], ids=["out-dir", "form-file"])
+def test_missing_paths_exit_2(flags, capsys, tmp_path):
+    # both ended in a FileNotFoundError traceback with exit 1, the code of a
+    # failed identity
+    missing = tmp_path / "missing"
+    args = ["count", "--q", "3", "--e", "1", "--m", "0", "--no-timestamp"]
+    code, out, err = run_cli(args + [f.format(missing=missing) for f in flags], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(missing) in err
+
+
 def test_config_error_exit(capsys):
     code, _, err = run_cli(
         ["count", "--q", "3", "--e", "2", "--no-timestamp"], capsys

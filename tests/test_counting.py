@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 from jetsums import counting
 from jetsums.cli import random_smooth_form
 from jetsums.counting import (
+    FIBER_CHUNK,
+    ONTO,
+    MapClasses,
     _base_solutions,
     base_scan,
     batch_digits,
@@ -19,10 +22,13 @@ from jetsums.counting import (
     count_psi_zero_sections,
     count_solutions,
     count_tangent_pairs,
+    fiber_classes,
+    generating_fibers,
     iter_base_chunks,
     lw_trend,
     moduli_dimension,
     mult_matrix_batch,
+    unfolded_mult_matrix_batch,
 )
 from jetsums.forms import conic_form, fermat_form, make_form
 from jetsums.sections import BudgetExceeded
@@ -32,6 +38,7 @@ from oracles import (
     count_multilinear_zeros_slow,
     count_solutions_slow,
     globally_generates,
+    map_classes,
     mult_matrix,
     multilinear_psi_sections,
     rank,
@@ -447,3 +454,65 @@ def forms_and_degree_bounds(draw):
 def test_lift_matches_full_scan_on_random_forms(case):
     F, e = case
     _assert_lift_matches_scan(F, e)
+
+
+# ---------------------------------------------------------------------------
+# the one classifier of stacks of F_p maps, against scalar-rref keyed classes
+
+
+def _x0x1(n):
+    return make_form(3, n, 2, [((1, 1) + (0,) * (n - 1), 1)], name="x0x1")
+
+
+def _x0sq(n):
+    return make_form(3, n, 2, [((2,) + (0,) * n, 1)], name="x0sq")
+
+
+def _check_classes(F, X, lead, ids, images):
+    """ids and images equal the scalar classes of the unfolded maps of X:
+    onto maps class 0 with the identity image, the others numbered in
+    first-seen order."""
+    ref_ids, ref_images = map_classes(unfolded_mult_matrix_batch(F, X), F.p, lead)
+    assert ids.tolist() == ref_ids.tolist()
+    assert len(images) == len(ref_images)
+    assert all(a.shape == b.shape and (a == b).all() for a, b in zip(images, ref_images))
+    assert (images[ONTO] == np.eye(images[ONTO].shape[0])).all()
+    seen = list(dict.fromkeys(k for k in ids.tolist() if k != ONTO))
+    assert seen == list(range(1, len(images)))
+
+
+CLASS_FORMS = [conic_form(3), _x0x1(1), _x0x1(2), _x0sq(1), _x0sq(2)]
+CLASS_IDS = ["conic3", "x0x1-n1", "x0x1-n2", "x0sq-n1", "x0sq-n2"]
+
+
+@pytest.mark.parametrize("F", CLASS_FORMS, ids=CLASS_IDS)
+def test_fiber_classes_match_scalar_classes(F):
+    # gradient maps of the generating base points at e = 1, keyed with their
+    # value layer; x0^2 with n = 2 has no onto point and more points than
+    # one FIBER_CHUNK
+    scan = base_scan(F, 1)
+    coords = scan.coords[scan.generating].astype(np.int64)
+    values = scan.values[scan.generating].astype(np.int64)
+    ids, images = fiber_classes(F, coords, values)
+    _check_classes(F, coords[:, :, None, :], values, ids, images)
+    if F.name == "x0sq" and F.n == 2:
+        assert len(coords) > FIBER_CHUNK and (ids != ONTO).all()
+
+
+@pytest.mark.parametrize("F", CLASS_FORMS, ids=CLASS_IDS)
+@pytest.mark.parametrize("e,m", [(1, 1), (0, 2)])
+def test_pair_map_classes_match_scalar_classes(F, e, m):
+    # unfolded pair maps of a seeded stack of tuples of P_{e,m}^(n+1), longer
+    # than one FIBER_CHUNK, with repeated rows on both sides of its boundary
+    rng = np.random.default_rng(17)
+    X = rng.integers(0, F.p, size=(FIBER_CHUNK + 60, F.n + 1, m + 1, e + 1))
+    X = np.concatenate([X, X[rng.permutation(len(X))[:100]]])
+    classes = MapClasses(F.p, (m + 1) * (F.d * e + 1))
+    ids = np.concatenate([classes.of(F, X[:300]), classes.of(F, X[300:])])
+    _check_classes(F, X, None, ids, classes.images)
+
+
+def test_every_base_point_of_conic3_at_e2_is_onto():
+    coords, ids, images = generating_fibers(conic_form(3), 2)
+    assert len(coords) == 16_848
+    assert (ids == ONTO).all() and len(images) == 1

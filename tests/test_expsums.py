@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -62,9 +63,11 @@ from oracles import (
     mult_matrix,
     mul_sections,
     n_count_slow,
+    nullspace,
     pair_cells,
     pair_dual_sum_table,
     psi_m,
+    row_space,
     t_value_histogram_slow,
     unfolded_mult_matrix,
     value_histogram,
@@ -648,12 +651,12 @@ def _per_point_fiber_reference(F, e):
         x0 = scan.coords[bi].astype(np.int64)
         v0 = scan.values[bi].astype(np.int64)
         L = mult_matrix(F, x0)
-        im = linalg.row_space(L.T, p)
+        im = row_space(L.T, p)
         u = linalg.span_elements(im, p)
         codes = encode_digits((v0 + u) % p, p) + encode_digits(v0[None], p)[0] * p**width
         hist[codes] += p ** (ncols - im.shape[0])
-        ann = linalg.nullspace(np.ascontiguousarray(L.T), p)
-        basis = linalg.row_space(ann, p) if ann.size else ann
+        ann = nullspace(np.ascontiguousarray(L.T), p)
+        basis = row_space(ann, p) if ann.size else ann
         key = (int(encode_digits(v0[None], p)[0]), basis.tobytes())
         pairs[key] = pairs.get(key, 0) + 1
     return hist, pairs
@@ -874,8 +877,8 @@ def _direct_histograms_m2(F):
             continue
         hist[code] += 1
         M = unfolded_mult_matrix(F, jets)
-        ann = linalg.nullspace(np.ascontiguousarray(M.T), p)
-        basis = linalg.row_space(ann, p) if ann.size else ann
+        ann = nullspace(np.ascontiguousarray(M.T), p)
+        basis = row_space(ann, p) if ann.size else ann
         key = (code, basis.tobytes())
         pairs[key] = pairs.get(key, 0) + 1
     return hist, pairs
@@ -926,3 +929,64 @@ def test_fiber_classes_run_once_per_form_and_degree(monkeypatch):
     value_histogram(F, 2, 1)
     pair_data(F, 2, 0)
     assert len(calls) == 1
+
+
+# Pair classes pinned by annihilator basis, not by class number: a digest of
+# the sorted bases (shape and bytes) and of the histogram cells keyed by
+# (code, basis), taken from the classes before onto maps went unkeyed.
+PAIR_FORMS = {"conic3": conic_form(3), "fermat322": fermat_form(3, 2, 2), "x0x1-n1": _x0x1(1),
+              "x0x1-n2": _x0x1(2), "x0sq-n1": _x0sq(1), "x0sq-n2": _x0sq(2)}
+PINNED_PAIR_DATA = [
+    ("conic3", 2, 0, 1, "46a42a68792f8d58"),
+    ("conic3", 1, 1, 1, "a64ac52247cc1783"),
+    ("fermat322", 1, 0, 1, "0f9030063abe726d"),
+    ("x0x1-n2", 0, 0, 2, "8a0d3672996ac27e"),
+    ("x0x1-n2", 0, 1, 3, "ed69f62f0451e7a5"),
+    ("x0x1-n2", 0, 2, 4, "ad669847db683d4a"),
+    ("x0x1-n2", 1, 0, 5, "ad925e013eee6318"),
+    ("x0x1-n2", 1, 1, 17, "7f561c6375872e1a"),
+    ("x0x1-n1", 0, 1, 1, "35a18baec10e8a72"),
+    ("x0x1-n1", 1, 1, 1, "a85bbe90e49110e2"),
+    ("x0x1-n1", 0, 2, 1, "b22b3f0371e6cf82"),
+    ("x0sq-n1", 0, 1, 3, "0b7c5f0ad85c045e"),
+    ("x0sq-n1", 1, 1, 13, "4f6d054cd04a5d7d"),
+    ("x0sq-n1", 0, 2, 4, "5944745522391824"),
+    ("x0sq-n2", 0, 0, 2, "efc5c45a977a7b12"),
+    ("x0sq-n2", 0, 1, 3, "3f77b46e5bbe8e67"),
+    ("x0sq-n2", 0, 2, 4, "15463bc1794e5321"),
+    ("x0sq-n2", 1, 0, 6, "30e99f6ced9f7fab"),
+    ("x0sq-n2", 1, 1, 18, "9d6793f336d26576"),
+]
+PINNED_SLICES = [
+    ("conic3", 2, 2, 1, "7d1279394fad5007"),
+    ("x0x1-n2", 0, 2, 4, "f75ccddebbdbf2cc"),
+    ("x0x1-n2", 1, 1, 17, "c7cbb1c29a11fdea"),
+    ("x0sq-n1", 2, 1, 1, "87b19a01b29ba024"),
+    ("x0sq-n2", 1, 1, 6, "33297e46ee060a67"),
+    ("x0sq-n1", 1, 2, 1, "31273d726245077a"),
+]
+
+
+def _by_basis(bases, hist, *arrays) -> str:
+    key = [repr(b.shape).encode() + b.astype(np.int64).tobytes() for b in bases]
+    digest = hashlib.sha256(b"".join(sorted(key)))
+    digest.update(repr(sorted((code, key[k], count) for (code, k), count in hist.items())).encode())
+    for a in arrays:
+        digest.update(a.astype(np.int64).tobytes())
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name,e,m,classes,pinned", PINNED_PAIR_DATA,
+                         ids=[f"{r[0]}-e{r[1]}-m{r[2]}" for r in PINNED_PAIR_DATA])
+def test_pair_data_classes_are_pinned(name, e, m, classes, pinned):
+    data = pair_data(PAIR_FORMS[name], e, m)
+    assert data.ann_bases[0].shape[0] == 0 and len(data.ann_bases) == classes
+    assert _by_basis(data.ann_bases, data.hist, data.onto) == pinned
+
+
+@pytest.mark.parametrize("name,e,m,classes,pinned", PINNED_SLICES,
+                         ids=[f"{r[0]}-e{r[1]}-m{r[2]}" for r in PINNED_SLICES])
+def test_slice_classes_are_pinned(name, e, m, classes, pinned):
+    kk, hist, bases = slice_histogram(PAIR_FORMS[name], e, m, with_ann=True)
+    assert len(bases) == classes
+    assert _by_basis(bases, hist, kk) == pinned

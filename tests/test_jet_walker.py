@@ -48,8 +48,10 @@ from oracles import (
     eval_form,
     gradient,
     mult_matrix,
+    nullspace,
     pair_cells,
     rank,
+    row_space,
     solution_tuples,
     solve,
     unfolded_mult_matrix,
@@ -194,7 +196,7 @@ def _slice_recurse_explicit(F, e, m, layers, L, ker, kk, hist, ann_key, depth):
             xm = batch_digits(np.array([code]), p, ncols)[0].reshape(layers[0].shape)
             u = (c + L @ xm.reshape(-1)) % p
             M = unfolded_mult_matrix(F, _jets(p, np.stack(layers + [xm], axis=1)))
-            k = ann_key(linalg.nullspace(np.ascontiguousarray(M.T), p))
+            k = ann_key(nullspace(np.ascontiguousarray(M.T), p))
             ucode = int(encode_digits(u[None], p)[0])
             kk[ucode] += 1
             hist[(ucode, k)] = hist.get((ucode, k), 0) + 1
@@ -212,7 +214,7 @@ def _registry(ann_bases, p):
     index = {}
 
     def key(ann):
-        basis = linalg.row_space(ann, p) if ann.size else ann
+        basis = row_space(ann, p) if ann.size else ann
         sig = basis.tobytes() if basis.size else b""
         if sig not in index:
             index[sig] = len(ann_bases)
@@ -226,7 +228,7 @@ def oracle_fiber_counts(F, e, m):
     out = []
     for x0 in _base_solutions(F, e, None):
         L = mult_matrix(F, x0)
-        ker = linalg.nullspace(L, F.p)
+        ker = nullspace(L, F.p)
         out.append(sum(_extend_layer_counts(F, e, m, [x0], L, ker, 1)))
     return out
 
@@ -234,7 +236,7 @@ def oracle_fiber_counts(F, e, m):
 def oracle_tuples(F, e, m):
     for x0 in _base_solutions(F, e, None):
         L = mult_matrix(F, x0)
-        ker = linalg.nullspace(L, F.p)
+        ker = nullspace(L, F.p)
         yield from _extend_tuples(F, e, m, [x0], L, ker, 1)
 
 
@@ -247,8 +249,8 @@ def oracle_slice_histogram(F, e, m, with_ann):
     trivial = ann_key(np.zeros((0, (m + 1) * width), dtype=np.int64))
     for x0 in _base_solutions(F, e, None):
         L = mult_matrix(F, x0)
-        ker = linalg.nullspace(L, p)
-        image = linalg.row_space(L.T, p)
+        ker = nullspace(L, p)
+        image = row_space(L.T, p)
         if with_ann and image.shape[0] < width:
             _slice_recurse_explicit(F, e, m, [x0], L, ker, kk, hist, ann_key, 1)
             continue
@@ -385,7 +387,7 @@ def _oracle_pair_data(F, e):
         x0 = scan.coords[bi].astype(np.int64)
         v0 = scan.values[bi].astype(np.int64)
         L = mult_matrix(F, x0)
-        im = linalg.row_space(L.T, p)
+        im = row_space(L.T, p)
         if im.shape[0] < width:
             explicit.append(x0)
             continue
@@ -399,7 +401,7 @@ def _oracle_pair_data(F, e):
             x1 = batch_digits(np.array([x1code]), p, ncols)[0].reshape(n + 1, e + 1)
             jets = _jets(p, np.stack([x0, x1], axis=1))
             M = unfolded_mult_matrix(F, jets)
-            k = ann_key(linalg.nullspace(np.ascontiguousarray(M.T), p))
+            k = ann_key(nullspace(np.ascontiguousarray(M.T), p))
             vals = np.array(eval_form(F, jets).layers(), dtype=np.int64)
             key = (int(w_code_from_values(vals[None], p, 1)[0]), k)
             hist[key] = hist.get(key, 0) + 1
@@ -475,7 +477,7 @@ def test_fibers_cross_the_chunk_boundary():
     rng = random.Random(11)
     for i in sorted(rng.sample(range(len(x0s)), 4) + [FIBER_CHUNK - 1, FIBER_CHUNK]):
         L = mult_matrix(F, x0s[i])
-        ker = linalg.nullspace(L, F.p)
+        ker = nullspace(L, F.p)
         assert fibers[i] == sum(_extend_layer_counts(F, e, 2, [x0s[i]], L, ker, 1))
 
 

@@ -3,8 +3,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from jetsums.counting import LayerSystem
-from jetsums.linalg import nullspace, row_space, rref, rref_batch, solve_stack
-from oracles import solve
+from jetsums.linalg import annihilator, rref_batch, solve_stack
+from oracles import nullspace, row_space, rref, solve
 
 
 @st.composite
@@ -44,6 +44,17 @@ def test_rref_batch_matches_scalar_rref(case):
     assert ranks[-3] == 0
     assert ranks[-2] == min(mats.shape[1:])
     assert (reduced[-1] == reduced[0]).all()
+
+
+@given(matrix_stacks())
+def test_annihilator_matches_scalar_kernel(case):
+    # the functionals vanishing on a row span: the rref of the scalar kernel,
+    # with the full-rank and the zero matrices at the ends of the stack
+    p, mats = case
+    for mat in mats:
+        expected = row_space(nullspace(mat, p), p)
+        ann = annihilator(row_space(mat, p), p)
+        assert ann.shape == expected.shape and (ann == expected).all()
 
 
 def test_rref_batch_leaves_input_alone():
