@@ -14,6 +14,12 @@ are the tests' oracles (``tests/oracles.py``).
 Character values of sums over F_p-spaces always land in Z[zeta_p]; no
 floating point enters except behind ``magnitude``, which returns a rigorous
 enclosure computed with mpmath interval arithmetic.
+
+The package's int64 arrays sum products of residues before reducing mod p
+(matrix products, elimination steps, jet convolutions), so ``make_form``
+refuses p >= 2^20: below it each product is under 2^40, and any sum of up
+to 2^23 of them, far more than the dozens of terms of the longest, stays
+under 2^63.  At p = 2^31 - 1 three products would wrap.
 """
 
 from __future__ import annotations

@@ -10,10 +10,10 @@
 
 The degree-zero solutions come from a lift through the coefficient layers
 (``_lift``), the full scan (``iter_base_chunks``) serving the value
-histograms and the lift's oracle.  Above a base point whose gradient map L
-is onto (coker L = H^1(f*T_X) vanishes) the jets form an affine bundle,
-counted in closed form; only the obstructed points are walked, through the
-solution cosets of L (``walk_layers``), on the array jet kernel.  Every
+histograms and the lift's oracle, both sorted by ``MapClasses``.  Above an
+onto gradient map L (coker L = H^1(f*T_X) vanishes) the jets form an affine
+bundle, counted in closed form by class; only obstructed points get a
+``LayerSystem`` and walk the solution cosets of L (``walk_layers``).  Every
 operation computes the size of its search space first and refuses above
 the budget before any lookup in ``sections.MEMO``, the one bounded memo.
 """
@@ -311,18 +311,6 @@ def unfolded_mult_matrix_batch(F: SymmetricForm, X: np.ndarray) -> np.ndarray:
     return mat.reshape(N, mc * width, mc * nv * ec)
 
 
-def mult_matrix_batch(F: SymmetricForm, coords: np.ndarray) -> np.ndarray:
-    """Matrices of z -> z . grad F(x0) on degree-zero layers, for every
-    base point x0 of a stack.
-
-    coords has shape (N, n+1, e+1); each of the (N, de+1, (n+1)(e+1))
-    matrices maps the coordinates of z (variable-major, then x-degree) to
-    the de+1 coefficients of the product (the jet order 0 case of
-    ``unfolded_mult_matrix_batch``).
-    """
-    return unfolded_mult_matrix_batch(F, np.asarray(coords)[:, :, None, :])
-
-
 ONTO = 0  # the class of every map of full row rank
 
 
@@ -490,6 +478,19 @@ def _base_solutions(F: SymmetricForm, e: int, budget: int | None) -> np.ndarray:
     return x0s[np.argsort(encode_digits(x0s.reshape(-1, width), p))]
 
 
+def lift_fibers(F: SymmetricForm, e: int, budget: int | None = None):
+    """(x0s, ids, images): ``_base_solutions`` and their ``fiber_classes`` by
+    image alone, computed once per (F, e) into the memo for the counts, pairs
+    and slices; the lift's refusal comes before the lookup."""
+    _check_lift_budget(F, e, budget)
+
+    def build():
+        x0s = _base_solutions(F, e, budget)
+        return (x0s, *fiber_classes(F, x0s))
+
+    return MEMO.get(("lift_fibers", F.key(), e), build)
+
+
 def _check_lift_budget(F: SymmetricForm, e: int, budget: int | None) -> None:
     """Charge the lift by its stage sizes: the scan of F_p^(n+1) for the
     affine cone Z, then at most |Z| rows at layer 0, p^(n+1) candidates per
@@ -572,7 +573,7 @@ class _Block:
 class LayerSystem:
     """L x = b above one base point, for stacks of right-hand sides, from the
     rref R of [L | I]: its first rank rows carry the rref of L and its I part
-    E has E L = rref(L).  R, pivots, kernel and span wait until asked."""
+    E has E L = rref(L).  R, pivots and kernel wait until asked."""
 
     block: _Block
     i: int
@@ -595,14 +596,6 @@ class LayerSystem:
     def rank(self) -> int:
         return self.block.reduced[1][self.i]
 
-    @property
-    def kerdim(self) -> int:
-        return self.L.shape[1] - self.rank
-
-    @property
-    def onto(self) -> bool:  # then every layer above the point solves
-        return self.rank == self.L.shape[0]
-
     @cached_property
     def pivots(self) -> list:
         return (self.R[: self.rank, : self.L.shape[1]] != 0).argmax(axis=1).tolist()
@@ -611,24 +604,20 @@ class LayerSystem:
     def ker(self) -> np.ndarray:
         return linalg._kernel_basis(self.R, self.pivots, self.L.shape[1], self.block.p)
 
-    @cached_property
-    def span(self) -> np.ndarray:
-        """Every kernel vector, in ``linalg.span_elements`` order."""
-        return linalg.span_elements(self.ker, self.block.p)
-
     def solve(self, c: np.ndarray):
         """(consistent, particular solution) of L x = -c for each row of c."""
         ncols = self.L.shape[1]
         return linalg.solve_stack(self.R[:, ncols:], self.pivots, ncols, -c, self.block.p)
 
 
-def base_systems(F: SymmetricForm, e: int, budget: int | None):
-    """Yield (x0, its LayerSystem) over the gg base solutions, in
-    ``_base_solutions`` order, FIBER_CHUNK systems per reduction."""
-    x0s = _base_solutions(F, e, budget)
-    for start in range(0, x0s.shape[0], FIBER_CHUNK):
-        block = x0s[start : start + FIBER_CHUNK]
-        yield from zip(block, LayerSystem.batch(mult_matrix_batch(F, block), F.p))
+def layer_systems(F: SymmetricForm, points: np.ndarray):
+    """Yield (x0, its LayerSystem) over a (N, n+1, e+1) stack of base points,
+    in order, FIBER_CHUNK systems per reduction; a block's systems are
+    dropped once the generator has passed it."""
+    for start in range(0, points.shape[0], FIBER_CHUNK):
+        block = points[start : start + FIBER_CHUNK]
+        L = unfolded_mult_matrix_batch(F, block[:, :, None, :])  # (N, de+1, (n+1)(e+1))
+        yield from zip(block, LayerSystem.batch(L, F.p))
 
 
 def next_layer(F: SymmetricForm, X: np.ndarray) -> np.ndarray:
@@ -646,11 +635,13 @@ def walk_layers(F: SymmetricForm, X: np.ndarray, top: int, system: LayerSystem):
     Layer j of a candidate is its particular solution of L x^j = -c_j plus
     each kernel vector in turn, so the lifts come out in the order of the
     nested kernel enumeration; inconsistent candidates drop out.  Yields
-    the non-empty (N, n+1, top+1, e+1) stacks of ``descend``.
+    the non-empty (N, n+1, top+1, e+1) stacks of ``descend``.  The kernel's
+    span is this walk's alone, built only if it walks a layer.
     """
+    span = linalg.span_elements(system.ker, F.p) if X.shape[2] <= top else None
+
     def children(Y):
         ok, part = system.solve(next_layer(F, Y)[:, -1])
-        span = system.span
         return append_layer(Y[ok], span.shape[0], lambda lo, hi: span[lo:hi], part[ok], F.p)
 
     yield from descend(X, top, children)
@@ -664,13 +655,16 @@ def _solution_fibers(F: SymmetricForm, e: int, m: int, budget: int | None):
     below m are walked in the solution cosets of L, and each walk whose top
     constraint is consistent adds p^(dim ker L).
     """
-    p = F.p
-    for x0, system in base_systems(F, e, budget):
-        kerdim = system.kerdim
-        if m == 1 or system.onto:
+    p, ncols = F.p, (F.n + 1) * (e + 1)
+    x0s, ids, images = lift_fibers(F, e, budget)
+    systems = layer_systems(F, x0s[ids != ONTO])
+    for x0, k in zip(x0s, ids.tolist()):
+        kerdim = ncols - len(images[k])
+        if m == 1 or k == ONTO:
             yield x0, p ** (m * kerdim)
             continue
         check_budget(p ** (kerdim * (m - 1)) * (m + 1), budget, "jet-layer fiber enumeration")
+        _, system = next(systems)
         walks = 0
         for X in walk_layers(F, x0[None, :, None, :], m - 1, system):
             walks += int(system.solve(next_layer(F, X)[:, -1])[0].sum())
@@ -693,21 +687,19 @@ def count_tangent_pairs(
     _check_count_inputs(F, e, m)
     mu = moduli_dimension(F.n, F.d, e)
     exponent = 2 * (m + 1) * (mu + 1)
-    p, ncols = F.p, (m + 1) * (F.n + 1) * (e + 1)
-    total, obstructed = 0, []
-    for x0, system in base_systems(F, e, budget):
-        if system.onto or not m:
-            total += p ** (m * system.kerdim + ncols - (m + 1) * system.rank)
-        else:
-            obstructed.append((x0, system))
-    for x0, system in obstructed:
-        check_budget(p ** (system.kerdim * m) * (m + 1), budget, "solution tuple enumeration")
+    p, ncols = F.p, (F.n + 1) * (e + 1)
+    x0s, ids, images = lift_fibers(F, e, budget)
+    walked, sizes = (ids != ONTO) & (m > 0), np.bincount(ids).tolist()
+    total = sum(sizes[k] * p ** ((2 * m + 1) * (ncols - len(images[k])))
+                for k in np.unique(ids[~walked]).tolist())
+    for x0, system in layer_systems(F, x0s[walked]):
+        check_budget(p ** ((ncols - system.rank) * m) * (m + 1), budget, "solution tuple enumeration")
         for X in walk_layers(F, x0[None, :, None, :], m, system):
             for i in range(0, X.shape[0], FIBER_CHUNK):
                 M = unfolded_mult_matrix_batch(F, X[i : i + FIBER_CHUNK])
                 _, ranks = linalg.rref_batch(M.transpose(0, 2, 1), p)
                 for rank, count in zip(*np.unique(ranks, return_counts=True)):
-                    total += int(count) * p ** (ncols - int(rank))
+                    total += int(count) * p ** (M.shape[2] - int(rank))
     return _record(F, e, m, total, exponent, "tangent_pairs")
 
 

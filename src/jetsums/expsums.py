@@ -47,7 +47,6 @@ from .counting import (
     MapClasses,
     append_layer,
     base_scan,
-    base_systems,
     batch_digits,
     batch_eval_form,
     batch_eval_jets,
@@ -58,6 +57,8 @@ from .counting import (
     fiber_classes,
     generating_fibers,
     iter_base_chunks,
+    layer_systems,
+    lift_fibers,
     next_layer,
     walk_layers,
     _check_scan,
@@ -781,29 +782,34 @@ def slice_histogram(F: SymmetricForm, e: int, m: int, budget: int | None = None,
                     with_ann: bool = False):
     """KK(u) = #{x gg : F(x) = t^m u}, u over P_de (degree-zero layer), m >= 1.
 
-    Each u has p^(m dim ker L) such x above an onto L, of trivial class.
-    Above obstructed solutions the middle layers walk in solution cosets of
-    L to the fiber engine's leaf; ``with_ann`` splits the counts by
-    annihilator class, enumerating their top layer.  Returns (array KK,
-    dict {(u_code, ann_key): count}, ann_bases).
+    A class of ``lift_fibers`` whose every layer solves (onto, or any at
+    m = 1 without pair classes) adds p^(m dim ker L) per point at each u in
+    its image, the onto class in the trivial pair class.  Above the other
+    points the middle layers walk in solution cosets of L to the fiber
+    engine's leaf; ``with_ann`` splits the counts by annihilator class,
+    enumerating their top layer.  Returns (array KK, dict
+    {(u_code, ann_key): count}, ann_bases).
     """
-    p, width = F.p, F.d * e + 1
+    p, width, ncols = F.p, F.d * e + 1, (F.n + 1) * (e + 1)
     if m < 1:  # the base layer is the top: no closed form nor walk applies
         raise ValueError(f"the slice needs m >= 1, got m={m}")
     _check_mass(F, e, m, "slice histogram")
-    systems = list(base_systems(F, e, budget))
-    obstructed = [(x0, s) for x0, s in systems if not s.onto]
+    x0s, ids, images = lift_fibers(F, e, budget)
+    ranks = [len(image) for image in images]
+    walked = (ids != ONTO) & (with_ann or m > 1)
     if with_ann:  # at most p^(dim ker (m-1)) walks above each obstructed point
-        walks = sum(p ** (s.kerdim * (m - 1)) for _, s in obstructed)
+        walks = sum(p ** ((ncols - ranks[k]) * (m - 1)) for k in ids[walked].tolist())
         _check_pair_scan(F, e, m, walks, budget, "explicit slice fiber")
-    onto = sum(p ** (m * s.kerdim) for _, s in systems if s.onto)
-    kk = np.full(p**width, onto, dtype=np.int64)
-    hist = {(u, ONTO): onto for u in range(kk.size)} if with_ann and onto else {}
+    kk, sizes = np.zeros(p**width, dtype=np.int64), np.bincount(ids).tolist()
+    for k in np.unique(ids[~walked]).tolist():  # p^(ncols - rank) at each u of the image
+        kk += sizes[k] * p ** ((m - 1) * (ncols - ranks[k])) * _t_histogram(images[k], ncols, p)
+    # with pairs only the onto class, of trivial pair class, is in kk so far
+    hist = {(u, ONTO): c for u, c in enumerate(kk.tolist()) if c} if with_ann else {}
     ann = MapClasses(p, (m + 1) * width)
-    for x0, system in obstructed:
+    for k, (x0, system) in zip(ids[walked].tolist(), layer_systems(F, x0s[walked])):
         if not with_ann:
-            check_budget(p ** (system.kerdim * (m - 1) + system.rank), budget, "slice histogram")
-        image = None if with_ann else system.L[:, system.pivots].T  # pivot columns span im L
+            check_budget(p ** ((ncols - ranks[k]) * (m - 1) + ranks[k]), budget, "slice histogram")
+        image = None if with_ann else images[k]
         for X in walk_layers(F, x0[None, :, None, :], m - 1, system):
             for V, span, weight, klass in _top_layer(F, X, m, image, ann):
                 codes = encode_digits((V[:, None, m] + span) % p, p)

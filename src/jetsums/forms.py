@@ -66,8 +66,11 @@ class SymmetricForm:
 def make_form(p: int, n: int, d: int, monomial_list, name: str = "form") -> SymmetricForm:
     """Build a form from (exponent vector, coefficient) pairs.
 
-    Requires p > d so the symmetrization divisors are invertible.
+    Requires p > d so the symmetrization divisors are invertible, and p < 2^20
+    (see ``arith``).
     """
+    if p >= 1 << 20:
+        raise ValueError(f"need p < 2^20 so that sums of residue products fit int64, got p={p}")
     check_prime(p)
     if p <= d:
         raise ValueError(f"need p > d (got p={p}, d={d})")

@@ -7,7 +7,7 @@ in the dozens.
 One elimination serves every caller.  ``rref_batch`` row-reduces a whole
 stack of matrices at once, one column step across the batch axis at a time:
 the gradient and pair maps that ``counting.MapClasses`` sorts by image, the
-stacked [L | I] of each block of base solutions of the jet-layer lifts
+stacked [L | I] of each block of obstructed base solutions of the lift
 (after which ``solve_stack`` solves L x = b for a stack of right-hand sides
 with one matrix product), the Hankel matrices of ``sections.hankel_splits``
 (the divisor table and ``classify_arc``), the last-slot maps of
@@ -27,11 +27,19 @@ def inverse_mod(a: int, p: int) -> int:
 
 
 def inverse_table(p: int) -> np.ndarray:
-    """inv[a] = a^(-1) mod p for a = 1..p-1; inv[0] = 0."""
-    inv = np.zeros(p, dtype=np.int64)
-    for a in range(1, p):
-        inv[a] = pow(a, p - 2, p)
-    return inv
+    """inv[a] = a^(-1) mod p for a = 1..p-1; inv[0] = 0: a^(p-2) by
+    square-and-multiply on all residues at once, built once per p into
+    ``sections.MEMO`` and read-only, since the memo shares it."""
+    from .sections import MEMO  # sections imports this module
+
+    def build():
+        inv, power, k = np.ones(p, dtype=np.int64), np.arange(p, dtype=np.int64), p - 2
+        while k:
+            inv, power, k = inv * power % p if k & 1 else inv, power * power % p, k >> 1
+        inv[0] = 0
+        inv.flags.writeable = False
+        return inv
+    return MEMO.get(("inverse_table", p), build)
 
 
 def rref_batch(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:

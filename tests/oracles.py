@@ -9,9 +9,11 @@ scalar-rref keyed classes (``map_classes``) against ``counting.MapClasses``,
 the divisor scan (``minimal_divisor``, ``count_minimizers``) against the
 Hankel systems of the divisor table and of ``classify_arc``, enumerations
 of sections, functionals and tuples against the rank counts, the lift and
-the character transforms, the full value histogram against the two-part
-single sums, the full-size dual layer table against the one-layer identity,
-the scalar generation test against the batched mask, the z-enumeration of
+the character transforms, the walk above every base solution
+(``base_systems``) against the closed forms and the obstructed walks, the
+full value histogram against the two-part single sums, the full-size dual
+layer table against the one-layer identity, the scalar generation test
+against the batched mask, the z-enumeration of
 the auxiliary sum's histogram against its image rule, Fraction
 transcriptions against the integer cores of ``bounds``, and the certificate
 sweep over every cell of its int64 grids against the one-sided searches of
@@ -48,12 +50,13 @@ from jetsums.bounds import (
 )
 from jetsums.counting import (
     WALK_CHUNK,
+    _base_solutions,
     _psi_batch,
-    base_systems,
     batch_digits,
     batch_eval_jets,
     encode_digits,
     iter_base_chunks,
+    layer_systems,
     walk_layers,
 )
 from jetsums.forms import SymmetricForm, make_form
@@ -660,6 +663,14 @@ def unfolded_mult_matrix(F: SymmetricForm, x0: tuple[JetPoly, ...]) -> np.ndarra
                         if ga and a + i <= de:
                             mat[(kz + kg) * (de + 1) + a + i, col] = ga
     return mat
+
+
+def base_systems(F: SymmetricForm, e: int, budget: int | None = None):
+    """Yield (x0, its LayerSystem) over every gg base solution, onto or not,
+    in ``_base_solutions`` order: the walk-every-point source of
+    ``solution_tuples`` and the walker tests, where the package builds
+    systems above the obstructed points alone."""
+    yield from layer_systems(F, _base_solutions(F, e, budget))
 
 
 def solution_tuples(F: SymmetricForm, e: int, m: int, budget: int | None = None):

@@ -181,6 +181,26 @@ def test_missing_paths_exit_2(flags, capsys, tmp_path):
     assert err.startswith("error: ") and str(missing) in err
 
 
+@pytest.mark.parametrize("check", ["n-counts", "shrink"])
+def test_primes_whose_products_overflow_exit_2(check, capsys):
+    # p = 2^31 - 1 ended in an _ArrayMemoryError traceback with exit 1: sums
+    # of its residue products can wrap int64, and its inverse table is 16 GiB
+    args = ["circle", "--q", "2147483647", "--form", "conic", "--e", "1", "--m", "1",
+            "--k", "1", "--samples", "1", "--check", check, "--no-timestamp"]
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: need p < 2^20") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("q", [137, 1000003])
+@pytest.mark.parametrize("check", ["n-counts", "shrink"])
+def test_primes_below_the_limit_are_admitted(q, check, capsys):
+    args = ["circle", "--q", str(q), "--form", "conic", "--e", "1", "--m", "1",
+            "--k", "1", "--samples", "1", "--check", check, "--no-timestamp"]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0 and json.loads(out)["verdict"] == "holds"
+
+
 def test_config_error_exit(capsys):
     code, _, err = run_cli(
         ["count", "--q", "3", "--e", "2", "--no-timestamp"], capsys

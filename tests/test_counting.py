@@ -27,7 +27,6 @@ from jetsums.counting import (
     iter_base_chunks,
     lw_trend,
     moduli_dimension,
-    mult_matrix_batch,
     unfolded_mult_matrix_batch,
 )
 from jetsums.forms import conic_form, fermat_form, make_form
@@ -338,9 +337,11 @@ def forms_and_points(draw):
 
 
 @given(forms_and_points())
-def test_mult_matrix_batch_matches_scalar(case):
+def test_degree_zero_gradient_maps_match_scalar(case):
+    # the jet order 0 case of unfolded_mult_matrix_batch, as the layer systems
+    # and the fiber classes build it
     F, coords = case
-    batch = mult_matrix_batch(F, coords)
+    batch = unfolded_mult_matrix_batch(F, coords[:, :, None, :])
     for x0, mat in zip(coords, batch):
         assert (mat == mult_matrix(F, x0)).all()
 

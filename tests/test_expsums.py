@@ -17,6 +17,7 @@ from jetsums.counting import (
     encode_digits,
     fiber_classes,
     generating_fibers,
+    lift_fibers,
 )
 from jetsums.expsums import (
     _dual_sum,
@@ -802,6 +803,7 @@ def test_histogram_budget_is_checked_before_the_cache():
         (pair_data, (F, 1, 0), 10, "materialized tuple scan"),
         (base_scan, (F, 2), 10, "materialized tuple scan"),
         (generating_fibers, (F, 2), 10, "materialized tuple scan"),
+        (lift_fibers, (F, 2), 10, "degree-zero coefficient lift"),
         (divisor_table, (3, 4), 10, "minimal divisor Hankel"),
         # one image, one transform: 4 butterflies of 5^2 rolls over 5^5 entries
         (t_vanishing_report, (fermat_form(5, 1, 3), 1), 60_000, "auxiliary linear sum"),

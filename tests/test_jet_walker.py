@@ -10,6 +10,7 @@ routes, kept here as oracles: they lift one candidate at a time through
 import itertools
 import random
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -17,12 +18,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from jetsums import counting, expsums, linalg
+from jetsums.cli import random_smooth_form
 from jetsums.counting import (
     FIBER_CHUNK,
+    ONTO,
     WALK_CHUNK,
     _base_solutions,
     base_scan,
-    base_systems,
     _solution_fibers,
     batch_digits,
     batch_eval_form,
@@ -31,6 +33,7 @@ from jetsums.counting import (
     count_solutions,
     count_tangent_pairs,
     encode_digits,
+    lift_fibers,
     unfolded_mult_matrix_batch,
     walk_layers,
 )
@@ -42,9 +45,11 @@ from jetsums.expsums import (
     w_code_from_values,
 )
 from jetsums.forms import conic_form, fermat_form, make_form
-from jetsums.sections import BudgetExceeded
+from jetsums.sections import MEMO, BudgetExceeded
 from oracles import (
     JetPoly,
+    base_systems,
+    count_solutions_slow,
     eval_form,
     gradient,
     mult_matrix,
@@ -54,17 +59,18 @@ from oracles import (
     row_space,
     solution_tuples,
     solve,
+    tangent_fiber_slow,
     unfolded_mult_matrix,
     value_histogram,
 )
 
 
-def x0x1():
-    return make_form(3, 2, 2, [((1, 1, 0), 1)], name="x0x1")
+def x0x1(n=2, p=3):
+    return make_form(p, n, 2, [((1, 1) + (0,) * (n - 1), 1)], name="x0x1")
 
 
-def x0sq(n=1):
-    return make_form(3, n, 2, [((2,) + (0,) * n, 1)], name="x0sq")
+def x0sq(n=1, p=3):
+    return make_form(p, n, 2, [((2,) + (0,) * n, 1)], name="x0sq")
 
 
 def cone():
@@ -319,8 +325,8 @@ def test_onto_closed_form_matches_the_walk():
     # had a closed form, on a form with both kinds of point (and against
     # the recursions) and on conic(5) at orders the walk took seconds at
     F = cone()
-    systems = [system for _, system in base_systems(F, 2, None)]
-    assert (len(systems), sum(system.onto for system in systems)) == (3024, 1296)
+    x0s, ids, _ = lift_fibers(F, 2)
+    assert (len(x0s), int((ids == ONTO).sum())) == (3024, 1296)
     assert count_solutions(F, 2, 0).raw_count == 3024
     assert count_solutions(F, 2, 1).raw_count == 36_846_576 == sum(oracle_fiber_counts(F, 2, 1))
     assert count_tangent_pairs(F, 2, 0).raw_count == 36_846_576
@@ -341,7 +347,7 @@ def test_only_obstructed_points_walk(monkeypatch):
     real_walk, real_leaf = counting.walk_layers, expsums._top_layer
 
     def walk(F, X, top, system):
-        walked.append(system.onto)
+        walked.append(system.rank == system.L.shape[0])
         return real_walk(F, X, top, system)
 
     monkeypatch.setattr(counting, "walk_layers", walk)
@@ -363,6 +369,39 @@ def test_only_obstructed_points_walk(monkeypatch):
     leaves.clear()
     value_histogram(x0x1(), 0, 2)  # 2 of its 26 generating base maps are obstructed
     assert leaves
+
+
+def test_one_lift_serves_counts_pairs_and_slices():
+    # each of the three ran its own lift and its own onto test per point
+    MEMO.clear()
+    F = x0x1()
+    count_solutions(F, 1, 1)
+    count_tangent_pairs(F, 1, 1)
+    slice_histogram(F, 1, 1)
+    assert (MEMO.misses["lift_fibers"], MEMO.hits["lift_fibers"]) == (1, 2)
+
+
+def test_walks_hold_one_kernel_span_at_a_time(monkeypatch):
+    # the memory contract of the walks: a kernel span (p^(dim ker L) rows)
+    # lives only while its walk runs, so a route over many obstructed points
+    # never holds two.  Every one of the 96 base maps of x0*x1 at e = 1 is
+    # obstructed, and each walk through a middle layer spans its kernel once
+    F, e = x0x1(), 1
+    ncols = (F.n + 1) * (e + 1)
+    live, counts = [], []
+    real = linalg.span_elements
+
+    def spy(basis, p):
+        out = real(basis, p)
+        if basis.shape[1] == ncols:  # a kernel; the images of L lie in P_de
+            live[:] = [ref for ref in live if ref() is not None] + [weakref.ref(out)]
+            counts.append(len(live))
+        return out
+
+    monkeypatch.setattr(linalg, "span_elements", spy)
+    count_tangent_pairs(F, e, 1)
+    slice_histogram(F, e, 2)
+    assert len(counts) == 2 * 96 and max(counts) == 1
 
 
 def test_explicit_branches_are_reached():
@@ -511,7 +550,9 @@ def test_every_walk_block_is_within_walk_chunk(monkeypatch):
 
 def test_m0_stacks_and_m1_counts_build_no_kernel(monkeypatch):
     # the m = 0 stacks need no reduction at all, the m = 1 count one rank
-    # per base point; neither builds a kernel or its span
+    # per base point, of L^T in the lift's classes; neither builds a kernel
+    # or its span
+    MEMO.clear()
     calls = []
     for name in ("rref_batch", "_kernel_basis", "span_elements"):
         real = getattr(linalg, name)
@@ -523,11 +564,11 @@ def test_m0_stacks_and_m1_counts_build_no_kernel(monkeypatch):
     assert sum(count for _, count in _solution_fibers(F, 2, 1, None)) == 480 * 5**4
     assert calls == ["rref_batch"] * 2
     # every base map of conic(5) is onto: at any order its counts take the
-    # ranks alone, one reduction per block of base points
+    # class ranks alone, from the classes the m = 1 count left in the memo
     calls.clear()
     assert count_solutions(F, 2, 3).raw_count == 480 * 5**12
     assert count_tangent_pairs(F, 2, 2).raw_count == 480 * 5**8 * 5**12
-    assert calls == ["rref_batch"] * 4
+    assert calls == []
 
 
 def test_pair_scan_is_charged_by_its_eliminations():
@@ -593,3 +634,74 @@ def test_walker_budget_figures():
     assert count_solutions(F, 2, 4, budget=lift).raw_count == 48 * 3**16
     assert count_tangent_pairs(F, 2, 2, budget=lift).raw_count == 48 * 3**8 * 3**12
     assert (slice_histogram(F, 2, 3, budget=lift, with_ann=True)[0] == 48 * 3**12).all()
+
+
+# ---------------------------------------------------------------------------
+# the counts against their slow oracles beyond p = 3
+
+F5_FORMS = [x0x1(1, 5), x0x1(2, 5), x0sq(1, 5), x0sq(2, 5), conic_form(5),
+            random_smooth_form(5, 1, 3, 1)]
+# The oracle work admitted per (form, e, m) case, fixed before the draw: array
+# rows of the slow count (about 0.13 us each on a 2-core host) and scalar
+# items of the recursions and enumerations (50-130 us each: candidate layers
+# evaluated, x1 enumerated, top layers ranked).
+ROW_CAP, SCALAR_CAP = 2 * 10**7, 2 * 10**4
+
+
+def _recursion_work(F, e, m, top=None):
+    """Candidate layers the recursions evaluate at depths 1..m above the base
+    solutions, plus, with ``top``, the items each walk's last layer costs:
+    top(class, rank) per walk of that class."""
+    p, ncols = F.p, (F.n + 1) * (e + 1)
+    _, ids, images = counting.lift_fibers(F, e)
+    sizes, ranks = np.bincount(ids, minlength=len(images)), [len(im) for im in images]
+    work = 0
+    for k, (size, rank) in enumerate(zip(sizes, ranks)):
+        work += size * sum(p ** ((ncols - rank) * j) for j in range(m))
+        if top is not None:
+            work += size * p ** ((ncols - rank) * (m - 1)) * top(k, rank)
+    return work
+
+
+def _f5_cases(route):
+    """The (F, e, m, extra) cases of one route whose oracle work fits its cap."""
+    for F, e in itertools.product(F5_FORMS, range(3)):
+        p, ncols = F.p, (F.n + 1) * (e + 1)
+        if route == "count":
+            yield from ((F, e, m, None) for m in (1, 2) if p ** (ncols * (m + 1)) <= ROW_CAP)
+        elif route == "fibers":
+            yield from ((F, e, m, None) for m in (1, 2) if _recursion_work(F, e, m) <= SCALAR_CAP)
+        elif route == "tangent":
+            for m in (0, 1):
+                if count_solutions(F, e, m).raw_count * p ** (ncols * (m + 1)) <= SCALAR_CAP:
+                    yield F, e, m, None
+        else:  # slices: with annihilators the oracle enumerates the obstructed top layers
+            for m, with_ann in itertools.product((1, 2), (False, True)):
+                top = lambda k, rank: p ** (ncols if k != ONTO else rank)
+                if _recursion_work(F, e, m, top if with_ann else None) <= SCALAR_CAP:
+                    yield F, e, m, with_ann
+
+
+# the cases each route admits, pinned so that a change of the work figures
+# cannot drop cases unseen
+F5_CASES = {"count": 15, "fibers": 30, "tangent": 21, "slices": 54}
+
+
+@pytest.mark.parametrize("route", list(F5_CASES))
+def test_counts_match_slow_oracles_beyond_p3(route):
+    ran = 0
+    for F, e, m, with_ann in _f5_cases(route):
+        ran += 1
+        case = (F.name, F.n, e, m, with_ann)
+        if route == "count":
+            assert count_solutions(F, e, m).raw_count == count_solutions_slow(F, e, m, None), case
+        elif route == "fibers":
+            fibers = [count for _, count in _solution_fibers(F, e, m, None)]
+            assert fibers == oracle_fiber_counts(F, e, m), case
+        elif route == "tangent":
+            slow = sum(tangent_fiber_slow(F, x, None) for x in solution_tuples(F, e, m))
+            assert count_tangent_pairs(F, e, m).raw_count == slow, case
+        else:
+            _assert_same_slices(slice_histogram(F, e, m, with_ann=with_ann),
+                                oracle_slice_histogram(F, e, m, with_ann))
+    assert ran == F5_CASES[route]

@@ -3,7 +3,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from jetsums.counting import LayerSystem
-from jetsums.linalg import annihilator, rref_batch, solve_stack
+from jetsums.linalg import annihilator, inverse_table, rref_batch, solve_stack
+from jetsums.sections import MEMO
 from oracles import nullspace, row_space, rref, solve
 
 
@@ -91,3 +92,16 @@ def test_solve_stack_matches_scalar_solve(case, seed):
             assert flag == (ref is not None)
             if flag:
                 assert (sol == ref).all()
+
+
+def test_inverse_table_is_built_once_per_prime():
+    # every rref_batch call built its table in a Python loop: 4 s at
+    # p = 1000003, and 16 GiB at p = 2^31 - 1, now refused by make_form
+    MEMO.clear()
+    for p in (2, 3, 5, 7, 137, 1000003):
+        inv = inverse_table(p)
+        assert inv is inverse_table(p) and not inv.flags.writeable
+        assert inv[0] == 0 and (np.arange(1, p) * inv[1:] % p == 1).all()
+        if p < 200:
+            assert inv.tolist() == [0] + [pow(a, p - 2, p) for a in range(1, p)]
+    assert (MEMO.misses["inverse_table"], MEMO.hits["inverse_table"]) == (6, 6)
